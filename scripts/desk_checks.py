@@ -35,14 +35,7 @@ def main():
                  tame.Word.of(tame.Transvection(1, 2, 1, 1)),
                  tame.Word.of(tame.Transvection(1, 2, 2, 1))]
         codes = np.arange(1, p**3, dtype=np.int64)
-        coords = orbits.codes_to_coords(codes, p, 3)
-        lookup = np.full(p**3, -1, dtype=np.int64)
-        lookup[codes] = np.arange(len(codes))
-        gens = []
-        for w in words:
-            img = orbits.coords_to_codes(
-                tame.apply_word_arrays(w, [c.copy() for c in coords], ctx), p)
-            gens.append(lookup[img])
+        gens = [orbits.word_code_perm(w, codes, ctx, 3) for w in words]
         cert = timed(f"p={p}: certify Alt({p**3 - 1})",
                      lambda: permgrp.certify_alternating(
                          permgrp.build_chain(gens, seed=1)))

@@ -102,11 +102,16 @@ def _header(seed, ctx=None):
 
 def _bigint_str(n):
     """Decimal string of an arbitrary-precision order; certificate orders
-    like 2186!/2 exceed the default int-to-str conversion limit."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(),
-                                       2_000_000))
-    return str(n)
+    like 2186!/2 exceed the default int-to-str conversion limit, which is
+    lifted for this conversion only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _params(args):
@@ -128,21 +133,6 @@ def _thm15_words(variant, p):
 
 def _nonzero_codes(q, n):
     return np.arange(1, q**n, dtype=np.int64)
-
-
-def _perms_on_codes(codes, words, ctx, n):
-    q = ctx.q
-    lookup = np.full(q**n, -1, dtype=np.int64)
-    lookup[codes] = np.arange(len(codes))
-    perms = []
-    for w in words:
-        coords = orbits.codes_to_coords(codes, q, n)
-        img = orbits.coords_to_codes(tame.apply_word_arrays(w, coords, ctx), q)
-        p = lookup[img]
-        if (p < 0).any():
-            raise TamexpError("generator leaves the domain")
-        perms.append(p)
-    return perms
 
 
 def cmd_certify_alt(args):
@@ -169,7 +159,7 @@ def cmd_certify_alt(args):
         codes = _nonzero_codes(ctx.q, n)
         if len(codes) > 10**5:
             raise BudgetExceeded(f"domain of {len(codes)} points exceeds 1e5")
-        perms = _perms_on_codes(codes, words, ctx, n)
+        perms = [orbits.word_code_perm(w, codes, ctx, n) for w in words]
         domain_size = len(codes)
         domain_kind = "nonzero points"
     chain = permgrp.build_chain(perms, seed=seed)
@@ -193,29 +183,10 @@ def cmd_certify_alt(args):
 def _class_action_perms(codes, words, ctx, n, spec, params):
     """Permutations induced on the Gamma-classes of an invariant orbit."""
     codes = np.sort(codes)
-    q = ctx.q
-    labels = np.arange(len(codes), dtype=np.int64)
-    posF = np.searchsorted(codes, orbits.gamma_apply_codes("frobenius", codes, spec, n))
-    posM = np.searchsorted(codes, orbits.gamma_apply_codes("mlambda", codes, spec, n))
-    while True:
-        nxt = np.minimum(labels, np.minimum(labels[posF], labels[posM]))
-        np.minimum.at(nxt, posF, labels)
-        np.minimum.at(nxt, posM, labels)
-        if np.array_equal(nxt, labels):
-            break
-        labels = nxt
-    roots = np.flatnonzero(labels == np.arange(len(codes)))
-    class_id = np.full(len(codes), -1, dtype=np.int64)
-    class_id[roots] = np.arange(len(roots))
-    class_id = class_id[labels]  # id of each point's class root
-    perms = []
-    lookup = np.full(q**n, -1, dtype=np.int64)
-    lookup[codes] = np.arange(len(codes))
-    for w in words:
-        coords = orbits.codes_to_coords(codes[roots], q, n)
-        img = orbits.coords_to_codes(tame.apply_word_arrays(w, coords, ctx), q)
-        perms.append(class_id[lookup[img]])
-    return perms
+    roots = orbits.gamma_classes(codes, spec, params).roots
+    reps, class_id = orbits.component_ids(roots)
+    return [class_id[orbits.word_code_perm(w, codes, ctx, n)[reps]]
+            for w in words]
 
 
 def cmd_orbits(args):

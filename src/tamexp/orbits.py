@@ -4,8 +4,11 @@ constructive almost-k-transitivity probe.
 
 Points of F_q^n are tuples of field-element indices; bulk code paths pack
 a point into a single integer sum(idx_i * q^i), so index 0 is the origin.
-Orbits are enumerated by vectorized BFS under the standard generators
-with r = 1 and their inverses.
+This module owns that format: `word_code_perm` turns a word into a
+permutation of a code set, and `components` finds the connected
+components under such maps.  Orbits are the components under the
+standard generators with r = 1, Gamma-classes those under Frobenius and
+m_lambda.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import BoundViolated, BudgetExceeded, ProbeFailed
+from .errors import BoundViolated, BudgetExceeded, NotClosed, ProbeFailed
 from .ff import make_field, minimal_polynomial
 from .synth import interpolate
 from .tame import (Transvection, Word, apply_letter, apply_word,
-                   apply_letter_arrays, poly_transvection_letter, tau)
+                   apply_word_arrays, poly_transvection_letter, tau)
+# re-exported: bench/test_bench.py checks its span wrapper under this name
+from .tame import apply_letter_arrays  # noqa: F401
 
 
 def point_to_code(point, q):
@@ -53,6 +58,64 @@ def coords_to_codes(coords, q):
     for a in reversed(coords):
         code = code * q + a
     return code
+
+
+# ---------------------------------------------------------------------------
+# maps on point codes and their connected components
+
+
+def code_perm(codes, images, universe):
+    """Positions of `images` in the distinct codes `codes`, all below
+    `universe`, through one universe-entry int32 lookup table; raises
+    NotClosed if an image is not in `codes`."""
+    lookup = np.full(universe, -1, dtype=np.int32)
+    lookup[codes] = np.arange(len(codes), dtype=np.int32)
+    pos = lookup[images]
+    if (pos < 0).any():
+        raise NotClosed("a map sends a point outside the domain")
+    return pos
+
+
+def word_code_perm(word, codes, ctx, n):
+    """The permutation a word induces on a set of codes of F_q^n, as
+    positions into `codes`."""
+    coords = apply_word_arrays(word, codes_to_coords(codes, ctx.q, n), ctx)
+    return code_perm(codes, coords_to_codes(coords, ctx.q), ctx.q**n)
+
+
+def components(maps):
+    """Components of the undirected graph on range(len(g)) with an edge
+    x -- g[x] for every index array g in `maps`: each point is labelled
+    with the smallest point of its component.
+
+    Min-label propagation: each round pulls labels along the edges by a
+    gather, pushes them back by a scatter (so the maps need not be
+    permutations), then shortcuts the label forest by pointer jumping.
+    Labels only decrease and stay inside their component, so the fixed
+    point is the component minimum.
+    """
+    labels = np.arange(len(maps[0]), dtype=np.int32)
+    while True:
+        nxt = labels.copy()
+        for g in maps:
+            np.minimum(nxt, labels[g], out=nxt)
+            np.minimum.at(nxt, g, labels)
+        while True:
+            jumped = nxt[nxt]
+            if np.array_equal(jumped, nxt):
+                break
+            nxt = jumped
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+def component_ids(roots):
+    """(roots in increasing order, dense component id of each point) for
+    a labelling whose roots label themselves, in O(n) without sorting."""
+    is_root = roots == np.arange(len(roots))
+    rank = np.cumsum(is_root, dtype=np.int32) - 1
+    return np.flatnonzero(is_root), rank[roots]
 
 
 # ---------------------------------------------------------------------------
@@ -218,55 +281,30 @@ class OrbitPartition:
     labels: np.ndarray = field(repr=False, default=None)  # code -> orbit id
 
 
-def _generator_code_maps(params, ctx):
-    """Vectorized code -> code maps for the standard generators and
-    inverses."""
-    q, n = ctx.q, params.n
-    maps = []
-    for i in range(1, n + 1):
-        for sign in (1, -1):
-            let = tau(params, i, 1)
-            maps.append((let, sign))
-
-    def apply_map(let_sign, codes):
-        let, sign = let_sign
-        coords = codes_to_coords(codes, q, n)
-        coords = apply_letter_arrays(let, sign, coords, ctx)
-        return coords_to_codes(coords, q)
-
-    return maps, apply_map
+def _generator_maps(params, ctx):
+    """Code maps of the standard generators on all of F_q^n; orbits are
+    their components, inverses being implied by the undirected edges."""
+    codes = np.arange(ctx.q**params.n, dtype=np.int64)
+    return [word_code_perm(Word.of(tau(params, i, 1)), codes, ctx, params.n)
+            for i in range(1, params.n + 1)]
 
 
 def orbit_partition(params, ell, budget=10**7, invariant_samples=64, seed=0):
     """Disjoint orbits of F_q^n under the group action, each with its
-    invariant (spot-checked for constancy on a sample of members)."""
+    invariant (spot-checked for constancy on a sample of members).
+    Orbits are numbered in order of their smallest code, which is also
+    their representative."""
     ctx = make_field(params.p, ell)
     q, n = ctx.q, params.n
     total = q**n
     if total > budget:
         raise BudgetExceeded(f"{total} points exceed the exhaustive budget {budget}")
-    maps, apply_map = _generator_code_maps(params, ctx)
-    labels = np.full(total, -1, dtype=np.int32)
+    reps, labels = component_ids(components(_generator_maps(params, ctx)))
+    sizes = np.bincount(labels)
     rng = random.Random(seed)
     orbits = []
-    scan = 0
-    while True:
-        while scan < total and labels[scan] >= 0:
-            scan += 1
-        if scan == total:
-            break
-        oid = len(orbits)
-        labels[scan] = oid
-        frontier = np.array([scan], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            images = [apply_map(ms, frontier) for ms in maps]
-            img = np.unique(np.concatenate(images))
-            img = img[labels[img] < 0]
-            labels[img] = oid
-            size += img.size
-            frontier = img
-        inv = orbit_invariant(code_to_point(scan, q, n), params, ctx)
+    for oid, (rep, size) in enumerate(zip(reps.tolist(), sizes.tolist())):
+        inv = orbit_invariant(code_to_point(rep, q, n), params, ctx)
         if size > 1:
             members = np.flatnonzero(labels == oid)
             pool = (members if len(members) <= invariant_samples
@@ -276,8 +314,7 @@ def orbit_partition(params, ell, budget=10**7, invariant_samples=64, seed=0):
                 if got != inv:
                     raise BoundViolated(
                         f"invariant not constant on orbit {oid}: {got} != {inv}")
-        orbits.append(OrbitInfo(size, scan, inv))
-    assert sum(o.size for o in orbits) == total
+        orbits.append(OrbitInfo(size, rep, inv))
     return OrbitPartition(params, ctx, orbits, labels)
 
 
@@ -286,33 +323,25 @@ class GammaClassReport:
     class_count: int
     size_histogram: dict
     orbit_size: int
+    roots: np.ndarray = field(repr=False)  # sorted-code position -> class root
 
 
 def gamma_classes(orbit_codes, spec, params):
-    """Union-find labeling of an orbit under <F, m_lambda> by min-label
-    propagation along the two code maps."""
-    ctx = spec.ctx
-    n = params.n
+    """Gamma-classes of an orbit: the components of its sorted codes under
+    the Frobenius and m_lambda code maps, each class rooted at its
+    smallest code."""
     codes = np.sort(np.asarray(orbit_codes, dtype=np.int64))
-    posF = np.searchsorted(codes, gamma_apply_codes("frobenius", codes, spec, n))
-    posM = np.searchsorted(codes, gamma_apply_codes("mlambda", codes, spec, n))
-    if (posF >= len(codes)).any() or (posM >= len(codes)).any() or \
-            not np.array_equal(codes[posF.clip(0, len(codes) - 1)],
-                               gamma_apply_codes("frobenius", codes, spec, n)):
-        raise BoundViolated("orbit is not Gamma-invariant")
-    labels = np.arange(len(codes), dtype=np.int64)
-    while True:
-        nxt = np.minimum(labels, np.minimum(labels[posF], labels[posM]))
-        # pull labels along inverse edges too by scattering
-        np.minimum.at(nxt, posF, labels)
-        np.minimum.at(nxt, posM, labels)
-        if np.array_equal(nxt, labels):
-            break
-        labels = nxt
-    roots, counts = np.unique(labels, return_counts=True)
-    sizes, mult = np.unique(counts, return_counts=True)
+    try:
+        maps = [code_perm(codes, gamma_apply_codes(which, codes, spec, params.n),
+                          spec.ctx.q**params.n)
+                for which in ("frobenius", "mlambda")]
+    except NotClosed:
+        raise BoundViolated("orbit is not Gamma-invariant") from None
+    roots = components(maps)
+    reps, ids = component_ids(roots)
+    sizes, mult = np.unique(np.bincount(ids), return_counts=True)
     hist = {int(s): int(m) for s, m in zip(sizes, mult)}
-    return GammaClassReport(int(roots.size), hist, int(codes.size))
+    return GammaClassReport(int(reps.size), hist, int(codes.size), roots)
 
 
 @dataclass
@@ -337,18 +366,8 @@ def check_large_orbit(params, ell, budget=10**7):
             break
     if start is None:
         raise BoundViolated("no field generator among (E-1)-st powers")
-    maps, apply_map = _generator_code_maps(params, ctx)
-    visited = np.zeros(q**n, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    size = 1
-    while frontier.size:
-        images = [apply_map(ms, frontier) for ms in maps]
-        img = np.unique(np.concatenate(images))
-        img = img[~visited[img]]
-        visited[img] = True
-        size += img.size
-        frontier = img
+    roots = components(_generator_maps(params, ctx))
+    size = int(np.count_nonzero(roots == roots[start]))
     # exact integer bound: p^(ln) - (E-1)^n p^((l-1)n)
     bound = params.p ** (ell * n) - (params.E - 1) ** n * params.p ** ((ell - 1) * n)
     # at ell = 2 the bound is attained exactly (e.g. q = 49, E = 2: every

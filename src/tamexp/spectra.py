@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotClosed, NotConnected, NoConvergence
-from .tame import apply_word_arrays
-from .orbits import codes_to_coords, coords_to_codes
+from .errors import NotConnected, NoConvergence
+from .orbits import components, word_code_perm
+# re-exported: bench/test_bench.py checks its span wrapper under this name
+from .orbits import codes_to_coords  # noqa: F401
 
 
 @dataclass
@@ -44,20 +45,12 @@ class SchreierGraph:
 
 
 def build_schreier(domain_codes, gen_words, ctx, n):
-    """Orbit graph on a set of point codes closed under the generators."""
+    """Orbit graph on a set of point codes closed under the generators;
+    raises NotClosed otherwise."""
     codes = np.sort(np.asarray(domain_codes, dtype=np.int64))
-    q = ctx.q
-    cols = []
-    for w in gen_words:
-        for word in (w, w.inverse()):
-            coords = codes_to_coords(codes, q, n)
-            img = coords_to_codes(apply_word_arrays(word, coords, ctx), q)
-            pos = np.searchsorted(codes, img)
-            if (pos >= len(codes)).any() or not np.array_equal(codes[pos], img):
-                raise NotClosed("a generator leaves the domain")
-            cols.append(pos.astype(np.int32))
-    neighbors = np.stack(cols, axis=1)
-    return SchreierGraph(len(codes), 2 * len(gen_words), neighbors)
+    cols = [word_code_perm(word, codes, ctx, n)
+            for w in gen_words for word in (w, w.inverse())]
+    return SchreierGraph(len(codes), 2 * len(gen_words), np.stack(cols, axis=1))
 
 
 def complete_graph(v):
@@ -73,15 +66,7 @@ def cycle_graph(v):
 
 
 def is_connected(graph):
-    seen = np.zeros(graph.nvertices, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        nxt = np.unique(graph.neighbors[frontier].ravel())
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        frontier = nxt
-    return bool(seen.all())
+    return bool((components(graph.neighbors.T) == 0).all())
 
 
 @dataclass

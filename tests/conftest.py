@@ -1,27 +1,12 @@
-"""Shared helpers: turning words into permutations of point domains."""
+"""Shared helpers: point domains and the Theorem 1.5 generator words."""
 
 import numpy as np
 
-from tamexp import orbits, tame
+from tamexp import tame
 
 
 def nonzero_codes(q, n):
     return np.arange(1, q**n, dtype=np.int64)
-
-
-def perms_on_codes(codes, words, ctx, n):
-    """Permutations (as index arrays into `codes`) induced by words."""
-    q = ctx.q
-    lookup = np.full(q**n, -1, dtype=np.int64)
-    lookup[codes] = np.arange(len(codes))
-    out = []
-    for w in words:
-        coords = orbits.codes_to_coords(codes, q, n)
-        img = orbits.coords_to_codes(tame.apply_word_arrays(w, coords, ctx), q)
-        p = lookup[img]
-        assert (p >= 0).all(), "word leaves the domain"
-        out.append(p)
-    return out
 
 
 def thm15_words(variant):

@@ -13,7 +13,7 @@ import pytest
 from tamexp import ff, orbits, permgrp as pg, spectra, synth, tame
 from tamexp.cli import main as cli_main
 
-from conftest import nonzero_codes, perms_on_codes, thm15_words
+from conftest import nonzero_codes, thm15_words
 
 
 def _report(name, detail):
@@ -26,7 +26,8 @@ def thm15i_chains():
     for p in (3, 5, 7):
         ctx = ff.make_field(p, 1)
         n, words = thm15_words("i")
-        gens = perms_on_codes(nonzero_codes(p, 3), words, ctx, 3)
+        gens = [orbits.word_code_perm(w, nonzero_codes(p, 3), ctx, 3)
+                for w in words]
         chains[p] = pg.build_chain(gens, seed=17)
     return chains
 
@@ -72,7 +73,7 @@ def test_criterion_2_degree4_case():
     ctx = ff.make_field(p, 1)
     nwords, words = thm15_words("ii")
     codes = nonzero_codes(q, n)
-    rho, gamma = perms_on_codes(codes, words, ctx, n)
+    rho, gamma = [orbits.word_code_perm(w, codes, ctx, n) for w in words]
     chain = pg.build_chain([rho, gamma], seed=11)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"

@@ -1,4 +1,8 @@
 import json
+import math
+import sys
+
+import pytest
 
 from tamexp.cli import main
 
@@ -132,3 +136,21 @@ def test_certify_thm15_ii_big_order(tmp_path):
     assert payload["verdict"] == "Alt"
     assert payload["degree"] == 2186
     assert len(payload["order"]) > 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str limit before Python 3.11")
+def test_big_order_leaves_int_str_limit_alone(tmp_path):
+    # the limit is interpreter-wide: emitting 2186!/2 must lift it for
+    # that one conversion and restore it afterwards
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter default
+    try:
+        code, text = run(tmp_path, "certify-alt", "--thm15", "ii", "--p", "3")
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        expected = str(math.factorial(2186) // 2)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 0
+    assert json.loads(text)["order"] == expected

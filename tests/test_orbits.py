@@ -1,14 +1,21 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamexp import ff, orbits, tame
-from tamexp.orbits import (OrbitInvariant, check_large_orbit, compute_A0,
+from tamexp.errors import BoundViolated
+from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_to_point,
+                           component_ids, components, compute_A0,
                            gamma_apply, gamma_class_of, gamma_classes,
                            make_gamma_spec, orbit_invariant, orbit_partition,
-                           transitivity_probe)
-from tamexp.tame import GroupParams, apply_letter, tau
+                           point_to_code, transitivity_probe, word_code_perm)
+from tamexp.spectra import complete_graph, cycle_graph
+from tamexp.tame import (CoordCycle, GroupParams, Word, apply_letter,
+                         apply_word, poly_transvection_letter, tau)
 
 from conftest import all_points
 
@@ -145,6 +152,79 @@ def test_gamma_classes_big_orbit_f25():
     assert rep.orbit_size == 25**3 - 5**3
     assert rep.size_histogram == {2: rep.class_count}
     assert rep.class_count == (25**3 - 5**3) // 2
+
+
+def test_gamma_classes_rejects_non_invariant_codes():
+    # e = (1,1,3) over F_7: m_lambda scales every coordinate by 6, so
+    # (6,0,0) goes to (1,0,0), outside the code set
+    params = GroupParams(7, 3, (1, 1, 3))
+    spec = make_gamma_spec(params, ff.make_field(7, 1))
+    with pytest.raises(BoundViolated):
+        gamma_classes(np.array([point_to_code((6, 0, 0), 7)]), spec, params)
+
+
+def _networkx_roots(maps, size):
+    """Smallest point of each point's component, by networkx."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(size))
+    for g in maps:
+        graph.add_edges_from(enumerate(np.asarray(g).tolist()))
+    roots = np.empty(size, dtype=np.int64)
+    for comp in nx.connected_components(graph):
+        roots[list(comp)] = min(comp)
+    return roots
+
+
+@pytest.mark.parametrize("p, ell, e", [(3, 2, (1, 1, 2)), (7, 1, (1, 1, 3))])
+def test_orbit_partition_matches_networkx(p, ell, e):
+    params = GroupParams(p, 3, e)
+    part = orbit_partition(params, ell)
+    ctx, q = part.ctx, part.ctx.q
+    maps = [[point_to_code(apply_letter(tau(params, i, 1), 1,
+                                        code_to_point(c, q, 3), ctx), q)
+             for c in range(q**3)] for i in (1, 2, 3)]
+    roots = _networkx_roots(maps, q**3)
+    reps = np.array([o.representative for o in part.orbits])
+    assert reps.tolist() == sorted(set(roots.tolist()))
+    assert np.array_equal(reps[part.labels], roots)
+    assert [o.size for o in part.orbits] == \
+        [int((roots == r).sum()) for r in reps]
+
+
+def test_word_code_perm_matches_scalar_action():
+    params = GroupParams(3, 3, (1, 1, 2))
+    ctx = ff.make_field(3, 2)
+    q = ctx.q
+    poly = poly_transvection_letter(params, 1, 2, (1, 2))
+    word = Word([(CoordCycle(), 1), (poly, 1), (tau(params, 3, 1), -1),
+                 (CoordCycle(), -1), (poly, -1)])
+    codes = np.random.default_rng(0).permutation(q**3)  # domain in any order
+    perm = word_code_perm(word, codes, ctx, 3)
+    for k, c in enumerate(codes.tolist()):
+        image = apply_word(word, code_to_point(c, q, 3), ctx)
+        assert codes[perm[k]] == point_to_code(image, q)
+
+
+@pytest.mark.parametrize("graph", [complete_graph(9), cycle_graph(10)])
+def test_components_of_spectra_graphs(graph):
+    # complete_graph's neighbour columns are not permutations
+    maps = graph.neighbors.T
+    assert np.array_equal(components(maps),
+                          _networkx_roots(maps, graph.nvertices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    min_size=1, max_size=3)))
+def test_components_of_arbitrary_maps(maps):
+    maps = [np.array(g) for g in maps]
+    roots = components(maps)
+    expect = _networkx_roots(maps, len(maps[0]))
+    assert np.array_equal(roots, expect)
+    reps, ids = component_ids(roots)
+    assert reps.tolist() == sorted(set(expect.tolist()))
+    assert np.array_equal(reps[ids], roots)
 
 
 def test_check_large_orbit():

@@ -6,8 +6,9 @@ import pytest
 
 from tamexp import ff, permgrp as pg, tame
 from tamexp.errors import BudgetExceeded
+from tamexp.orbits import word_code_perm
 
-from conftest import nonzero_codes, perms_on_codes, thm15_words
+from conftest import nonzero_codes, thm15_words
 
 
 def test_perm_basics():
@@ -85,7 +86,7 @@ def test_certify_thm15i_p3():
     F3 = ff.make_field(3, 1)
     n, words = thm15_words("i")
     codes = nonzero_codes(3, 3)
-    gens = perms_on_codes(codes, words, F3, 3)
+    gens = [word_code_perm(w, codes, F3, 3) for w in words]
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"
@@ -97,7 +98,7 @@ def test_certify_proper_sl3():
     F3 = ff.make_field(3, 1)
     params = tame.GroupParams(3, 3, (1, 1, 1))
     words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
-    gens = perms_on_codes(nonzero_codes(3, 3), words, F3, 3)
+    gens = [word_code_perm(w, nonzero_codes(3, 3), F3, 3) for w in words]
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Proper"
@@ -121,7 +122,8 @@ def test_even_parity_of_standard_generators():
         F = ff.make_field(p, 1)
         params = tame.GroupParams(p, 3, (1, 1, 2))
         words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
-        for g in perms_on_codes(nonzero_codes(p, 3), words, F, 3):
+        for w in words:
+            g = word_code_perm(w, nonzero_codes(p, 3), F, 3)
             assert pg.parity(g) == "even"
 
 
