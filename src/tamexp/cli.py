@@ -1,9 +1,11 @@
 """Command-line driver.
 
 Exit codes: 0 = claim verified, 1 = claim falsified or not applicable,
-2 = budget/resource, 3 = bad input.  Identical configurations (including
---seed) produce byte-identical output files: no timestamps, fixed key
-order, decimal strings for big integers.
+2 = budget/resource, 3 = bad input (rejected before any work starts),
+4 = internal invariant failure (a proved bound or a constructive probe
+failed: an implementation bug, not a falsified claim).  Identical
+configurations (including --seed) produce byte-identical output files: no
+timestamps, fixed key order, decimal strings for big integers.
 """
 
 from __future__ import annotations
@@ -12,63 +14,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, ff, orbits, permgrp, spectra, synth, tame
-from .errors import BudgetExceeded, TamexpError
+from .errors import BoundViolated, BudgetExceeded, ProbeFailed, TamexpError
 
 SCHEMA = 1
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration; one instance per invocation."""
-    cmd: str
-    p: int = 5
-    n: int = 3
-    e: str = "1,1,2"
-    ell: int = 1
-    k: int = 2
-    trials: int = 200
-    seed: int = 0
-    budget: int = 10**7
-    format: str = "json"
-    out: str = None
-    method: str = "auto"
-    tol: float = 1e-10
-    threads: int = 0
-    # subcommand-specific options
-    thm15: str = None
-    on_classes: bool = False
-    i: int = 1
-    j: int = 2
-    t: int = 1
-    r: int = 1
-    poly: str = None
-    emit_endo: bool = False
-    sweep: bool = False
-    c: int = 2
-    qmax: int = 625
-    nmax: int = 4
-
-    def __post_init__(self):
-        if self.p < 2 or not ff.is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
-        if self.format not in ("json", "csv", "dot"):
-            raise ValueError(f"unknown format {self.format}")
-
-
-def worker_count(cfg_value=None):
-    env = os.environ.get("TAMEXP_THREADS")
-    if env:
-        return max(1, int(env))
-    if cfg_value:
-        return max(1, cfg_value)
-    return os.cpu_count() or 1
+class BadInput(Exception):
+    """An option value or combination the command cannot run with."""
 
 
 def _pool_map(fn, tasks, workers):
@@ -115,8 +71,7 @@ def _bigint_str(n):
 
 
 def _params(args):
-    e = tuple(int(x) for x in args.e.split(","))
-    return tame.GroupParams(args.p, args.n, e)
+    return tame.GroupParams(args.p, len(args.e), args.e)
 
 
 def _thm15_words(variant, p):
@@ -244,10 +199,12 @@ def cmd_gamma_classes(args):
 
 
 def cmd_synth(args):
+    if args.i == args.j or max(args.i, args.j) > len(args.e):
+        raise BadInput(f"need 1 <= i != j <= {len(args.e)}, "
+                       f"got i={args.i} j={args.j}")
     params = _params(args)
     if args.poly:
-        coeffs = tuple(int(c) for c in args.poly.split(","))
-        cert = synth.synth_poly_transvection(args.i, args.j, coeffs, params,
+        cert = synth.synth_poly_transvection(args.i, args.j, args.poly, params,
                                              budget=args.budget)
     else:
         cert = synth.synth_transvection(args.i, args.j, args.t, args.r, params,
@@ -272,12 +229,12 @@ def cmd_synth(args):
 
 
 def _gap_row(task):
-    p, variant, method, tol, seed = task
+    p, variant, seed = task
     ctx = ff.make_field(p, 1)
     n, words = _thm15_words(variant, p)
     codes = _nonzero_codes(p, n)
     graph = spectra.build_schreier(codes, words, ctx, n)
-    res = spectra.spectral_gap(graph, method=method, tol=tol, seed=seed)
+    res = spectra.spectral_gap(graph, method="auto", tol=1e-10, seed=seed)
     row = (f"{p},{graph.nvertices},{graph.degree},"
            f"{res.lambda2!r},{res.gap!r},{res.method},{res.residual!r}")
     return res.gap, row
@@ -286,9 +243,8 @@ def _gap_row(task):
 def cmd_gap(args):
     primes = [q for q in range(3, args.p + 1) if ff.is_prime(q)] if args.sweep \
         else [args.p]
-    tasks = [(p, args.thm15 or "i", args.method, args.tol, args.seed)
-             for p in primes]
-    results = _pool_map(_gap_row, tasks, worker_count(args.threads))
+    tasks = [(p, args.thm15, args.seed) for p in primes]
+    results = _pool_map(_gap_row, tasks, args.threads)
     rows = ["p,V,degree,lambda2,gap,method,residual"]
     ok = True
     for gap, row in results:
@@ -299,8 +255,7 @@ def cmd_gap(args):
 
 
 def cmd_kazhdan(args):
-    e = tuple(int(x) for x in args.e.split(","))
-    kp = spectra.KazhdanParams(args.p, args.n, e)
+    kp = spectra.KazhdanParams(args.p, len(args.e), args.e)
     rep = spectra.kazhdan_bound(kp)
     payload = _header(args.seed, ff.make_field(args.p, 1))
     payload.update({
@@ -330,12 +285,15 @@ def cmd_gamma_group(args):
     return 0
 
 
-def _lemma_fields(qmax=625):
+def _lemma_fields(qmax):
+    """The extension fields F_{p^ell}, ell >= 2, of order at most qmax.
+    Both lemmas are vacuous over a prime field, where every element
+    generates F_p, so prime fields are left to the unit tests."""
     out = []
     for p in range(2, qmax + 1):
         if not ff.is_prime(p):
             continue
-        ell = 1
+        ell = 2
         while p**ell <= qmax:
             out.append((p, ell))
             ell += 1
@@ -351,14 +309,13 @@ def _lemma_field_worker(task):
         rc = ff.verify_count_lemma(ctx, N)
         re_ = ff.verify_enlarge_lemma(ctx, N)
         good = good and rc.holds and re_.holds
-        if ell > 1:  # prime fields are trivial; keep the report small
-            out.append({
-                "field": ctx.serialize(), "N": N,
-                "count_worst": str(rc.worst_proportion),
-                "count_bound": str(rc.bound),
-                "enlarge_triples": re_.triples_checked,
-                "enlarge_strict_instances": re_.part_ii_instances,
-            })
+        out.append({
+            "field": ctx.serialize(), "N": N,
+            "count_worst": str(rc.worst_proportion),
+            "count_bound": str(rc.bound),
+            "enlarge_triples": re_.triples_checked,
+            "enlarge_strict_instances": re_.part_ii_instances,
+        })
     return good, out
 
 
@@ -366,15 +323,14 @@ def cmd_verify_lemmas(args):
     import random as _random
 
     tasks = [(p, ell, args.nmax) for p, ell in _lemma_fields(args.qmax)]
-    field_results = _pool_map(_lemma_field_worker, tasks,
-                              worker_count(args.threads))
+    field_results = _pool_map(_lemma_field_worker, tasks, args.threads)
     checks = []
     ok = True
     for good, out in field_results:
         ok = ok and good
         checks.extend(out)
     rng = _random.Random(args.seed)
-    fields = [(p, ell) for p, ell in _lemma_fields(125) if ell > 1]
+    fields = _lemma_fields(125)
     interp_ok = 0
     for _ in range(args.trials):
         p, ell = rng.choice(fields)
@@ -425,97 +381,135 @@ def cmd_verify_lemmas(args):
     return 0 if ok else 1
 
 
+
+
+# -- options ------------------------------------------------------------------
+# Each type parses one value or raises ArgumentTypeError, so bad input is
+# rejected before any work starts.
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _at_least(lo):
+    def parse(text):
+        value = _int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"need an integer >= {lo}, got {value}")
+        return value
+    return parse
+
+
+def _prime(text):
+    value = _int(text)
+    if not ff.is_prime(value):
+        raise argparse.ArgumentTypeError(f"need a prime, got {value}")
+    return value
+
+
+def _ints(text):
+    return tuple(_int(x) for x in text.split(","))
+
+
+def _exponents(text):
+    e = _ints(text)
+    if len(e) < 3 or min(e) < 1:
+        raise argparse.ArgumentTypeError(
+            f"need n >= 3 positive exponents, got {text!r}")
+    return e
+
+
+OPTIONS = {
+    "p": dict(type=_prime, default=5, help="the prime p"),
+    "e": dict(type=_exponents, default="1,1,2",
+              help="exponents e_1,...,e_n; n >= 3 is their count"),
+    "ell": dict(type=_at_least(1), default=1, help="work over F_{p^ell}"),
+    "budget": dict(type=_at_least(1), default=10**7, help="work budget"),
+    "thm15": dict(choices=["i", "ii"], default=None,
+                  help="use a generating set of Theorem 15"),
+    "on-classes": dict(action="store_true",
+                       help="act on Gamma-classes of the largest orbit"),
+    "format": dict(choices=["json", "csv", "dot"], default="json",
+                   help="output format"),
+    "i": dict(type=_at_least(1), default=1, help="target x_i += r x_j^t"),
+    "j": dict(type=_at_least(1), default=2, help="see --i"),
+    "t": dict(type=_int, default=1, help="see --i"),
+    "r": dict(type=_int, default=1, help="see --i"),
+    "poly": dict(type=_ints, default=None,
+                 help="target x_i += x_j P(x_j); comma coefficients of P, "
+                      "low to high"),
+    "emit-endo": dict(action="store_true",
+                      help="add the word's polynomial endomorphism"),
+    "sweep": dict(action="store_true", help="sweep primes 3..p"),
+    "c": dict(type=_at_least(0), default=2, help="the c of Gamma_{c,p}"),
+    "qmax": dict(type=_at_least(4), default=625,
+                 help="largest extension-field order checked"),
+    "nmax": dict(type=_at_least(1), default=4, help="largest N checked"),
+    "trials": dict(type=_at_least(1), default=200,
+                   help="interpolation trials"),
+    "threads": dict(type=_at_least(1), default=os.cpu_count() or 1,
+                    help="worker processes, one per core by default"),
+    "seed": dict(type=_int, default=0, help="seed of every random choice"),
+    "out": dict(default=None, help="output file, stdout if not given"),
+}
+
+# name, help, handler, the options its handler reads (plus --seed, --out)
+SUBCOMMANDS = [
+    ("certify-alt", "alternating-group certificate", cmd_certify_alt,
+     "p e ell budget thm15 on-classes"),
+    ("orbits", "orbit partition with invariants", cmd_orbits,
+     "p e ell budget format"),
+    ("gamma-classes", "Gamma-class counts per orbit", cmd_gamma_classes,
+     "p e ell budget"),
+    ("synth", "derived-transvection word synthesis", cmd_synth,
+     "p e i j t r poly emit-endo budget"),
+    ("gap", "Schreier-graph spectral gap", cmd_gap, "p thm15 sweep threads"),
+    ("kazhdan", "Kazhdan-constant lower bound", cmd_kazhdan, "p e"),
+    ("gamma-group", "brute-force Gamma_{c,p} structure", cmd_gamma_group,
+     "p c budget"),
+    ("verify-lemmas", "exhaustive small-field checks", cmd_verify_lemmas,
+     "qmax nmax trials threads"),
+]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise BadInput, which main reports in one line."""
+
+    def error(self, message):
+        raise BadInput(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="tamexp", description=__doc__)
+    ap = _Parser(prog="tamexp", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, n_default=3):
-        sp.add_argument("--p", type=int, default=5)
-        sp.add_argument("--n", type=int, default=n_default)
-        sp.add_argument("--e", type=str, default="1,1,2")
-        sp.add_argument("--ell", type=int, default=1)
-        sp.add_argument("--k", type=int, default=2)
-        sp.add_argument("--trials", type=int, default=200)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=10**7)
-        sp.add_argument("--format", choices=["json", "csv", "dot"],
-                        default="json")
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--method", choices=["auto", "dense", "iterative"],
-                        default="auto")
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--threads", type=int, default=0)
-
-    sp = sub.add_parser("certify-alt", help="alternating-group certificate")
-    common(sp)
-    sp.add_argument("--thm15", choices=["i", "ii"], default=None)
-    sp.add_argument("--on-classes", action="store_true",
-                    help="act on Gamma-classes of the largest orbit")
-    sp.set_defaults(func=cmd_certify_alt)
-
-    sp = sub.add_parser("orbits", help="orbit partition with invariants")
-    common(sp)
-    sp.set_defaults(func=cmd_orbits)
-
-    sp = sub.add_parser("gamma-classes", help="Gamma-class counts per orbit")
-    common(sp)
-    sp.set_defaults(func=cmd_gamma_classes)
-
-    sp = sub.add_parser("synth", help="derived-transvection word synthesis")
-    common(sp)
-    sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--j", type=int, default=2)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--r", type=int, default=1)
-    sp.add_argument("--poly", type=str, default=None,
-                    help="comma coefficients of P, low to high")
-    sp.add_argument("--emit-endo", action="store_true")
-    sp.set_defaults(func=cmd_synth)
-
-    sp = sub.add_parser("gap", help="Schreier-graph spectral gap")
-    common(sp)
-    sp.add_argument("--thm15", choices=["i", "ii"], default="i")
-    sp.add_argument("--sweep", action="store_true",
-                    help="sweep primes 3..p")
-    sp.set_defaults(func=cmd_gap)
-
-    sp = sub.add_parser("kazhdan", help="Kazhdan-constant lower bound")
-    common(sp)
-    sp.set_defaults(func=cmd_kazhdan)
-
-    sp = sub.add_parser("gamma-group", help="brute-force Gamma_{c,p} structure")
-    common(sp)
-    sp.add_argument("--c", type=int, default=2)
-    sp.set_defaults(func=cmd_gamma_group)
-
-    sp = sub.add_parser("verify-lemmas", help="exhaustive small-field checks")
-    common(sp)
-    sp.add_argument("--qmax", type=int, default=625)
-    sp.add_argument("--nmax", type=int, default=4)
-    sp.set_defaults(func=cmd_verify_lemmas)
+    for name, text, func, names in SUBCOMMANDS:
+        sp = sub.add_parser(
+            name, help=text,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for opt in names.split() + ["seed", "out"]:
+            sp.add_argument(f"--{opt}", **OPTIONS[opt])
+        sp.set_defaults(func=func)
+    sub.choices["gap"].set_defaults(thm15="i")  # gap always uses a Theorem 15 set
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit:
-        return 3
-    func = args.func
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    fields = {k.replace("-", "_"): v for k, v in vars(args).items()
-              if k != "func"}
-    try:
-        cfg = RunConfig(**{k: v for k, v in fields.items() if k in known})
-    except ValueError as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except BadInput as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 3
-    try:
-        return func(cfg)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
+    except (BoundViolated, ProbeFailed) as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     except (TamexpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

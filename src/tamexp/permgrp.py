@@ -30,7 +30,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BoundViolated, BudgetExceeded
 
 
 def identity_perm(n):
@@ -309,7 +309,9 @@ def schreier_sims(gens, seed=0, max_sifts=2_000_000):
         lv.gens = gens_at(k)  # expose the full level generating sets
     for lv in levels:
         for g in lv.gens:
-            assert chain.contains(g)
+            if not chain.contains(g):
+                raise BoundViolated("a level generator does not sift through "
+                                    "its own chain")
     return chain
 
 
@@ -457,7 +459,10 @@ def try_alt_ladder(gens, seed=0, cycle_tries=5000, extend_tries=64,
                         h = compose(h, bfs.gens[(gi + bfs.m) % (2 * bfs.m)])
                     for gi in path2:
                         h = compose(h, bfs.gens[gi])
-                    assert h[u] == v and h[v] == w and h[z] == y
+                    if not (h[u] == v and h[v] == w and h[z] == y):
+                        raise BoundViolated(
+                            f"ladder witness maps ({u}, {v}, {z}) to "
+                            f"({h[u]}, {h[v]}, {h[z]}), not ({v}, {w}, {y})")
                 break
         if y is None:
             return None

@@ -31,16 +31,13 @@ class SchreierGraph:
 
     def normalized_adjacency(self):
         a = np.zeros((self.nvertices, self.nvertices))
-        for row, nbrs in enumerate(self.neighbors):
-            for t in nbrs:
-                a[row, t] += 1.0
+        rows = np.repeat(np.arange(self.nvertices), self.degree)
+        np.add.at(a, (rows, self.neighbors.ravel()), 1.0)
         return a / self.degree
 
-    def matvec(self, x):
-        return x[self.neighbors].sum(axis=1) / self.degree
-
     def matmat(self, x):
-        """matvec over the columns of an (nvertices, k) block at once."""
+        """The normalized adjacency applied to a vector or to each column
+        of an (nvertices, k) block."""
         return x[self.neighbors].sum(axis=1) / self.degree
 
 
@@ -122,7 +119,7 @@ def spectral_gap(graph, method="auto", tol=1e-10, max_iter=100_000,
         lam = w[::-1]
         ritz = x @ vecs[:, ::-1]
         top = ritz[:, 0]
-        residual = float(np.linalg.norm(graph.matvec(top) - lam[0] * top))
+        residual = float(np.linalg.norm(graph.matmat(top) - lam[0] * top))
         if residual <= tol and it >= 10:
             lam2 = float(lam[0])
             return GapResult(lam2, 1.0 - lam2, "iterative", residual, it)

@@ -41,7 +41,7 @@ def partition_5_3():
 def test_criterion_1_alt_certification(thm15i_chains, tmp_path):
     # the certify-alt command itself, standard generators at p = 3
     out = tmp_path / "cert.json"
-    code = cli_main(["certify-alt", "--p", "3", "--n", "3", "--e", "1,1,2",
+    code = cli_main(["certify-alt", "--p", "3", "--e", "1,1,2",
                      "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from tamexp import ff
 from tamexp.cli import main
+from tamexp.errors import BoundViolated, ProbeFailed
 
 
 def run(tmp_path, *argv):
@@ -14,22 +16,22 @@ def run(tmp_path, *argv):
 
 
 def test_certify_alt_exit_codes(tmp_path):
-    code, text = run(tmp_path, "certify-alt", "--p", "3", "--n", "3", "--e", "1,1,2")
+    code, text = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2")
     assert code == 0
     payload = json.loads(text)
     assert payload["verdict"] == "Alt"
     assert payload["schema"] == 1
     assert payload["order"] == str(__import__("math").factorial(26) // 2)
     assert payload["field"].startswith("p=3 ell=1")
-    code, text = run(tmp_path, "certify-alt", "--p", "3", "--n", "3", "--e", "1,1,1")
+    code, text = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,1")
     assert code == 1
     assert json.loads(text)["verdict"] == "Proper"
 
 
 def test_outputs_are_deterministic(tmp_path):
-    a = run(tmp_path, "certify-alt", "--p", "3", "--n", "3", "--e", "1,1,2",
+    a = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2",
             "--seed", "5")[1]
-    b = run(tmp_path, "certify-alt", "--p", "3", "--n", "3", "--e", "1,1,2",
+    b = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2",
             "--seed", "5")[1]
     assert a == b
     a = run(tmp_path, "orbits", "--p", "3", "--e", "1,1,2", "--ell", "2",
@@ -40,7 +42,7 @@ def test_outputs_are_deterministic(tmp_path):
 
 
 def test_orbits_csv(tmp_path):
-    code, text = run(tmp_path, "orbits", "--p", "3", "--n", "3", "--e", "1,1,2",
+    code, text = run(tmp_path, "orbits", "--p", "3", "--e", "1,1,2",
                      "--ell", "1", "--format", "csv")
     assert code == 0
     assert text.splitlines()[0] == "d0,a1_label,orbit_size"
@@ -48,7 +50,7 @@ def test_orbits_csv(tmp_path):
 
 
 def test_orbits_dot(tmp_path):
-    code, text = run(tmp_path, "orbits", "--p", "3", "--n", "3", "--e", "1,1,2",
+    code, text = run(tmp_path, "orbits", "--p", "3", "--e", "1,1,2",
                      "--ell", "1", "--format", "dot")
     assert code == 0
     assert text.startswith("graph schreier {")
@@ -89,11 +91,11 @@ def test_gap_csv(tmp_path):
 
 
 def test_kazhdan_cli(tmp_path):
-    code, text = run(tmp_path, "kazhdan", "--p", "11", "--n", "3", "--e", "1,1,2")
+    code, text = run(tmp_path, "kazhdan", "--p", "11", "--e", "1,1,2")
     assert code == 0
     payload = json.loads(text)
     assert abs(payload["bound"] - 0.301157335795879) < 1e-12
-    code, text = run(tmp_path, "kazhdan", "--p", "5", "--n", "3", "--e", "2,2,2")
+    code, text = run(tmp_path, "kazhdan", "--p", "5", "--e", "2,2,2")
     assert code == 1
 
 
@@ -115,16 +117,53 @@ def test_verify_lemmas_small(tmp_path):
 
 def test_certify_on_classes(tmp_path):
     # Gamma-class action for p=3, ell=2, e=(1,1,2): Alt((3^6-3^2)/2) = Alt(360)
-    code, text = run(tmp_path, "certify-alt", "--p", "3", "--n", "3",
-                     "--e", "1,1,2", "--ell", "2", "--on-classes")
+    code, text = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2",
+                     "--ell", "2", "--on-classes")
     assert code == 0
     payload = json.loads(text)
     assert payload["verdict"] == "Alt"
     assert payload["degree"] == (3**6 - 3**3) // 2  # Alt(351)
 
 
-def test_bad_input_exit_code(tmp_path):
-    assert main(["certify-alt", "--p", "notanint"]) == 3
+@pytest.mark.parametrize("argv", [
+    "certify-alt --p notanint",
+    "certify-alt --p 4",
+    "orbits --e 1,1",
+    "orbits --e 0,1,2",
+    "synth --i 1 --j 1",
+    "synth --i 4 --j 1",
+    "synth --poly 1,x",
+    "kazhdan --e 1,x",
+    "kazhdan --e 1,1",
+    "gamma-group --c -1",
+    "verify-lemmas --nmax 0",
+    "verify-lemmas --trials 0",
+    "verify-lemmas --qmax 3",
+    "gap --threads 0",
+    # options the subcommand does not read
+    "gap --k 2",
+    "gap --method dense",
+    "kazhdan --format csv",
+    "orbits --n 3",
+    "",
+    "no-such-command",
+], ids=lambda argv: "_".join(argv.split()) or "no-command")
+def test_bad_input_exit_code(argv, tmp_path, capsys):
+    assert main(argv.split() + ["--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [BoundViolated, ProbeFailed])
+def test_internal_invariant_failure_exit_code(error, tmp_path, monkeypatch,
+                                              capsys):
+    def broken(ctx, N):
+        raise error("forced")
+    monkeypatch.setattr(ff, "verify_count_lemma", broken)
+    code, _ = run(tmp_path, "verify-lemmas", "--qmax", "4", "--threads", "1")
+    assert code == 4
+    assert capsys.readouterr().err == "internal invariant failed: forced\n"
 
 
 def test_certify_thm15_ii_big_order(tmp_path):

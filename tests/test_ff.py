@@ -158,6 +158,13 @@ def test_count_lemma_prime_field():
     assert r.worst_proportion == 1
 
 
+def test_enlarge_lemma_prime_field():
+    # vacuous over F_p: part (ii) never has a hypothesis
+    r = ff.verify_enlarge_lemma(ff.make_field(11, 1), 3)
+    assert r.holds
+    assert r.part_ii_instances == 0
+
+
 def test_count_lemma_f125_n2():
     r = ff.verify_count_lemma(ff.make_field(5, 3), 2)
     assert r.holds

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,3 +153,30 @@ def test_ladder_strong_generators_sift():
     assert chain is not None and chain.strategy == "cycles"
     for a, b, c in chain.cycles[:5] + chain.cycles[-5:]:
         assert chain.contains(pg.perm_from_cycles(11, [[a, b, c]]))
+
+
+# Each snippet breaks one soundness check of a certificate.  The check must
+# raise BoundViolated, also under python -O, which strips assert statements.
+BROKEN_CHECKS = {
+    "self-sift": (
+        "pg.StabChain.contains = lambda self, g: False\n"
+        "pg.schreier_sims([pg.perm_from_cycles(4, [[0, 1, 2]]),\n"
+        "                  pg.perm_from_cycles(4, [[0, 1], [2, 3]])])\n"),
+    "ladder-witness": (
+        "pg._PairBFS.apply_path = lambda self, pt, path: (pt + 1) % self.deg\n"
+        "pg.try_alt_ladder([pg.perm_from_cycles(7, [[0, 1, 2]]),\n"
+        "                   pg.perm_from_cycles(7, [list(range(7))])])\n"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+@pytest.mark.parametrize("check", list(BROKEN_CHECKS))
+def test_broken_soundness_check_raises_bound_violated(check, flags):
+    src = os.path.dirname(os.path.dirname(pg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    script = "from tamexp import permgrp as pg\n" + BROKEN_CHECKS[check]
+    res = subprocess.run([sys.executable, *flags, "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode != 0
+    assert res.stderr.splitlines()[-1].startswith("tamexp.errors.BoundViolated:")

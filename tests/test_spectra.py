@@ -38,7 +38,7 @@ def test_schreier_graph_shapes():
     assert g.nvertices == 26 and g.degree == 6
     # all-ones is an eigenvector with eigenvalue 1
     ones = np.ones(26)
-    assert np.allclose(g.matvec(ones), ones)
+    assert np.allclose(g.matmat(ones), ones)
 
 
 def test_not_closed():
