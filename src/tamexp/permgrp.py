@@ -32,6 +32,10 @@ import numpy as np
 
 from .errors import BoundViolated, BudgetExceeded
 
+MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators sifted
+LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
+LADDER_EXTEND_TRIES = 64  # rattle retries per ladder extension step
+
 
 def identity_perm(n):
     return np.arange(n, dtype=np.int64)
@@ -226,7 +230,7 @@ def _orbit_transversal(point, gens, degree):
     return transversal
 
 
-def schreier_sims(gens, seed=0, max_sifts=2_000_000):
+def schreier_sims(gens, seed=0, max_sifts=MAX_SIFTS):
     """Deterministic Schreier-Sims with explicit transversals.
 
     A generator added at level j fixes the first j base points; level k's
@@ -393,8 +397,7 @@ class _PairBFS:
         return pt
 
 
-def try_alt_ladder(gens, seed=0, cycle_tries=5000, extend_tries=64,
-                   verify_witnesses=True):
+def try_alt_ladder(gens, seed=0):
     """Build the consecutive-3-cycle chain, or return None if the group
     does not cooperate (then it is presumably not a giant).
 
@@ -416,7 +419,7 @@ def try_alt_ladder(gens, seed=0, cycle_tries=5000, extend_tries=64,
     rng = random.Random(seed)
     rattle = Rattle(gens, rng)
     triple = None
-    for _ in range(cycle_tries):
+    for _ in range(LADDER_CYCLE_TRIES):
         triple = _extract_three_cycle(rattle.sample())
         if triple:
             break
@@ -437,7 +440,7 @@ def try_alt_ladder(gens, seed=0, cycle_tries=5000, extend_tries=64,
             fresh += 1
         w = fresh
         y = None
-        for attempt in range(extend_tries):
+        for attempt in range(LADDER_EXTEND_TRIES):
             if attempt == 0:
                 r = None
                 ru, rv, rz = u, v, z
@@ -453,16 +456,15 @@ def try_alt_ladder(gens, seed=0, cycle_tries=5000, extend_tries=64,
             cand = bfs.apply_path(bfs.apply_path_inverse(rz, path1), path2)
             if cand not in (u, z):
                 y = cand
-                if verify_witnesses:
-                    h = identity_perm(degree) if r is None else r
-                    for gi in reversed(path1):
-                        h = compose(h, bfs.gens[(gi + bfs.m) % (2 * bfs.m)])
-                    for gi in path2:
-                        h = compose(h, bfs.gens[gi])
-                    if not (h[u] == v and h[v] == w and h[z] == y):
-                        raise BoundViolated(
-                            f"ladder witness maps ({u}, {v}, {z}) to "
-                            f"({h[u]}, {h[v]}, {h[z]}), not ({v}, {w}, {y})")
+                h = identity_perm(degree) if r is None else r
+                for gi in reversed(path1):
+                    h = compose(h, bfs.gens[(gi + bfs.m) % (2 * bfs.m)])
+                for gi in path2:
+                    h = compose(h, bfs.gens[gi])
+                if not (h[u] == v and h[v] == w and h[z] == y):
+                    raise BoundViolated(
+                        f"ladder witness maps ({u}, {v}, {z}) to "
+                        f"({h[u]}, {h[v]}, {h[z]}), not ({v}, {w}, {y})")
                 break
         if y is None:
             return None
@@ -536,11 +538,10 @@ def transitivity_degree(chain):
     return t
 
 
-def build_chain(gens, seed=0, prefer_ladder=True, max_sifts=2_000_000):
+def build_chain(gens, seed=0):
     """Ladder first (it certifies giants cheaply), dense fallback."""
     gens = [np.asarray(g, dtype=np.int64) for g in gens]
-    if prefer_ladder:
-        chain = try_alt_ladder(gens, seed=seed)
-        if chain is not None:
-            return chain
-    return schreier_sims(gens, seed=seed, max_sifts=max_sifts)
+    chain = try_alt_ladder(gens, seed=seed)
+    if chain is not None:
+        return chain
+    return schreier_sims(gens, seed=seed)

@@ -22,6 +22,9 @@ from .orbits import components, word_code_perm
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .orbits import codes_to_coords  # noqa: F401
 
+DENSE_LIMIT = 4000  # method "auto" diagonalizes graphs up to this many vertices
+MAX_ITER = 100_000  # block power iteration steps before NoConvergence
+
 
 @dataclass
 class SchreierGraph:
@@ -75,8 +78,7 @@ class GapResult:
     iterations: int
 
 
-def spectral_gap(graph, method="auto", tol=1e-10, max_iter=100_000,
-                 dense_limit=4000, seed=0):
+def spectral_gap(graph, method="auto", tol=1e-10, seed=0):
     """lambda2 of the normalized adjacency and gap = 1 - lambda2.
 
     'dense' diagonalizes the full operator (the oracle for small graphs,
@@ -85,7 +87,7 @@ def spectral_gap(graph, method="auto", tol=1e-10, max_iter=100_000,
     constant vector and certifies the eigenpair by its residual.
     """
     if method == "auto":
-        method = "dense" if graph.nvertices <= dense_limit else "iterative"
+        method = "dense" if graph.nvertices <= DENSE_LIMIT else "iterative"
     if method == "dense":
         eigs = np.linalg.eigvalsh(graph.normalized_adjacency())
         lam2 = float(eigs[-2]) if graph.nvertices > 1 else float(eigs[-1])
@@ -106,7 +108,7 @@ def spectral_gap(graph, method="auto", tol=1e-10, max_iter=100_000,
     residual = float("inf")
     # iterate on (I + A)/2 so the top of the deflated spectrum is the
     # target even when negative eigenvalues dominate in modulus
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         ax = graph.matmat(x)
         y = project((x + ax) / 2.0)
         x, _ = np.linalg.qr(y)
@@ -125,7 +127,7 @@ def spectral_gap(graph, method="auto", tol=1e-10, max_iter=100_000,
             return GapResult(lam2, 1.0 - lam2, "iterative", residual, it)
         x = ritz
     raise NoConvergence(f"power iteration did not reach tol={tol} "
-                        f"in {max_iter} iterations (residual {residual})")
+                        f"in {MAX_ITER} iterations (residual {residual})")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ from .errors import (BadExponent, BoundViolated, BudgetExceeded,
 from .ff import (make_field, minimal_polynomial, poly_add, poly_mul,
                  poly_trim, solve_mod_p)
 from .tame import (BiTransvection, Transvection, Word, apply_word,
-                   apply_word_arrays, letter_endo,
-                   poly_transvection_letter, tau, word_to_endo)
+                   letter_endo, poly_transvection_letter, tau, word_to_endo)
 
 # ---------------------------------------------------------------------------
 # the nilpotent group Gamma_{c,F_p}
@@ -48,7 +47,8 @@ class GammaElem:
     shift: int
 
     def __post_init__(self):
-        assert len(self.poly) == self.c + 1
+        if len(self.poly) != self.c + 1:
+            raise ValueError("poly needs c + 1 coefficients")
 
 
 def gamma_identity(c, p):
@@ -474,15 +474,6 @@ def _grid_ctx(params, degree, grid_cap):
     return ctx, exhaustive
 
 
-def _all_coords(ctx, n):
-    codes = np.arange(ctx.q**n, dtype=np.int64)
-    out = []
-    for _ in range(n):
-        out.append(codes % ctx.q)
-        codes = codes // ctx.q
-    return out
-
-
 def _verify_word_letter(word, letter, params, grid_cap=10**6, samples=10**4,
                         seed=0, force_symbolic=False):
     if isinstance(letter, Transvection):
@@ -494,10 +485,10 @@ def _verify_word_letter(word, letter, params, grid_cap=10**6, samples=10**4,
     n = params.n
     symbolic = False
     if exhaustive:
-        coords = _all_coords(ctx, n)
-        got = apply_word_arrays(word, [c.copy() for c in coords], ctx)
-        want = apply_word_arrays(Word.of(letter), [c.copy() for c in coords], ctx)
-        ok = all(np.array_equal(a, b) for a, b in zip(got, want))
+        from . import orbits
+        codes = np.arange(ctx.q**n)
+        ok = np.array_equal(orbits.word_code_perm(word, codes, ctx, n),
+                            orbits.word_code_perm(Word.of(letter), codes, ctx, n))
         npts = ctx.q**n
         mode = "exhaustive"
     else:
@@ -568,7 +559,7 @@ def elementary_abelian_witness(params, rank, grid_cap=10**7):
     """rank pairwise-commuting words of order p generating a permutation
     group of order p^rank, realized as a_1 += a_2^(t_12 + m(E-1)) for
     m = 0..rank-1 and certified on a separating grid."""
-    from . import permgrp
+    from . import orbits, permgrp
 
     if max(params.e) < 2:
         raise BadExponent("need max e_i > 1")
@@ -585,12 +576,8 @@ def elementary_abelian_witness(params, rank, grid_cap=10**7):
         raise RankTooLarge(
             f"separating grid {ctx.q}^{params.n} exceeds cap {grid_cap}")
     words = [synth.alpha_word(1, 2, k, 1) for k in range(rank)]
-    coords0 = _all_coords(ctx, params.n)
-    perms = []
-    for w in words:
-        imgs = apply_word_arrays(w, [c.copy() for c in coords0], ctx)
-        code = sum(imgs[k] * ctx.q**k for k in range(params.n))
-        perms.append(np.asarray(code, dtype=np.int64))
+    codes = np.arange(ctx.q**params.n)
+    perms = [orbits.word_code_perm(w, codes, ctx, params.n) for w in words]
     chain = permgrp.schreier_sims(perms)
     if chain.order != params.p**rank:
         raise BoundViolated(

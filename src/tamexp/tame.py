@@ -5,8 +5,11 @@ action of a transvection letter T(i,j,e,r) on an affine point adds
 r * a_j^e to coordinate i; sign -1 subtracts.  Words act left to right:
 apply_word(u + v, a) == apply_word(v, apply_word(u, a)).
 
-Points are tuples of field-element indices (see ff); bulk application
-operates on per-coordinate numpy index arrays via the context tables.
+Each transvection-type letter is stated once, as the polynomial it adds
+to one coordinate (_letter_delta).  The point action evaluates it on a
+tuple of field-element indices (see ff), the bulk action on
+per-coordinate numpy index arrays via the context tables, and the
+symbolic bridge adds it to the image of x_i.
 
 Ring automorphisms act on points through inverse precomposition, which
 flips the sign of the transvection coefficient; the +1 convention here
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .errors import DimensionMismatch
@@ -34,8 +38,8 @@ class Transvection:
     r: int
 
     def __post_init__(self):
-        if self.i == self.j or self.e < 0:
-            raise ValueError("need i != j and e >= 0")
+        if min(self.i, self.j) < 1 or self.i == self.j or self.e < 0:
+            raise ValueError("need 1 <= i != j and e >= 0")
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,8 @@ class BiTransvection:
     r: int
 
     def __post_init__(self):
+        if min(self.i, self.j, self.k) < 1:
+            raise ValueError("letter indices are 1-based")
         if self.i in (self.j, self.k) or self.j == self.k:
             raise ValueError("need i not in {j,k} and j != k")
         if self.c < 0 or self.d < 0:
@@ -69,17 +75,14 @@ class PolyTransvection:
     nexp: int
 
     def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError("need i != j")
+        if min(self.i, self.j) < 1 or self.i == self.j:
+            raise ValueError("need 1 <= i != j")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
 
 @dataclass(frozen=True)
 class CoordCycle:
     """Point action (a_1, ..., a_n) -> (a_2, ..., a_n, a_1)."""
-
-
-GenLetter = (Transvection, BiTransvection, PolyTransvection, CoordCycle)
 
 
 class Word:
@@ -232,48 +235,46 @@ def poly_transvection_letter(params, i, j, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# actions
+# actions: every transvection-type letter is one delta polynomial
 
 
-def _poly_eval_scalar(ctx, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
+@lru_cache(maxsize=1024)
+def _letter_delta(letter, sign, ctx, n):
+    """(i, delta): the signed letter adds the MultiPoly delta to coordinate
+    i (0-based) of F_q^n.  This is the only statement of each letter's
+    formula; the point, array and symbolic actions all evaluate it."""
+    if isinstance(letter, Transvection):
+        indices = (letter.i, letter.j)
+        terms = [(letter.r % ctx.p, {letter.j: letter.e})]
+    elif isinstance(letter, BiTransvection):
+        indices = (letter.i, letter.j, letter.k)
+        terms = [(letter.r % ctx.p, {letter.j: letter.c, letter.k: letter.d})]
+    elif isinstance(letter, PolyTransvection):
+        # x_j^t * P(x_j^(E-1)) expanded: c_m * x_j^(t + m(E-1))
+        indices = (letter.i, letter.j)
+        terms = [(c, {letter.j: letter.t + m * letter.nexp})
+                 for m, c in enumerate(letter.coeffs)]
+    else:
+        raise TypeError(f"unknown letter {letter!r}")
+    if max(indices) > n:
+        raise DimensionMismatch("letter index exceeds point dimension")
+    delta = MultiPoly(ctx, n, [
+        (tuple(powers.get(k, 0) for k in range(1, n + 1)),
+         c if sign > 0 else ctx.neg(c)) for c, powers in terms])
+    return letter.i - 1, delta
+
+
+def _rotate(seq, sign):
+    """CoordCycle's action on a tuple or list of coordinates."""
+    return seq[1:] + seq[:1] if sign > 0 else seq[-1:] + seq[:-1]
 
 
 def apply_letter(letter, sign, point, ctx):
     """Image of one point under a single signed letter."""
-    n = len(point)
-    if isinstance(letter, Transvection):
-        i, j = letter.i - 1, letter.j - 1
-        if i >= n or j >= n:
-            raise DimensionMismatch("letter index exceeds point dimension")
-        r = letter.r % ctx.p
-        r = r if sign > 0 else ctx.neg(r)
-        delta = ctx.mul(r, ctx.pow(point[j], letter.e))
-        return point[:i] + (ctx.add(point[i], delta),) + point[i + 1:]
-    if isinstance(letter, BiTransvection):
-        i, j, k = letter.i - 1, letter.j - 1, letter.k - 1
-        if max(i, j, k) >= n:
-            raise DimensionMismatch("letter index exceeds point dimension")
-        r = letter.r % ctx.p
-        r = r if sign > 0 else ctx.neg(r)
-        delta = ctx.mul(r, ctx.mul(ctx.pow(point[j], letter.c),
-                                   ctx.pow(point[k], letter.d)))
-        return point[:i] + (ctx.add(point[i], delta),) + point[i + 1:]
-    if isinstance(letter, PolyTransvection):
-        i, j = letter.i - 1, letter.j - 1
-        if max(i, j) >= n:
-            raise DimensionMismatch("letter index exceeds point dimension")
-        val = _poly_eval_scalar(ctx, letter.coeffs, ctx.pow(point[j], letter.nexp))
-        delta = ctx.mul(ctx.pow(point[j], letter.t), val)
-        if sign < 0:
-            delta = ctx.neg(delta)
-        return point[:i] + (ctx.add(point[i], delta),) + point[i + 1:]
     if isinstance(letter, CoordCycle):
-        return point[1:] + point[:1] if sign > 0 else point[-1:] + point[:-1]
-    raise TypeError(f"unknown letter {letter!r}")
+        return _rotate(point, sign)
+    i, delta = _letter_delta(letter, sign, ctx, len(point))
+    return point[:i] + (ctx.add(point[i], delta.evaluate(point)),) + point[i + 1:]
 
 
 def apply_word(word, point, ctx):
@@ -285,39 +286,12 @@ def apply_word(word, point, ctx):
 def apply_letter_arrays(letter, sign, coords, ctx):
     """Same action on a list of per-coordinate numpy index arrays."""
     coords = list(coords)
-    if isinstance(letter, Transvection):
-        i, j = letter.i - 1, letter.j - 1
-        r = letter.r % ctx.p
-        r = r if sign > 0 else ctx.neg(r)
-        if r:
-            delta = ctx.mul_const_table(r)[ctx.pow_table(letter.e)[coords[j]]]
-            coords[i] = ctx.add_arrays(coords[i], delta)
-        return coords
-    if isinstance(letter, BiTransvection):
-        i, j, k = letter.i - 1, letter.j - 1, letter.k - 1
-        r = letter.r % ctx.p
-        r = r if sign > 0 else ctx.neg(r)
-        if r:
-            t = ctx.mul_arrays(ctx.pow_table(letter.c)[coords[j]],
-                               ctx.pow_table(letter.d)[coords[k]])
-            coords[i] = ctx.add_arrays(coords[i], ctx.mul_const_table(r)[t])
-        return coords
-    if isinstance(letter, PolyTransvection):
-        import numpy as np
-        i, j = letter.i - 1, letter.j - 1
-        u = ctx.pow_table(letter.nexp)[coords[j]]
-        val = np.zeros_like(coords[j])
-        for c in reversed(letter.coeffs):
-            val = ctx.add_arrays(ctx.mul_arrays(val, u),
-                                 np.full_like(val, c))
-        delta = ctx.mul_arrays(ctx.pow_table(letter.t)[coords[j]], val)
-        if sign < 0:
-            delta = ctx.neg_table()[delta]
-        coords[i] = ctx.add_arrays(coords[i], delta)
-        return coords
     if isinstance(letter, CoordCycle):
-        return coords[1:] + coords[:1] if sign > 0 else coords[-1:] + coords[:-1]
-    raise TypeError(f"unknown letter {letter!r}")
+        return _rotate(coords, sign)
+    i, delta = _letter_delta(letter, sign, ctx, len(coords))
+    if not delta.is_zero():
+        coords[i] = ctx.add_arrays(coords[i], delta.evaluate_arrays(coords))
+    return coords
 
 
 def apply_word_arrays(word, coords, ctx):
@@ -334,39 +308,10 @@ def letter_endo(letter, sign, ctx, n):
     """The letter's action as a polynomial endomorphism."""
     images = [MultiPoly.variable(ctx, n, i + 1) for i in range(n)]
     if isinstance(letter, CoordCycle):
-        if sign > 0:
-            images = images[1:] + images[:1]
-        else:
-            images = images[-1:] + images[:-1]
-        return PolyEndo(images)
-    if isinstance(letter, Transvection):
-        i = letter.i - 1
-        r = letter.r % ctx.p
-        r = r if sign > 0 else ctx.neg(r)
-        xj = MultiPoly.variable(ctx, n, letter.j)
-        images[i] = images[i] + xj.power(letter.e).scaled(r)
-        return PolyEndo(images)
-    if isinstance(letter, BiTransvection):
-        i = letter.i - 1
-        r = letter.r % ctx.p
-        r = r if sign > 0 else ctx.neg(r)
-        xj = MultiPoly.variable(ctx, n, letter.j)
-        xk = MultiPoly.variable(ctx, n, letter.k)
-        images[i] = images[i] + (xj.power(letter.c) * xk.power(letter.d)).scaled(r)
-        return PolyEndo(images)
-    if isinstance(letter, PolyTransvection):
-        i = letter.i - 1
-        xj = MultiPoly.variable(ctx, n, letter.j)
-        acc = MultiPoly.zero(ctx, n)
-        u = xj.power(letter.nexp)
-        for c in reversed(letter.coeffs):
-            acc = acc * u + MultiPoly.constant(ctx, n, c)
-        delta = xj.power(letter.t) * acc
-        if sign < 0:
-            delta = -delta
-        images[i] = images[i] + delta
-        return PolyEndo(images)
-    raise TypeError(f"unknown letter {letter!r}")
+        return PolyEndo(_rotate(images, sign))
+    i, delta = _letter_delta(letter, sign, ctx, n)
+    images[i] = images[i] + delta
+    return PolyEndo(images)
 
 
 def word_to_endo(word, ctx, n):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +28,19 @@ def test_gamma_op_examples():
     assert comm == GammaElem(c, p, (1, 2, 0), 0)
     # the translation subgroup is abelian: y(r) y(s) = y(r+s)
     assert gamma_op(y_elem(c, p, 2), y_elem(c, p, 4)) == y_elem(c, p, 1)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_gamma_elem_wrong_length_raises_value_error(flags):
+    # a subprocess, so that -O (which strips assert statements) is in force
+    src = os.path.dirname(os.path.dirname(synth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    script = "from tamexp.synth import GammaElem\nGammaElem(2, 5, (0, 0), 0)\n"
+    res = subprocess.run([sys.executable, *flags, "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode != 0
+    assert res.stderr.splitlines()[-1].startswith("ValueError:")
 
 
 @pytest.mark.parametrize("c,p", [(c, p) for c in range(4) for p in (5, 7)])

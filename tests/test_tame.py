@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamexp import ff
+from tamexp.errors import DimensionMismatch
 from tamexp.tame import (BiTransvection, CoordCycle, GroupParams,
-                         Transvection, Word, apply_letter,
+                         PolyTransvection, Transvection, Word, apply_letter,
                          apply_word, apply_word_arrays, parse_word,
                          poly_transvection_letter, standard_generators, tau,
                          word_to_endo)
@@ -16,6 +17,7 @@ from conftest import all_points
 
 F5 = ff.make_field(5, 1)
 F3 = ff.make_field(3, 1)
+F9 = ff.make_field(3, 2)
 
 
 def test_apply_letter_examples():
@@ -190,3 +192,74 @@ def test_commutation_fully_disjoint_indices():
     for pt in pts:
         assert apply_word(Word.of(a, b), pt, F3n) == \
             apply_word(Word.of(b, a), pt, F3n)
+
+
+# Each row: a letter and, by hand, the coordinate i (0-based) its +1 action
+# changes and the value it adds there, from F.add/mul/pow alone.
+LETTER_FORMULAS = {
+    "T(1,2,2,1)": (Transvection(1, 2, 2, 1), lambda a, F: (0, F.pow(a[1], 2))),
+    "T(3,1,5,2)": (Transvection(3, 1, 5, 2),
+                   lambda a, F: (2, F.mul(2, F.pow(a[0], 5)))),
+    "T(2,3,0,2)-constant": (Transvection(2, 3, 0, 2), lambda a, F: (1, 2)),
+    "T(1,2,1,3)-r-zero": (Transvection(1, 2, 1, 3), lambda a, F: (0, 0)),
+    "B(1,2,3,1,2,2)": (BiTransvection(1, 2, 3, 1, 2, 2),
+                       lambda a, F: (0, F.mul(2, F.mul(a[1], F.pow(a[2], 2))))),
+    "B(2,1,3,0,1,1)-c-zero": (BiTransvection(2, 1, 3, 0, 1, 1),
+                              lambda a, F: (1, a[2])),
+    "B(3,1,2,2,0,1)-d-zero": (BiTransvection(3, 1, 2, 2, 0, 1),
+                              lambda a, F: (2, F.pow(a[0], 2))),
+    # x1 += x2 * (2 + 0 * x2^2 + x2^4)
+    "P(1,2,[2,0,1])-zero-coefficient": (
+        PolyTransvection(1, 2, (2, 0, 1), 1, 2),
+        lambda a, F: (0, F.mul(a[1], F.add(2, F.pow(a[1], 4))))),
+    # E - 1 = 0: x3 += x2^2 * (1 + 1)
+    "P(3,2,[1,1])-E-one": (PolyTransvection(3, 2, (1, 1), 2, 0),
+                           lambda a, F: (2, F.mul(F.pow(a[1], 2), 2))),
+}
+
+
+def _expected_image(formula, sign, pt, F):
+    if formula is None:  # CoordCycle
+        return pt[1:] + pt[:1] if sign > 0 else pt[-1:] + pt[:-1]
+    i, d = formula(pt, F)
+    if sign < 0:
+        d = F.mul(F.p - 1, d)  # index p - 1 is -1
+    return pt[:i] + (F.add(pt[i], d),) + pt[i + 1:]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("name", list(LETTER_FORMULAS) + ["S"])
+def test_letter_actions_match_hand_formulas(name, sign):
+    letter, formula = LETTER_FORMULAS.get(name, (CoordCycle(), None))
+    pts = all_points(F9.q, 3)
+    want = [_expected_image(formula, sign, pt, F9) for pt in pts]
+    word = Word([(letter, sign)])
+    assert [apply_letter(letter, sign, pt, F9) for pt in pts] == want
+    coords = [np.array([pt[k] for pt in pts]) for k in range(3)]
+    got = apply_word_arrays(word, coords, F9)
+    assert list(zip(*(c.tolist() for c in got))) == want
+    endo = word_to_endo(word, F9, 3)
+    assert [endo.evaluate(pt) for pt in pts] == want
+
+
+@pytest.mark.parametrize("letter", [
+    Transvection(1, 4, 1, 1), Transvection(4, 1, 1, 1),
+    BiTransvection(1, 2, 4, 1, 1, 1), PolyTransvection(4, 1, (1, 1), 1, 2)],
+    ids=["T-source", "T-target", "B", "P"])
+def test_index_beyond_dimension_is_dimension_mismatch(letter):
+    coords = [np.arange(9)] * 3
+    with pytest.raises(DimensionMismatch):
+        apply_letter(letter, 1, (1, 2, 3), F9)
+    with pytest.raises(DimensionMismatch):
+        apply_word_arrays(Word.of(letter), coords, F9)
+    with pytest.raises(DimensionMismatch):
+        word_to_endo(Word.of(letter), F9, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Transvection(0, 2, 1, 1), lambda: BiTransvection(1, 0, 3, 1, 1, 1),
+    lambda: PolyTransvection(1, 0, (1,), 1, 1),
+    lambda: parse_word("T(0,2,1,1)")], ids=["T", "B", "P", "parse_word"])
+def test_index_zero_is_rejected_at_construction(make):
+    with pytest.raises(ValueError):
+        make()
