@@ -8,6 +8,7 @@ Usage: python scripts/desk_checks.py [--fast]
 
 import argparse
 import math
+import sys
 import time
 
 import numpy as np
@@ -20,6 +21,13 @@ def timed(label, fn):
     out = fn()
     print(f"  {label:58s} [{time.time() - t0:6.1f}s]")
     return out
+
+
+def require(ok, what):
+    """Exit non-zero naming the failed check (unlike assert, also under
+    python -O)."""
+    if not ok:
+        sys.exit(f"desk check failed: {what}")
 
 
 def main():
@@ -39,26 +47,29 @@ def main():
         cert = timed(f"p={p}: certify Alt({p**3 - 1})",
                      lambda: permgrp.certify_alternating(
                          permgrp.build_chain(gens, seed=1)))
-        assert cert.verdict == "Alt"
-        assert cert.order == math.factorial(p**3 - 1) // 2
+        require(cert.verdict == "Alt"
+                and cert.order == math.factorial(p**3 - 1) // 2,
+                f"p={p}: verdict {cert.verdict}, not Alt({p**3 - 1})")
 
     params = tame.GroupParams(5, 3, (1, 1, 2))
     if not args.fast:
         print("orbit structure of F_125^3 under G_{F_5,3;1,1,2}:")
         part = timed("three orbits {1, 124, 1953000}",
                      lambda: orbits.orbit_partition(params, 3))
-        assert sorted(o.size for o in part.orbits) == [1, 124, 1953000]
+        sizes = sorted(o.size for o in part.orbits)
+        require(sizes == [1, 124, 1953000], f"orbit sizes {sizes}")
         spec = orbits.make_gamma_spec(params, part.ctx)
         big = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
         rep = timed("651000 Gamma-classes of size 3",
                     lambda: orbits.gamma_classes(
                         np.flatnonzero(part.labels == big), spec, params))
-        assert rep.class_count == 651000
+        require(rep.class_count == 651000,
+                f"{rep.class_count} Gamma-classes, not 651000")
 
     print("word synthesis:")
     cert = timed("x1 += x2^4 over F_5 (e = (1,1,2))",
                  lambda: synth.synth_transvection(1, 2, 4, 1, params))
-    assert cert.verified
+    require(cert.verified, "synthesized word not verified")
     print(f"    word length {cert.length}, checked on {cert.points_checked} "
           f"points ({cert.mode})")
 
@@ -69,7 +80,8 @@ def main():
     print("k-transitivity probe on Gamma-classes (p=5, ell=2, k=3):")
     rep = timed("40 random class triples",
                 lambda: orbits.transitivity_probe(params, 2, 3, 40, seed=3))
-    assert rep.successes == rep.trials
+    require(rep.successes == rep.trials,
+            f"probe {rep.successes}/{rep.trials}")
     print(f"    {rep.successes}/{rep.trials} mapped to the standard tuple")
     print("all desk checks passed")
 

@@ -234,7 +234,7 @@ def _gap_row(task):
     n, words = _thm15_words(variant, p)
     codes = _nonzero_codes(p, n)
     graph = spectra.build_schreier(codes, words, ctx, n)
-    res = spectra.spectral_gap(graph, method="auto", tol=1e-10, seed=seed)
+    res = spectra.spectral_gap(graph, seed=seed)
     row = (f"{p},{graph.nvertices},{graph.degree},"
            f"{res.lambda2!r},{res.gap!r},{res.method},{res.residual!r}")
     return res.gap, row

@@ -53,10 +53,6 @@ class NotClosed(TamexpError):
     """A generator maps a domain point outside the domain."""
 
 
-class NotConnected(TamexpError):
-    pass
-
-
 class NoConvergence(TamexpError):
     pass
 

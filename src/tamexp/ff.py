@@ -183,7 +183,7 @@ def _smallest_irreducible(p, ell):
         f = tuple(coeffs) + (1,)
         if _is_irreducible(f, p):
             return f
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise BoundViolated("no irreducible polynomial found")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +348,13 @@ class FieldCtx:
         for a in range(1, self.q):
             if self.order(a) == self.q - 1:
                 return a
-        raise AssertionError("multiplicative group not cyclic")  # unreachable
+        raise BoundViolated("multiplicative group not cyclic")  # unreachable
 
     def subfield_degree(self, a):
         for d in sorted(_divisors(self.ell)):
             if self.pow(a, self.p**d) == a:
                 return d
-        raise AssertionError("element not fixed by full Frobenius power")
+        raise BoundViolated("element not fixed by full Frobenius power")
 
     def join_degree(self, elems):
         """Degree over F_p of the subfield generated by a set of elements."""
@@ -532,7 +532,8 @@ def minimal_polynomial(ctx, a):
         coeffs = nxt
     for t in coeffs:
         if t >= ctx.p:
-            raise AssertionError("minimal polynomial has non-prime-field coefficient")
+            raise BoundViolated(
+                "minimal polynomial has non-prime-field coefficient")
     return poly_trim(coeffs)
 
 

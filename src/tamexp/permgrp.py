@@ -486,44 +486,32 @@ def try_alt_ladder(gens, seed=0):
 class AltCertificate:
     degree: int
     order: int
-    order_matches: bool  # order == degree!/2
+    order_matches: bool  # chain order == degree!/2
     all_even: bool
     verdict: str  # "Alt" | "Sym" | "Proper"
     strategy: str
     seed: int
-    gens_sift_ok: bool
 
 
-def certify_alternating(chain, d=None):
-    """Verdict Alt iff chain order equals d!/2 exactly and all generators
-    are even; Sym iff it equals d!; otherwise Proper."""
-    d = chain.degree if d is None else d
-    all_even = all(parity(g) == "even" for g in chain.gens)
+def certify_alternating(chain):
+    """Verdict Alt iff the group order is d!/2 and all generators are even;
+    Sym iff it is d!; otherwise Proper.  Raises BoundViolated when an even
+    generator does not sift through the chain."""
+    d = chain.degree
+    even = [parity(g) == "even" for g in chain.gens]
+    # every even generator lies in the chain's group: Alt(d) for a ladder,
+    # <gens> for Schreier-Sims (which has already sifted the odd ones)
+    if any(e and not chain.contains(g) for g, e in zip(chain.gens, even)):
+        raise BoundViolated("a generator does not sift through its chain")
     half = factorial(d) // 2
-    order = chain.order
-    if chain.strategy == "cycles":
-        # ladder order is d!/2 by construction and bounds |G| from below;
-        # parity bounds it from above
-        order_matches = order == half
-        if order_matches and all_even:
-            verdict = "Alt"
-        elif order_matches and not all_even:
-            # G contains Alt(d) plus an odd element
-            verdict = "Sym"
-            order = factorial(d)
-        else:
-            verdict = "Proper"
-    else:
-        order_matches = order == half
-        if order_matches and all_even:
-            verdict = "Alt"
-        elif order == factorial(d):
-            verdict = "Sym"
-        else:
-            verdict = "Proper"
-    sift_ok = all(chain.contains(g) for g in chain.gens)
-    return AltCertificate(d, order, order_matches, all_even, verdict,
-                          chain.strategy, chain.seed, sift_ok)
+    order_matches = chain.order == half
+    # a group of order d!/2 is Alt(d), a lower bound for a ladder's group:
+    # an odd generator then makes it Sym(d)
+    order = factorial(d) if order_matches and not all(even) else chain.order
+    verdict = ("Alt" if order == half else "Sym" if order == factorial(d)
+               else "Proper")
+    return AltCertificate(d, order, order_matches, all(even), verdict,
+                          chain.strategy, chain.seed)
 
 
 def transitivity_degree(chain):

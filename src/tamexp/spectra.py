@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConnected, NoConvergence
+from .errors import NoConvergence
 from .orbits import components, word_code_perm
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .orbits import codes_to_coords  # noqa: F401
 
-DENSE_LIMIT = 4000  # method "auto" diagonalizes graphs up to this many vertices
-MAX_ITER = 100_000  # block power iteration steps before NoConvergence
+MAX_ITER = 1000  # Lanczos steps (basis vectors) before NoConvergence
 
 
 @dataclass
@@ -78,56 +77,44 @@ class GapResult:
     iterations: int
 
 
-def spectral_gap(graph, method="auto", tol=1e-10, seed=0):
-    """lambda2 of the normalized adjacency and gap = 1 - lambda2.
+def spectral_gap(graph, seed=0):
+    """lambda2 of the normalized adjacency A and gap = 1 - lambda2.
 
-    'dense' diagonalizes the full operator (the oracle for small graphs,
-    also fine for disconnected ones, where the gap comes out 0).
-    'iterative' runs a deflated block power iteration orthogonal to the
-    constant vector and certifies the eigenpair by its residual.
+    Lanczos with full reorthogonalization on the complement of the
+    constant vector, the eigenvalue-1 eigenvector of every uniform-degree
+    graph.  The constant vector is row 0 of the basis, so
+    reorthogonalizing against the basis also deflates it.  Stops at the
+    first step whose top Ritz pair (theta, x) has explicit residual
+    ||Ax - theta x|| <= 1e-10.
+    A breakdown (beta = 0: the Krylov space is invariant and its Ritz
+    values are exact) makes that residual vanish, so it stops at once:
+    the complete graph at step 1, and a disconnected graph with
+    lambda2 = 1, gap 0.
     """
-    if method == "auto":
-        method = "dense" if graph.nvertices <= DENSE_LIMIT else "iterative"
-    if method == "dense":
-        eigs = np.linalg.eigvalsh(graph.normalized_adjacency())
-        lam2 = float(eigs[-2]) if graph.nvertices > 1 else float(eigs[-1])
-        return GapResult(lam2, 1.0 - lam2, "dense", 0.0, 0)
-    if not is_connected(graph):
-        raise NotConnected("iterative gap needs a connected graph")
     v = graph.nvertices
-    rng = np.random.default_rng(seed)
-    block = 3
-    x = rng.standard_normal((v, block))
-    ones = np.ones(v) / math.sqrt(v)
-
-    def project(y):
-        return y - np.outer(ones, ones @ y)
-
-    x = project(x)
-    x, _ = np.linalg.qr(x)
-    residual = float("inf")
-    # iterate on (I + A)/2 so the top of the deflated spectrum is the
-    # target even when negative eigenvalues dominate in modulus
-    for it in range(1, MAX_ITER + 1):
-        ax = graph.matmat(x)
-        y = project((x + ax) / 2.0)
-        x, _ = np.linalg.qr(y)
-        if it % 5 and it > 10:
-            continue
-        ax = graph.matmat(x)
-        small = x.T @ ax
-        small = (small + small.T) / 2.0
-        w, vecs = np.linalg.eigh(small)
-        lam = w[::-1]
-        ritz = x @ vecs[:, ::-1]
-        top = ritz[:, 0]
-        residual = float(np.linalg.norm(graph.matmat(top) - lam[0] * top))
-        if residual <= tol and it >= 10:
-            lam2 = float(lam[0])
-            return GapResult(lam2, 1.0 - lam2, "iterative", residual, it)
-        x = ritz
-    raise NoConvergence(f"power iteration did not reach tol={tol} "
-                        f"in {MAX_ITER} iterations (residual {residual})")
+    basis = np.empty((2, v))  # grows by doubling as steps are taken
+    basis[0] = 1.0 / math.sqrt(v)
+    q = np.random.default_rng(seed).standard_normal(v)
+    q -= basis[0] * (basis[0] @ q)
+    basis[1] = q / np.linalg.norm(q)
+    alphas, betas = [], []
+    for k in range(1, MAX_ITER + 1):
+        w = graph.matmat(basis[k])
+        alphas.append(basis[k] @ w)
+        for _ in range(2):  # twice is enough (Kahan; Parlett)
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        vals, vecs = np.linalg.eigh(t)
+        theta, x = float(vals[-1]), vecs[:, -1] @ basis[1:k + 1]
+        residual = float(np.linalg.norm(graph.matmat(x) - theta * x))
+        if residual <= 1e-10:
+            return GapResult(theta, 1.0 - theta, "lanczos", residual, k)
+        betas.append(np.linalg.norm(w))
+        if k + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[k + 1] = w / betas[-1]
+    raise NoConvergence(f"Lanczos did not reach residual 1e-10 in {MAX_ITER} "
+                        f"steps (residual {residual})")
 
 
 # ---------------------------------------------------------------------------

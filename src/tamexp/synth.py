@@ -166,12 +166,8 @@ def gamma_structure(c, p, budget=10**7):
                 shifted = _shift_poly(tuple(q), s, p)
                 nxt.append(tuple((a - b) % p for a, b in zip(shifted, q)))
         series.append(span_dim(nxt))
-    # series = [G, gamma_2, ..., gamma_k = 0]; class = index of last nonzero
-    nilpotency_class = len(series) - 1 if len(series) > 2 or series[1] else 1
-    if not series[1]:
-        nilpotency_class = 1
-    else:
-        nilpotency_class = 1 + max(i for i in range(1, len(series)) if series[i])
+    # series = [G, gamma_2, ..., gamma_k = 0], nonzero up to the last term
+    nilpotency_class = len(series) - 1
 
     # center by scan: (Q, b) commutes with all (x^v, 0) and with y(1)
     center = []

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tamexp import ff
+from tamexp import ff, permgrp
 from tamexp.cli import main
 from tamexp.errors import BoundViolated, ProbeFailed
 
@@ -38,6 +38,9 @@ def test_outputs_are_deterministic(tmp_path):
             "--format", "csv")[1]
     b = run(tmp_path, "orbits", "--p", "3", "--e", "1,1,2", "--ell", "2",
             "--format", "csv")[1]
+    assert a == b
+    a = run(tmp_path, "gap", "--p", "7", "--seed", "3")[1]
+    b = run(tmp_path, "gap", "--p", "7", "--seed", "3")[1]
     assert a == b
 
 
@@ -88,6 +91,7 @@ def test_gap_csv(tmp_path):
     header, row = text.splitlines()[:2]
     assert header == "p,V,degree,lambda2,gap,method,residual"
     assert row.startswith("5,124,6,")
+    assert row.split(",")[5] == "lanczos"
 
 
 def test_kazhdan_cli(tmp_path):
@@ -164,6 +168,20 @@ def test_internal_invariant_failure_exit_code(error, tmp_path, monkeypatch,
     code, _ = run(tmp_path, "verify-lemmas", "--qmax", "4", "--threads", "1")
     assert code == 4
     assert capsys.readouterr().err == "internal invariant failed: forced\n"
+
+
+def test_generator_that_does_not_sift_exits_4(tmp_path, monkeypatch, capsys):
+    build = permgrp.build_chain
+
+    def leaves_residue(gens, seed=0):
+        chain = build(gens, seed=seed)
+        chain.sift = lambda g: permgrp.perm_from_cycles(len(g), [[0, 1, 2]])
+        return chain
+    monkeypatch.setattr(permgrp, "build_chain", leaves_residue)
+    code, _ = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2")
+    assert code == 4
+    assert capsys.readouterr().err == ("internal invariant failed: a generator "
+                                       "does not sift through its chain\n")
 
 
 def test_certify_thm15_ii_big_order(tmp_path):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from tamexp import ff
-from tamexp.errors import DegreeZero, NonPrime
+from tamexp.errors import BoundViolated, DegreeZero, NonPrime
 
 
 def brute_force_irreducibles(p, ell):
@@ -90,6 +90,15 @@ def test_minimal_polynomial_examples():
     assert ff.minimal_polynomial(F9, 0) == (0, 1)  # y
     F5 = ff.make_field(5, 1)
     assert ff.minimal_polynomial(F5, 2) == (3, 1)  # y - 2 = y + 3
+
+
+def test_minimal_polynomial_broken_frobenius_raises(monkeypatch):
+    # an identity Frobenius leaves the orbit of t = (0, 1) at {t}, so the
+    # "minimal polynomial" y - t has a coefficient outside F_3
+    F9 = ff.make_field(3, 2)
+    monkeypatch.setattr(F9, "frobenius", lambda a: a)
+    with pytest.raises(BoundViolated):
+        ff.minimal_polynomial(F9, F9.element((0, 1)))
 
 
 def test_minimal_polynomial_properties():

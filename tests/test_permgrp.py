@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from tamexp import ff, permgrp as pg, tame
 from tamexp.errors import BudgetExceeded
@@ -109,6 +110,30 @@ def test_certify_proper_sl3():
     assert pg.transitivity_degree(chain) == 1
 
 
+def _sympy_order(gens):
+    return PermutationGroup([Permutation([int(x) for x in g])
+                             for g in gens]).order()
+
+
+@pytest.mark.parametrize("p, order", [(3, 5616), (5, 372000)])
+def test_schreier_sims_order_matches_sympy(p, order):
+    # |SL_3(F_p)| on the nonzero points of F_p^3
+    F = ff.make_field(p, 1)
+    params = tame.GroupParams(p, 3, (1, 1, 1))
+    words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
+    gens = [word_code_perm(w, nonzero_codes(p, 3), F, 3) for w in words]
+    assert pg.schreier_sims(gens, seed=1).order == order == _sympy_order(gens)
+
+
+def test_ladder_order_matches_sympy():
+    F3 = ff.make_field(3, 1)
+    n, words = thm15_words("i")
+    gens = [word_code_perm(w, nonzero_codes(3, 3), F3, 3) for w in words]
+    chain = pg.try_alt_ladder(gens, seed=1)
+    assert chain.strategy == "cycles"
+    assert chain.order == math.factorial(26) // 2 == _sympy_order(gens)
+
+
 def test_certify_sym_with_odd_generator():
     gens = [pg.perm_from_cycles(7, [[0, 1]]),
             pg.perm_from_cycles(7, [list(range(7))])]
@@ -166,6 +191,11 @@ BROKEN_CHECKS = {
         "pg._PairBFS.apply_path = lambda self, pt, path: (pt + 1) % self.deg\n"
         "pg.try_alt_ladder([pg.perm_from_cycles(7, [[0, 1, 2]]),\n"
         "                   pg.perm_from_cycles(7, [list(range(7))])])\n"),
+    "certify-sift": (
+        "chain = pg.build_chain([pg.perm_from_cycles(7, [[0, 1, 2]]),\n"
+        "                        pg.perm_from_cycles(7, [list(range(7))])])\n"
+        "chain.sift = lambda g: pg.perm_from_cycles(7, [[0, 1, 2]])\n"
+        "pg.certify_alternating(chain)\n"),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tamexp import ff, spectra, tame
-from tamexp.errors import NotClosed, NotConnected
+from tamexp.errors import NoConvergence, NotClosed
 from tamexp.spectra import (AngleMatrix, KazhdanParams, angle_matrix_min_eig,
                             build_schreier, complete_graph, cycle_graph,
                             kazhdan_bound, spectral_gap)
@@ -13,10 +13,12 @@ from conftest import nonzero_codes, thm15_words
 
 
 def test_known_spectra():
-    r = spectral_gap(complete_graph(9), "dense")
+    # off the constants K_9 is -I/8: Lanczos breaks down at step 1
+    r = spectral_gap(complete_graph(9))
     assert abs(r.lambda2 - (-1 / 8)) < 1e-12
     assert abs(r.gap - 9 / 8) < 1e-12
-    r = spectral_gap(cycle_graph(10), "dense")
+    assert r.method == "lanczos" and r.iterations == 1
+    r = spectral_gap(cycle_graph(10))
     assert abs(r.lambda2 - math.cos(2 * math.pi / 10)) < 1e-12
 
 
@@ -25,10 +27,12 @@ def test_identity_generator_gap_zero():
     F3 = ff.make_field(3, 1)
     g = build_schreier(nonzero_codes(3, 3), [tame.Word()], F3, 3)
     assert g.degree == 2
-    r = spectral_gap(g, "dense")
+    r = spectral_gap(g)
     assert abs(r.gap) < 1e-12
-    with pytest.raises(NotConnected):
-        spectral_gap(g, "iterative")
+    # two disjoint 7-cycles: the component indicators give lambda2 = 1
+    c = cycle_graph(7).neighbors
+    r = spectral_gap(spectra.SchreierGraph(14, 2, np.concatenate([c, c + 7])))
+    assert abs(r.gap) < 1e-12 and r.residual <= 1e-10
 
 
 def test_schreier_graph_shapes():
@@ -53,10 +57,19 @@ def test_dense_vs_iterative_agreement():
     F5 = ff.make_field(5, 1)
     n, words = thm15_words("i")
     g = build_schreier(nonzero_codes(5, 3), words, F5, 3)
-    rd = spectral_gap(g, "dense")
-    ri = spectral_gap(g, "iterative", tol=1e-11)
-    assert abs(rd.lambda2 - ri.lambda2) <= 1e-8
-    assert ri.residual <= 1e-11
+    dense = np.linalg.eigvalsh(g.normalized_adjacency())[-2]
+    r = spectral_gap(g)
+    assert abs(dense - r.lambda2) <= 1e-12
+    assert r.residual <= 1e-10
+
+
+def test_step_cap_raises_no_convergence(monkeypatch):
+    F5 = ff.make_field(5, 1)
+    n, words = thm15_words("i")
+    g = build_schreier(nonzero_codes(5, 3), words, F5, 3)
+    monkeypatch.setattr(spectra, "MAX_ITER", 5)
+    with pytest.raises(NoConvergence):
+        spectral_gap(g)
 
 
 def test_angle_matrix_equal_alphas():
