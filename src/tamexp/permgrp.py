@@ -10,31 +10,36 @@ Two chain strategies share the StabChain interface:
   verified by sifting every Schreier generator.  Fine for groups whose
   chain is small (moderate order, or small degree).
 
-* 'cycles' is a chain for giant alternating groups.  Its strong
-  generators are d-2 consecutive 3-cycles (b_k, b_{k+1}, b_{k+2}) over a
-  base enumerating the whole domain, each produced from the input
-  generators by power/conjugation bookkeeping, so membership in the group
-  holds by construction.  Level k has orbit exactly {b_k, ..., b_{d-1}},
-  making the chain order d!/2 on the nose.  Since the product of level
-  orbit sizes of any chain whose level generators fix the earlier base
-  points is a lower bound for the group order, d!/2 <= |G|; if every
-  input generator is even, |G| <= d!/2, which pins |G| = Alt(d) exactly.
-  Randomness only searches for witnesses; the certificate is exact.
+* 'cycles' is the chain of Alt(d) for giant alternating groups, taken
+  once Alt(d) <= G is proved.  A random element powers to a 3-cycle
+  t = (a, b, c) in G, checked as a permutation.  A Schreier tree from a
+  carries t to a conjugate T_x = (x, ., .) in G for every point x; if
+  their supports form one connected hypergraph, the T_x generate Alt(d)
+  (3-cycles on a connected support generate the alternating group on
+  its union: Dixon-Mortimer, Permutation Groups, 1996, section 3.3).
+  The chain has base t followed by the other points in increasing
+  order, and level k's orbit is {b_k, ..., b_{d-1}}, so its order is
+  d!/2 on the nose.  Sifting undoes g(b_k) = y at level k by a 3-cycle
+  (b_k, y, z) of the level set, O(d) per element.  If every input
+  generator is even, |G| <= d!/2, which pins |G| = Alt(d) exactly.
+  Several components or an intransitive group give no chain, and
+  build_chain falls back to 'dense'.  Randomness only searches for t;
+  the certificate is exact.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import numpy as np
 
 from .errors import BoundViolated, BudgetExceeded
+from .orbits import components
 
 MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators sifted
 LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
-LADDER_EXTEND_TRIES = 64  # rattle retries per ladder extension step
 
 
 def identity_perm(n):
@@ -96,7 +101,7 @@ def parity(p):
 
 
 def perm_order(p):
-    return lcm(*(length for length, _ in cycle_lengths(p))) if cycle_lengths(p) else 1
+    return lcm(*(length for length, _ in cycle_lengths(p)))
 
 
 class Rattle:
@@ -150,15 +155,15 @@ class StabChain:
     strategy: str
     seed: int
     levels: list = field(default_factory=list, repr=False)  # dense
-    cycles: list = field(default_factory=list, repr=False)  # ladder triples
-    _pos: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self):
-        o = 1
-        for s in self.orbit_sizes:
-            o *= s
-        return o
+        # pairwise products keep the factors balanced; a running product
+        # of d sizes costs O(d^2) digit operations (seconds at d = 78124)
+        sizes = list(self.orbit_sizes) or [1]
+        while len(sizes) > 1:
+            sizes = [prod(sizes[i:i + 2]) for i in range(0, len(sizes), 2)]
+        return sizes[0]
 
     # -- sifting -------------------------------------------------------------
 
@@ -176,34 +181,22 @@ class StabChain:
         return self._sift_cycles(g)
 
     def _sift_cycles(self, g):
-        d = self.degree
+        # at level k, g <- g * (b_k, y, z)^-1 with y = g(b_k) and z the
+        # last base point other than y; the earlier base points are fixed,
+        # so y and z lie in the level set
+        base = self.base
         glist = g.tolist()
-        ginv = [0] * d
+        ginv = [0] * self.degree
         for x, y in enumerate(glist):
             ginv[y] = x
-        pos = self._pos
-        base = self.base
-        last = len(self.cycles) - 1  # = d - 3
-        for k in range(len(self.cycles)):
-            y = glist[base[k]]
-            m = pos[y]
-            if m < k:
-                return np.array(glist, dtype=np.int64)
-            path = list(range(k, min(m, last + 1)))
-            if m == d - 1:
-                path.append(last)
-            for j in reversed(path):
-                ca, cb, cc = self.cycles[j]
-                # g <- g * cycle_j^{-1}
-                xa, xb, xc = ginv[ca], ginv[cb], ginv[cc]
-                glist[xb] = ca
-                glist[xc] = cb
-                glist[xa] = cc
-                ginv[ca] = xb
-                ginv[cb] = xc
-                ginv[cc] = xa
-            if glist[base[k]] != base[k]:
-                return np.array(glist, dtype=np.int64)
+        for bk in base[:-2]:
+            y = glist[bk]
+            if y == bk:
+                continue
+            z = base[-1] if y != base[-1] else base[-2]
+            xb, xy, xz = ginv[bk], ginv[y], ginv[z]
+            glist[xy], glist[xz], glist[xb] = bk, y, z
+            ginv[bk], ginv[y], ginv[z] = xy, xz, xb
         return np.array(glist, dtype=np.int64)
 
     def contains(self, g):
@@ -320,7 +313,7 @@ def schreier_sims(gens, seed=0, max_sifts=MAX_SIFTS):
 
 
 # ---------------------------------------------------------------------------
-# the 3-cycle ladder ('cycles')
+# the 3-cycle closure ('cycles')
 
 
 def _extract_three_cycle(g):
@@ -332,7 +325,7 @@ def _extract_three_cycle(g):
     others = [length for length, _ in lengths if length != 3]
     if len(threes) != 1 or any(length % 3 == 0 for length in others):
         return None
-    m = lcm(*others) if others else 1
+    m = lcm(*others)
     rep = threes[0]
     lst = g.tolist()
     cyc = [rep, lst[rep], lst[lst[rep]]]
@@ -340,142 +333,71 @@ def _extract_three_cycle(g):
     return (cyc[0], cyc[shift], cyc[(2 * shift) % 3])
 
 
-class _PairBFS:
-    """Schreier tree on ordered pairs under gens+inverses, rooted anywhere."""
+def _power(p, m):
+    """p^m by repeated squaring."""
+    out = identity_perm(len(p))
+    while m:
+        if m & 1:
+            out = compose(out, p)
+        p = compose(p, p)
+        m >>= 1
+    return out
 
-    def __init__(self, gens, root):
-        self.deg = len(gens[0])
-        self.gens = [np.asarray(g, dtype=np.int64) for g in gens]
-        self.gens += [inverse(g) for g in self.gens]
-        self.glists = [g.tolist() for g in self.gens]
-        self.m = len(gens)
-        d = self.deg
-        n2 = d * d
-        self.parent = np.full(n2, -1, dtype=np.int64)
-        self.pgen = np.full(n2, -1, dtype=np.int16)
-        root_code = root[0] * d + root[1]
-        self.root = root_code
-        self.parent[root_code] = root_code
-        frontier = np.array([root_code], dtype=np.int64)
-        while frontier.size:
-            new_all = []
-            px, py = frontier // d, frontier % d
-            for gi, g in enumerate(self.gens):
-                img = g[px] * d + g[py]
-                mask = self.parent[img] < 0
-                if not mask.any():
-                    continue
-                new, first = np.unique(img[mask], return_index=True)
-                fresh = self.parent[new] < 0
-                new = new[fresh]
-                src = frontier[mask][first][fresh]
-                self.parent[new] = src
-                self.pgen[new] = gi
-                new_all.append(new)
-            frontier = np.concatenate(new_all) if new_all else np.empty(0, dtype=np.int64)
 
-    def path(self, x, y):
-        """Generator indices whose product maps the root pair to (x, y)."""
-        code = x * self.deg + y
-        if self.parent[code] < 0:
-            return None
-        out = []
-        while code != self.root:
-            out.append(int(self.pgen[code]))
-            code = int(self.parent[code])
-        out.reverse()
-        return out
-
-    def apply_path(self, pt, path):
-        for gi in path:
-            pt = self.glists[gi][pt]
-        return pt
-
-    def apply_path_inverse(self, pt, path):
-        for gi in reversed(path):
-            pt = self.glists[(gi + self.m) % (2 * self.m)][pt]
-        return pt
+def _conjugate_triples(gens, triple):
+    """(3, d) array T whose column x is the 3-cycle t^w = (x, T[1, x],
+    T[2, x]) for the word w on a BFS Schreier tree path from a to x, where
+    t = (a, b, c) = triple; None if the tree does not reach every point."""
+    d = len(gens[0])
+    moves = gens + [inverse(g) for g in gens]
+    T = np.full((3, d), -1, dtype=np.int64)
+    T[:, triple[0]] = triple
+    frontier = np.array([triple[0]], dtype=np.int64)
+    while frontier.size:
+        reached = []
+        for h in moves:
+            img = h[T[:, frontier]]  # conjugate by h: img[0] = h(frontier)
+            img = img[:, T[0, img[0]] < 0]
+            T[:, img[0]] = img
+            reached.append(img[0])
+        frontier = np.concatenate(reached)
+    return None if (T[0] < 0).any() else T
 
 
 def try_alt_ladder(gens, seed=0):
-    """Build the consecutive-3-cycle chain, or return None if the group
-    does not cooperate (then it is presumably not a giant).
+    """Prove Alt(d) <= <gens> by a 3-cycle closure and return the chain of
+    Alt(d), or None if the proof does not go through (the group is then
+    presumably not a giant).
 
-    Extension step: with the last cycle (z -> u -> v) owned and a chosen
-    fresh point w, pick h in the group with h(u) = v and h(v) = w (pair
-    control through the Schreier tree, randomized by a rattle factor when
-    y = h(z) collides with {u, z}).  Then with y = h(z),
-
-        [(u z v), (v w y)] = (u v w)
-
-    on the five distinct points involved, which is exactly the next
-    ladder cycle; both arguments are owned (the second is the conjugate
-    of the previous cycle by h), so membership follows.
+    A rattle search finds g in the group powering to a 3-cycle t; the
+    conjugates of t along a Schreier tree give a 3-cycle at every point,
+    and one connected component of their supports proves the claim.
     """
     gens = [np.asarray(g, dtype=np.int64) for g in gens]
     degree = len(gens[0])
     if degree < 5:
         return None
-    rng = random.Random(seed)
-    rattle = Rattle(gens, rng)
-    triple = None
+    rattle = Rattle(gens, random.Random(seed))
     for _ in range(LADDER_CYCLE_TRIES):
-        triple = _extract_three_cycle(rattle.sample())
+        g = rattle.sample()
+        triple = _extract_three_cycle(g)
         if triple:
             break
-    if not triple:
+    else:
         return None
-    a, b, c0 = triple
-    bfs = _PairBFS(gens, (a, b))
-    if np.count_nonzero(bfs.parent >= 0) < degree * (degree - 1):
-        return None  # not 2-transitive; ladder needs pair control
-    base = [a, b, c0]
-    used = bytearray(degree)
-    used[a] = used[b] = used[c0] = 1
-    cycles = [(a, b, c0)]
-    fresh = 0
-    while len(base) < degree:
-        z, u, v = cycles[-1]
-        while fresh < degree and used[fresh]:
-            fresh += 1
-        w = fresh
-        y = None
-        for attempt in range(LADDER_EXTEND_TRIES):
-            if attempt == 0:
-                r = None
-                ru, rv, rz = u, v, z
-            else:
-                r = rattle.sample()
-                rl = r.tolist()
-                ru, rv, rz = rl[u], rl[v], rl[z]
-            path1 = bfs.path(ru, rv)
-            path2 = bfs.path(v, w)
-            if path1 is None or path2 is None:
-                return None
-            # h = r . path1^{-1} . path2 maps (u, v) -> (v, w)
-            cand = bfs.apply_path(bfs.apply_path_inverse(rz, path1), path2)
-            if cand not in (u, z):
-                y = cand
-                h = identity_perm(degree) if r is None else r
-                for gi in reversed(path1):
-                    h = compose(h, bfs.gens[(gi + bfs.m) % (2 * bfs.m)])
-                for gi in path2:
-                    h = compose(h, bfs.gens[gi])
-                if not (h[u] == v and h[v] == w and h[z] == y):
-                    raise BoundViolated(
-                        f"ladder witness maps ({u}, {v}, {z}) to "
-                        f"({h[u]}, {h[v]}, {h[z]}), not ({v}, {w}, {y})")
-                break
-        if y is None:
-            return None
-        base.append(w)
-        used[w] = 1
-        cycles.append((u, v, w))
-    chain = StabChain(degree=degree, gens=gens, base=base,
-                      orbit_sizes=[degree - k for k in range(degree - 2)],
-                      strategy="cycles", seed=seed, cycles=cycles,
-                      _pos={pt: k for k, pt in enumerate(base)})
-    return chain
+    if not np.array_equal(_power(g, perm_order(g) // 3),
+                          perm_from_cycles(degree, [triple])):
+        raise BoundViolated(f"the power of a sample is not the 3-cycle "
+                            f"{triple}")
+    T = _conjugate_triples(gens, triple)
+    if T is None or components([T[1], T[2]]).any():
+        return None  # intransitive, or several components
+    rest = np.ones(degree, dtype=bool)
+    rest[list(triple)] = False
+    return StabChain(degree=degree, gens=gens,
+                     base=list(triple) + np.flatnonzero(rest).tolist(),
+                     orbit_sizes=list(range(degree, 2, -1)),
+                     strategy="cycles", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +421,13 @@ def certify_alternating(chain):
     generator does not sift through the chain."""
     d = chain.degree
     even = [parity(g) == "even" for g in chain.gens]
-    # every even generator lies in the chain's group: Alt(d) for a ladder,
+    # every even generator lies in the chain's group: Alt(d) for 'cycles',
     # <gens> for Schreier-Sims (which has already sifted the odd ones)
     if any(e and not chain.contains(g) for g, e in zip(chain.gens, even)):
         raise BoundViolated("a generator does not sift through its chain")
     half = factorial(d) // 2
     order_matches = chain.order == half
-    # a group of order d!/2 is Alt(d), a lower bound for a ladder's group:
+    # a group of order d!/2 is Alt(d), a lower bound for a 'cycles' group:
     # an odd generator then makes it Sym(d)
     order = factorial(d) if order_matches and not all(even) else chain.order
     verdict = ("Alt" if order == half else "Sym" if order == factorial(d)
@@ -527,7 +449,8 @@ def transitivity_degree(chain):
 
 
 def build_chain(gens, seed=0):
-    """Ladder first (it certifies giants cheaply), dense fallback."""
+    """3-cycle closure first (it certifies giants cheaply), dense
+    fallback."""
     gens = [np.asarray(g, dtype=np.int64) for g in gens]
     chain = try_alt_ladder(gens, seed=seed)
     if chain is not None:

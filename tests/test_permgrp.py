@@ -63,18 +63,6 @@ def test_three_cycle_extraction():
         pg.perm_from_cycles(10, [[0, 1, 2], [3, 4, 5, 6, 7, 8]])) is None
 
 
-def test_ladder_commutator_identity():
-    # [(u z v), (v w y)] = (u v w), the identity behind ladder extension
-    rng = random.Random(0)
-    for _ in range(20):
-        u, z, v, w, y = rng.sample(range(30), 5)
-        s = pg.perm_from_cycles(30, [[u, z, v]])
-        sp = pg.perm_from_cycles(30, [[v, w, y]])
-        comm = pg.compose(pg.compose(pg.inverse(s), pg.inverse(sp)),
-                          pg.compose(s, sp))
-        assert np.array_equal(comm, pg.perm_from_cycles(30, [[u, v, w]]))
-
-
 def test_ladder_matches_dense_on_alt9():
     gens = [pg.perm_from_cycles(9, [[0, 1, 2]]),
             pg.perm_from_cycles(9, [list(range(9))])]
@@ -176,8 +164,69 @@ def test_ladder_strong_generators_sift():
             pg.perm_from_cycles(11, [list(range(11))])]
     chain = pg.try_alt_ladder(gens, seed=6)
     assert chain is not None and chain.strategy == "cycles"
-    for a, b, c in chain.cycles[:5] + chain.cycles[-5:]:
+    triples = list(zip(chain.base, chain.base[1:], chain.base[2:]))
+    for a, b, c in triples[:5] + triples[-5:]:
         assert chain.contains(pg.perm_from_cycles(11, [[a, b, c]]))
+
+
+def test_imprimitive_group_with_three_cycles_falls_back():
+    # blocks {0, 1, 2} and {3, 4, 5}: the conjugates of a 3-cycle stay
+    # inside one block, so their supports form two components
+    gens = [pg.perm_from_cycles(6, [[0, 1, 2]]),
+            pg.perm_from_cycles(6, [[3, 4, 5]]),
+            pg.perm_from_cycles(6, [[0, 3], [1, 4], [2, 5]])]
+    assert pg.try_alt_ladder(gens, seed=0) is None
+    chain = pg.build_chain(gens, seed=0)
+    assert chain.strategy == "dense"
+    assert chain.order == 18 == _sympy_order(gens)
+
+
+def _random_generators(rng):
+    """One to three generators of degree 5-10: giant, intransitive (two
+    invariant intervals) or imprimitive (blocks of size 2 or 3)."""
+    d = rng.randint(5, 10)
+    kind = rng.choice(["giant", "intransitive", "imprimitive"])
+    if kind == "imprimitive" and d % 2 and d % 3:
+        d -= 1
+    cut = rng.randint(1, d - 1)
+    size = 2 if d % 2 == 0 else 3
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if kind == "giant":
+            g = rng.sample(range(d), d)
+        elif kind == "intransitive":
+            g = rng.sample(range(cut), cut) + rng.sample(range(cut, d), d - cut)
+        else:
+            blocks = rng.sample(range(d // size), d // size)
+            g = [size * blocks[x // size] + w
+                 for x in range(0, d, size)
+                 for w in rng.sample(range(size), size)]
+        gens.append(np.array(g, dtype=np.int64))
+    return gens
+
+
+def test_certified_orders_match_sympy_on_random_groups():
+    rng = random.Random(20)
+    strategies = set()
+    for trial in range(150):
+        gens = _random_generators(rng)
+        chain = pg.build_chain(gens, seed=trial)
+        strategies.add(chain.strategy)
+        assert pg.certify_alternating(chain).order == _sympy_order(gens)
+    assert strategies == {"dense", "cycles"}
+
+
+def test_certify_thm15ii_p5_alt78124():
+    # the paper's headline family Alt(p^7 - 1) at p = 5
+    F5 = ff.make_field(5, 1)
+    n, words = thm15_words("ii")
+    gens = [word_code_perm(w, nonzero_codes(5, n), F5, n) for w in words]
+    chain = pg.build_chain(gens, seed=0)
+    cert = pg.certify_alternating(chain)
+    assert cert.degree == 78124
+    assert cert.verdict == "Alt"
+    assert chain.strategy == "cycles"
+    assert cert.order == math.factorial(78124) // 2
 
 
 # Each snippet breaks one soundness check of a certificate.  The check must
@@ -188,7 +237,9 @@ BROKEN_CHECKS = {
         "pg.schreier_sims([pg.perm_from_cycles(4, [[0, 1, 2]]),\n"
         "                  pg.perm_from_cycles(4, [[0, 1], [2, 3]])])\n"),
     "ladder-witness": (
-        "pg._PairBFS.apply_path = lambda self, pt, path: (pt + 1) % self.deg\n"
+        "find = pg._extract_three_cycle\n"
+        "pg._extract_three_cycle = lambda g: find(g) and tuple(\n"
+        "    sorted(set(range(7)) - set(find(g)))[:3])  # fixed by g^m\n"
         "pg.try_alt_ladder([pg.perm_from_cycles(7, [[0, 1, 2]]),\n"
         "                   pg.perm_from_cycles(7, [list(range(7))])])\n"),
     "certify-sift": (
