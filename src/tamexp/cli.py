@@ -209,7 +209,8 @@ def cmd_synth(args):
     else:
         cert = synth.synth_transvection(args.i, args.j, args.t, args.r, params,
                                         budget=args.budget)
-    payload = _header(args.seed, ff.make_field(params.p, 1))
+    ctx = ff.make_field(params.p, 1)
+    payload = _header(args.seed, ctx)
     payload.update({
         "target": cert.target,
         "length": cert.length,
@@ -220,7 +221,6 @@ def cmd_synth(args):
         "points_checked": cert.points_checked,
     })
     if args.emit_endo:
-        ctx = ff.make_field(params.p, 1)
         endo = tame.word_to_endo(cert.word, ctx, params.n)
         payload["endo"] = [f.text() for f in endo.images]
     payload["word"] = cert.word.text()
@@ -348,11 +348,7 @@ def cmd_verify_lemmas(args):
         for mu in mus:
             d = ctx.subfield_degree(mu)
             coeffs = [rng.randrange(p) for _ in range(d)]
-            nu, power = 0, 1
-            for c in coeffs:
-                nu = ctx.add(nu, ctx.mul(c, power))
-                power = ctx.mul(power, mu)
-            nus.append(nu)
+            nus.append(synth._field_poly_eval(ctx, coeffs, mu))
         f = synth.interpolate(mus, nus, ctx)
         if all(synth._field_poly_eval(ctx, f, mu) == nu
                for mu, nu in zip(mus, nus)):

@@ -1,12 +1,16 @@
 """Arithmetic in F_p and its extensions F_{p^l}.
 
 A field context fixes the prime p, the degree l and a monic irreducible
-modulus of degree l over F_p.  An element is represented by its *index*:
-the element with power-basis coefficients (c_0, ..., c_{l-1}) has index
-c_0 + c_1*p + ... + c_{l-1}*p^(l-1).  Index 0 is zero and index 1 is one;
-indices below p are exactly the prime subfield.  All context operations
-take and return indices, which keeps points hashable and lets bulk code
-work on numpy arrays of indices via the precomputed tables.
+modulus of degree l over F_p.  Contexts come only from `make_field`, which
+builds one per field and hands the same object to every later caller, so
+equality of contexts is identity.
+
+An element is represented by its *index*: the element with power-basis
+coefficients (c_0, ..., c_{l-1}) has index c_0 + c_1*p + ... +
+c_{l-1}*p^(l-1).  Index 0 is zero and index 1 is one; indices below p are
+exactly the prime subfield.  All context operations take and return
+indices, which keeps points hashable and lets bulk code work on numpy
+arrays of indices via the precomputed tables.
 
 Univariate polynomials over F_p appear in two roles (moduli and minimal
 polynomials); they are plain tuples of ints, low-to-high, with no trailing
@@ -192,14 +196,15 @@ def _smallest_irreducible(p, ell):
 class FieldCtx:
     """Immutable context for F_{p^ell}; all element operations are pure.
 
-    Elements are integer indices (see module docstring).  Scalar operations
-    work for any allowed size; the numpy table accessors require
-    q <= TABLE_LIMIT and exist for bulk index arithmetic.  The lazily built
-    tables are internal idempotent caches, so sharing a context between
-    workers stays safe.
+    Obtain it from `make_field`: there is one context per field, and two
+    contexts are equal only when they are the same object.  Elements are
+    integer indices (see module docstring).  Scalar operations work for any
+    allowed size; the numpy table accessors require q <= TABLE_LIMIT and
+    exist for bulk index arithmetic.  The lazily built tables and subfield
+    lists are idempotent caches that every caller of the field shares.
     """
 
-    def __init__(self, p, ell, modulus=None):
+    def __init__(self, p, ell):
         if ell < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {ell}")
         if not isinstance(p, int) or p < 2 or not is_prime(p):
@@ -211,22 +216,14 @@ class FieldCtx:
         self.p = p
         self.ell = ell
         self.q = p**ell
-        if modulus is None:
-            modulus = _smallest_irreducible(p, ell)
-        else:
-            modulus = poly_trim(modulus)
-            if len(modulus) != ell + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree ell")
-            if not _is_irreducible(modulus, p):
-                raise ValueError("modulus is not irreducible")
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, ell)
         self._pp = tuple(p**i for i in range(ell))
         # x^ell reduced mod modulus, used by schoolbook reduction
-        self._xell = poly_trim((-c) % p for c in modulus[:-1])
+        self._xell = poly_trim((-c) % p for c in self.modulus[:-1])
         self._exp = None
         self._log = None
-        self._frob = None
         self._deg = None
+        self._sub = {}
         self._mulc = {}
         self._powt = {}
 
@@ -276,8 +273,7 @@ class FieldCtx:
         if self.q <= TABLE_LIMIT:
             exp, log = self._exp_log()
             return int(exp[(log[a] + log[b]) % (self.q - 1)])
-        prod_ = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.element(self._reduce(prod_))
+        return self._mul_slow(a, b)
 
     def _reduce(self, c):
         p, ell = self.p, self.ell
@@ -313,13 +309,7 @@ class FieldCtx:
         if self.q <= TABLE_LIMIT:
             exp, log = self._exp_log()
             return int(exp[(int(log[a]) * e) % (self.q - 1)])
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return self._pow_slow(a, e)
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -335,7 +325,7 @@ class FieldCtx:
         return n
 
     def _pow_slow(self, a, e):
-        # table-free, used while bootstrapping the tables themselves
+        # table-free: above TABLE_LIMIT, and while bootstrapping the tables
         result = 1
         while e:
             if e & 1:
@@ -408,9 +398,7 @@ class FieldCtx:
         return t
 
     def frob_table(self):
-        if self._frob is None:
-            self._frob = self.pow_table(self.p)
-        return self._frob
+        return self.pow_table(self.p)
 
     def add_arrays(self, A, B):
         p = self.p
@@ -441,6 +429,18 @@ class FieldCtx:
             self._deg = deg
         return self._deg
 
+    def subfield(self, d):
+        """Elements of the subfield F_{p^d}, d | ell, in increasing order:
+        those fixed by the d-th Frobenius power, i.e. whose degree divides d
+        (Lidl-Niederreiter, Finite Fields, Thm 2.14)."""
+        elems = self._sub.get(d)
+        if elems is None:
+            if d < 1 or self.ell % d:
+                raise ValueError(f"subfield degree {d} does not divide {self.ell}")
+            deg = self.subfield_degree_table()
+            elems = self._sub[d] = tuple(np.flatnonzero(d % deg == 0).tolist())
+        return elems
+
     # -- misc ----------------------------------------------------------------
 
     def serialize(self):
@@ -449,13 +449,6 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, ell={self.ell}, modulus={self.modulus})"
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldCtx)
-                and (self.p, self.ell, self.modulus) == (other.p, other.ell, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.ell, self.modulus))
 
 
 def _divisors(n):
@@ -498,9 +491,16 @@ def solve_mod_p(rows, rhs, p):
     return x
 
 
+_FIELDS = {}  # (p, ell) -> the one FieldCtx of that field
+
+
 def make_field(p, ell):
-    """Field context with the deterministically chosen smallest modulus."""
-    return FieldCtx(p, ell)
+    """The context of F_{p^ell}, with the deterministically chosen smallest
+    modulus: built on the first call, the same object on every later one."""
+    ctx = _FIELDS.get((p, ell))
+    if ctx is None:
+        ctx = _FIELDS[(p, ell)] = FieldCtx(p, ell)
+    return ctx
 
 
 def frobenius(ctx, a):
@@ -592,26 +592,23 @@ def verify_enlarge_lemma(ctx, N):
         raise ValueError("need p > N >= 1")
     p, q, ell = ctx.p, ctx.q, ctx.ell
     deg = ctx.subfield_degree_table()
-    # elements of the subfield F_{p^d} are those whose degree divides d
-    subfield = {d: [a for a in range(q) if d % deg[a] == 0] for d in _divisors(ell)}
+    powN, powN1 = ctx.pow_table(N), ctx.pow_table(N - 1)
+    deg_bN = deg[powN]  # deg(beta^N) for beta = 0..q-1
     betas = np.arange(q, dtype=np.int64)
     triples = 0
     part_ii = 0
     for alpha in range(1, q):
         aN = ctx.pow(alpha, N)
         d_a = deg[aN]
-        lam_pool = subfield[int(d_a)]
+        lam_pool = ctx.subfield(int(d_a))
         for k in range(N):
             ak = ctx.pow(alpha, k)
             triples += q
             # part (i): exists lambda with deg((beta + lambda*alpha^k)^N) >= d_a
             pending = np.ones(q, dtype=bool)
-            strict_pending = None
             # part (ii) hypothesis per beta
-            bN = ctx.pow_table(N)[betas]
-            akbN1 = ctx.mul_arrays(np.full(q, ak, dtype=np.int64),
-                                   ctx.pow_table(N - 1)[betas])
-            join = np.lcm(np.int64(d_a), np.lcm(deg[bN], deg[akbN1]))
+            akbN1 = ctx.mul_arrays(np.full(q, ak, dtype=np.int64), powN1)
+            join = np.lcm(np.int64(d_a), np.lcm(deg_bN, deg[akbN1]))
             hyp = join > d_a
             part_ii += int(np.count_nonzero(hyp))
             strict_pending = hyp.copy()
@@ -619,7 +616,7 @@ def verify_enlarge_lemma(ctx, N):
                 if not pending.any() and not strict_pending.any():
                     break
                 shifted = ctx.add_arrays(betas, np.full(q, ctx.mul(lam, ak), dtype=np.int64))
-                dN = deg[ctx.pow_table(N)[shifted]]
+                dN = deg[powN[shifted]]
                 pending &= ~(dN >= d_a)
                 strict_pending &= ~(dN > d_a)
             if pending.any():

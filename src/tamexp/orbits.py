@@ -92,7 +92,9 @@ def components(maps):
     gather, pushes them back by a scatter (so the maps need not be
     permutations), then shortcuts the label forest by pointer jumping.
     Labels only decrease and stay inside their component, so the fixed
-    point is the component minimum.
+    point is the component minimum.  The number of rounds grows with the
+    path length a minimum has to travel, so one long cycle, as in a random
+    permutation, is far slower here than a walk along its cycles.
     """
     labels = np.arange(len(maps[0]), dtype=np.int32)
     while True:
@@ -131,10 +133,6 @@ class GammaSpec:
     lam: int
     lam_order: int
     scales: tuple  # lambda^(d_i) per coordinate
-
-    @property
-    def frob_order(self):
-        return self.ctx.ell
 
 
 def make_gamma_spec(params, ctx, check_points=200, seed=0):
@@ -255,8 +253,7 @@ def orbit_invariant(point, params, ctx, spec=None):
         return OrbitInvariant(1, 0, True)
     pt = _normalize_first_coordinate(point, params, ctx)
     N = params.E - 1
-    line = [ctx.mul(s, pt[0]) for s in range(1, ctx.q)
-            if d0 % ctx.subfield_degree(s) == 0]
+    line = [ctx.mul(s, pt[0]) for s in ctx.subfield(d0)[1:]]  # s != 0
     valid = [b for b in line
              if ctx.subfield_degree(ctx.pow(b, N) if N >= 1 else b) == d0]
     return OrbitInvariant(d0, min(valid) if valid else min(line), False)
@@ -415,17 +412,6 @@ class _ProbeMachine:
         self.n = params.n
         self.ell = ctx.ell
         self.word = []
-        q = ctx.q
-        self._sub = {}
-        for a in range(q):
-            self._sub.setdefault(ctx.subfield_degree(a), []).append(a)
-
-    def _subfield_elems(self, d):
-        out = []
-        for dd, elems in self._sub.items():
-            if d % dd == 0:
-                out.extend(elems)
-        return sorted(out)
 
     def _degN(self, a):
         return self.ctx.subfield_degree(self.ctx.pow(a, self.N))
@@ -453,7 +439,7 @@ class _ProbeMachine:
                     continue
                 tij = self.params.tij(1, j)
                 ak = ctx.pow(a, tij)
-                for lam in self._subfield_elems(self._degN(a)):
+                for lam in ctx.subfield(self._degN(a)):
                     cand = ctx.add(psi[0], ctx.mul(lam, ak))
                     dc = self._degN(cand)
                     if dc > best:
@@ -464,7 +450,7 @@ class _ProbeMachine:
                 continue
             # strict growth of some other coordinate, sourced at coordinate 1
             found = False
-            pool = self._subfield_elems(d1)
+            pool = ctx.subfield(d1)
             for j in range(2, n + 1):
                 dj = self.params.tij(j, 1)
                 src_pow = ctx.pow(psi[0], dj)

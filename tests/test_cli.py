@@ -119,6 +119,21 @@ def test_verify_lemmas_small(tmp_path):
     assert payload["interpolation_pass"] == "50/50"
 
 
+def test_repeated_verify_lemmas_builds_no_field(tmp_path, monkeypatch):
+    argv = ("verify-lemmas", "--qmax", "27", "--trials", "20", "--threads", "1")
+    first = run(tmp_path, *argv)
+    built = []
+    init = ff.FieldCtx.__init__
+
+    def counting_init(self, p, ell):
+        built.append((p, ell))
+        init(self, p, ell)
+
+    monkeypatch.setattr(ff.FieldCtx, "__init__", counting_init)
+    assert run(tmp_path, *argv) == first
+    assert built == []
+
+
 def test_certify_on_classes(tmp_path):
     # Gamma-class action for p=3, ell=2, e=(1,1,2): Alt((3^6-3^2)/2) = Alt(360)
     code, text = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2",

@@ -4,6 +4,8 @@ Derived expectations are computed by independent oracles inside the test
 (brute-force scans, direct arithmetic), never by the code paths they check.
 """
 
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -57,6 +59,70 @@ def test_make_field_modulus_is_first_irreducible(p, ell):
     oracle = brute_force_irreducibles(p, ell)
     # enumeration order of the oracle equals lex order on coefficient vectors
     assert got == oracle[0]
+
+
+def test_make_field_returns_one_context_per_field():
+    assert ff.make_field(5, 2) is ff.make_field(5, 2)
+    assert ff.make_field(5, 2) is not ff.make_field(5, 1)
+
+
+@pytest.mark.parametrize("p,ell", [(2, 6), (3, 4), (5, 2), (7, 3)])
+def test_subfield_is_the_subfield_of_each_order(p, ell):
+    # oracle: a set of p^d elements holding 0 and 1 and closed under + and *
+    # is the unique subfield of order p^d
+    F = ff.make_field(p, ell)
+    for d in range(1, ell + 1):
+        if ell % d:
+            with pytest.raises(ValueError):
+                F.subfield(d)
+            continue
+        sub = F.subfield(d)
+        assert len(sub) == p**d
+        assert list(sub) == sorted(set(sub))
+        assert 0 in sub and 1 in sub
+        members = set(sub)
+        for a in sub:
+            for b in sub:
+                assert F.add(a, b) in members
+                assert F.mul(a, b) in members
+
+
+def test_prime_field_above_table_limit():
+    # F_65537 is too large for exp/log tables; oracle: Python int arithmetic
+    p = 65537
+    F = ff.make_field(p, 1)
+    assert F.q > ff.TABLE_LIMIT
+    rng = random.Random(0)
+    for _ in range(200):
+        a, b = rng.randrange(1, p), rng.randrange(p)
+        e = rng.randrange(-p, 2 * p)
+        assert F.add(a, b) == (a + b) % p
+        assert F.mul(a, b) == a * b % p
+        assert F.pow(a, e) == pow(a, e, p)
+        assert F.inv(a) == pow(a, -1, p)
+
+
+def test_extension_field_above_table_limit():
+    # F_{257^2}: oracle multiplies coefficient lists and reduces by the
+    # monic modulus with plain integer arithmetic
+    p = 257
+    F = ff.make_field(p, 2)
+    assert F.q > ff.TABLE_LIMIT
+    mod = F.modulus
+
+    def mul(a, b):
+        a0, a1, b0, b1 = a % p, a // p, b % p, b // p
+        c0, c1, c2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+        # x^2 = -(mod[1] x + mod[0]) modulo the monic modulus
+        c0, c1 = c0 - c2 * mod[0], c1 - c2 * mod[1]
+        return c0 % p + (c1 % p) * p
+
+    rng = random.Random(1)
+    for _ in range(200):
+        a, b = rng.randrange(1, F.q), rng.randrange(F.q)
+        assert F.mul(a, b) == mul(a, b)
+        assert F.pow(a, 3) == mul(a, mul(a, a))
+        assert F.mul(a, F.inv(a)) == 1
 
 
 def test_make_field_errors():
