@@ -51,6 +51,19 @@ def main():
                 and cert.order == math.factorial(p**3 - 1) // 2,
                 f"p={p}: verdict {cert.verdict}, not Alt({p**3 - 1})")
 
+    print("dense Schreier-Sims (SL_3(F_5) on F_5^3 minus 0):")
+    sl3 = tame.GroupParams(5, 3, (1, 1, 1))
+    codes = np.arange(1, 5**3, dtype=np.int64)
+    gens = [orbits.word_code_perm(tame.Word.of(tame.tau(sl3, i, 1)), codes,
+                                  ff.make_field(5, 1), 3) for i in (1, 2, 3)]
+    chain = timed("order 372000, verdict Proper",
+                  lambda: permgrp.build_chain(gens, seed=1))
+    cert = permgrp.certify_alternating(chain)
+    require(chain.strategy == "dense" and cert.order == 372000
+            and cert.verdict == "Proper",
+            f"SL_3(F_5): {chain.strategy} chain, order {cert.order}, "
+            f"verdict {cert.verdict}")
+
     params = tame.GroupParams(5, 3, (1, 1, 2))
     if not args.fast:
         print("orbit structure of F_125^3 under G_{F_5,3;1,1,2}:")

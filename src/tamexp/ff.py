@@ -287,9 +287,15 @@ class FieldCtx:
         return tuple(c[:ell])
 
     def inv(self, a):
-        """Extended Euclid on polynomials (no table lookup needed)."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if self.q <= TABLE_LIMIT:
+            exp, log = self._exp_log()
+            return int(exp[(self.q - 1 - int(log[a])) % (self.q - 1)])
+        return self._inv_slow(a)
+
+    def _inv_slow(self, a):
+        # extended Euclid on polynomials, above TABLE_LIMIT
         p = self.p
         r0, r1 = self.modulus, poly_trim(self.coeffs(a))
         s0, s1 = (), (1,)

@@ -28,6 +28,9 @@ from .tame import (Transvection, Word, apply_letter, apply_word,
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .tame import apply_letter_arrays  # noqa: F401
 
+GAMMA_CHECK_POINTS = 200  # random points on which make_gamma_spec checks commuting
+INVARIANT_SAMPLES = 64  # orbit members on which an orbit invariant is spot-checked
+
 
 def point_to_code(point, q):
     code = 0
@@ -135,7 +138,7 @@ class GammaSpec:
     scales: tuple  # lambda^(d_i) per coordinate
 
 
-def make_gamma_spec(params, ctx, check_points=200, seed=0):
+def make_gamma_spec(params, ctx):
     E = params.E
     root_order = gcd(E - 1, ctx.q - 1) if E >= 2 else 1
     lam = 1
@@ -144,8 +147,8 @@ def make_gamma_spec(params, ctx, check_points=200, seed=0):
     d = [prod(params.e[i:]) for i in range(params.n)]
     scales = tuple(ctx.pow(lam, di) for di in d)
     spec = GammaSpec(ctx, params, lam, root_order, scales)
-    rng = random.Random(seed)
-    for _ in range(check_points):
+    rng = random.Random(0)
+    for _ in range(GAMMA_CHECK_POINTS):
         pt = tuple(rng.randrange(ctx.q) for _ in range(params.n))
         for i in range(1, params.n + 1):
             let = tau(params, i, 1)
@@ -286,7 +289,7 @@ def _generator_maps(params, ctx):
             for i in range(1, params.n + 1)]
 
 
-def orbit_partition(params, ell, budget=10**7, invariant_samples=64, seed=0):
+def orbit_partition(params, ell, budget=10**7, seed=0):
     """Disjoint orbits of F_q^n under the group action, each with its
     invariant (spot-checked for constancy on a sample of members).
     Orbits are numbered in order of their smallest code, which is also
@@ -304,8 +307,8 @@ def orbit_partition(params, ell, budget=10**7, invariant_samples=64, seed=0):
         inv = orbit_invariant(code_to_point(rep, q, n), params, ctx)
         if size > 1:
             members = np.flatnonzero(labels == oid)
-            pool = (members if len(members) <= invariant_samples
-                    else rng.sample(members.tolist(), invariant_samples))
+            pool = (members if len(members) <= INVARIANT_SAMPLES
+                    else rng.sample(members.tolist(), INVARIANT_SAMPLES))
             for code in pool:
                 got = orbit_invariant(code_to_point(int(code), q, n), params, ctx)
                 if got != inv:

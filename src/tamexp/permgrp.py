@@ -1,14 +1,17 @@
 """Permutation-group engine: stabilizer chains, exact orders, parity, and
 alternating-group certification.
 
-Permutations are numpy int64 arrays mapping index -> image; products apply
-left to right (compose(a, b)[x] = b[a[x]]), matching word application.
+Permutations are numpy integer arrays mapping index -> image; products
+apply left to right (compose(a, b)[x] = b[a[x]]), matching word
+application.  One vectorised pass (`cycle_lengths`) gives every cycle
+type, and one layered BFS Schreier tree (`_schreier_tree`) every orbit.
 
 Two chain strategies share the StabChain interface:
 
-* 'dense' is a deterministic Schreier-Sims with explicit transversals,
-  verified by sifting every Schreier generator.  Fine for groups whose
-  chain is small (moderate order, or small degree).
+* 'dense' is a deterministic Schreier-Sims, verified by sifting every
+  Schreier generator.  A level keeps its inverse coset representatives
+  as one int32 (orbit x d) array, so a sift step is one gather.  Fine for
+  groups whose chain is small (moderate order, or small degree).
 
 * 'cycles' is the chain of Alt(d) for giant alternating groups, taken
   once Alt(d) <= G is proved.  A random element powers to a 3-cycle
@@ -40,6 +43,8 @@ from .orbits import components
 
 MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators sifted
 LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
+RATTLE_EXTRA = 5  # identity slots of the rattle beside the generators
+RATTLE_SCRAMBLE = 40  # rattle stirs before the first sample, plus 4 per generator
 
 
 def identity_perm(n):
@@ -72,26 +77,24 @@ def perm_from_cycles(n, cycles):
 
 
 def cycle_lengths(p):
-    """List of (length, representative) over nontrivial cycles."""
-    n = len(p)
-    seen = bytearray(n)
-    out = []
-    lst = p.tolist()
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = lst[i]
-        if j == i:
-            seen[i] = 1
-            continue
-        length = 1
-        seen[i] = 1
-        while j != i:
-            seen[j] = 1
-            j = lst[j]
-            length += 1
-        out.append((length, i))
-    return out
+    """List of (length, smallest point) over the nontrivial cycles of p, in
+    increasing order of the smallest point.
+
+    Min-label pointer doubling: after round k, label[x] is the least of x,
+    p(x), ..., p^(2^k - 1)(x).  Once a round changes no label, each label
+    is the least point of its cycle (the windows from x in steps of 2^k
+    cover the cycle), after O(log of the longest cycle) rounds.
+    """
+    label = np.arange(len(p))
+    jump = np.asarray(p)
+    while True:
+        nxt = np.minimum(label, label[jump])
+        if np.array_equal(nxt, label):
+            break
+        label, jump = nxt, jump[jump]
+    sizes = np.bincount(label, minlength=len(p))
+    reps = np.flatnonzero(sizes > 1)
+    return list(zip(sizes[reps].tolist(), reps.tolist()))
 
 
 def parity(p):
@@ -108,12 +111,13 @@ class Rattle:
     """Product-replacement random elements of <gens> (membership by
     construction); follows the usual rattle scheme."""
 
-    def __init__(self, gens, rng, extra=5, scramble=40):
+    def __init__(self, gens, rng):
         n = len(gens[0])
         self.rng = rng
-        self.slots = [identity_perm(n) for _ in range(extra)] + [g.copy() for g in gens]
+        self.slots = ([identity_perm(n) for _ in range(RATTLE_EXTRA)]
+                      + [g.copy() for g in gens])
         self.accu = identity_perm(n)
-        for _ in range(scramble + 4 * len(gens)):
+        for _ in range(RATTLE_SCRAMBLE + 4 * len(gens)):
             self._stir()
 
     def _stir(self):
@@ -136,14 +140,71 @@ class Rattle:
 
 
 # ---------------------------------------------------------------------------
-# chains
+# Schreier trees and chains
+
+
+def _schreier_tree(root, moves):
+    """Layered BFS Schreier tree of root under the permutations `moves`:
+    one (children, parents, move index) triple of arrays per layer, with
+    child = moves[move][parent].  Within a layer the moves act in turn on
+    the whole frontier, and the first move to reach a point keeps it."""
+    seen = np.zeros(len(moves[0]), dtype=bool)
+    seen[root] = True
+    frontier = np.array([root])
+    layers = []
+    while True:
+        kids, parents, index = [], [], []
+        for m, h in enumerate(moves):
+            img = h[frontier]
+            new = ~seen[img]
+            seen[img[new]] = True
+            kids.append(img[new])
+            parents.append(frontier[new])
+            index.append(np.full(len(kids[-1]), m))
+        frontier = np.concatenate(kids)
+        if not frontier.size:
+            return layers
+        layers.append((frontier, np.concatenate(parents),
+                       np.concatenate(index)))
+
+
+def _inverse_transversal(point, gens):
+    """(index, inv) for the orbit of point: inv[index[y]] is u_y^-1, where
+    u_y, the word along the Schreier tree path to y, maps point to y.
+    inv is one int32 row per orbit point in BFS order; index is -1 off
+    the orbit."""
+    d = len(gens[0])
+    layers = _schreier_tree(point, gens)
+    orbit = np.concatenate([[point]] + [kids for kids, _, _ in layers])
+    index = np.full(d, -1)
+    index[orbit] = np.arange(len(orbit))
+    inv = np.empty((len(orbit), d), dtype=np.int32)
+    inv[0] = np.arange(d)
+    ginvs = [inverse(g) for g in gens]
+    for kids, parents, move in layers:
+        for m, ginv in enumerate(ginvs):
+            sel = move == m
+            # u_kid = u_parent g, so u_kid^-1 = g^-1 u_parent^-1
+            inv[index[kids[sel]]] = inv[index[parents[sel]]][:, ginv]
+    return index, inv
 
 
 @dataclass
 class _DenseLevel:
     point: int
     gens: list
-    transversal: dict  # orbit point -> perm u with u[point] = that point
+    index: np.ndarray = None  # point -> row of inv, -1 off the orbit
+    inv: np.ndarray = None  # int32 inverse coset representatives, one per row
+
+
+def _sift_dense(levels, g, start=0):
+    """Reduce g through levels[start:]; returns the residue."""
+    for lv in levels[start:]:
+        row = lv.index[g[lv.point]]
+        if row < 0:
+            return g
+        g = compose(g, lv.inv[row])
+    return g
 
 
 @dataclass
@@ -153,7 +214,6 @@ class StabChain:
     base: list
     orbit_sizes: list
     strategy: str
-    seed: int
     levels: list = field(default_factory=list, repr=False)  # dense
 
     @property
@@ -165,19 +225,11 @@ class StabChain:
             sizes = [prod(sizes[i:i + 2]) for i in range(0, len(sizes), 2)]
         return sizes[0]
 
-    # -- sifting -------------------------------------------------------------
-
     def sift(self, g):
         """Reduce g through the chain; returns the residue permutation
         (identity iff membership was established by the chain)."""
         if self.strategy == "dense":
-            g = g.copy()
-            for lv in self.levels:
-                u = lv.transversal.get(int(g[lv.point]))
-                if u is None:
-                    return g
-                g = compose(g, inverse(u))
-            return g
+            return _sift_dense(self.levels, g)
         return self._sift_cycles(g)
 
     def _sift_cycles(self, g):
@@ -207,24 +259,8 @@ class StabChain:
 # deterministic Schreier-Sims ('dense')
 
 
-def _orbit_transversal(point, gens, degree):
-    transversal = {point: identity_perm(degree)}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            ux = transversal[x]
-            for g in gens:
-                y = int(g[x])
-                if y not in transversal:
-                    transversal[y] = compose(ux, g)
-                    nxt.append(y)
-        frontier = nxt
-    return transversal
-
-
-def schreier_sims(gens, seed=0, max_sifts=MAX_SIFTS):
-    """Deterministic Schreier-Sims with explicit transversals.
+def schreier_sims(gens, max_sifts=MAX_SIFTS):
+    """Deterministic Schreier-Sims.
 
     A generator added at level j fixes the first j base points; level k's
     orbit runs over all generators of levels >= k.  Level k is verified by
@@ -237,39 +273,41 @@ def schreier_sims(gens, seed=0, max_sifts=MAX_SIFTS):
     levels = []
     sift_count = 0
 
-    def first_moved(g):
-        diff = np.flatnonzero(g != np.arange(degree))
-        return int(diff[0]) if diff.size else None
-
     def gens_at(k):
         return [g for lv in levels[k:] for g in lv.gens]
 
-    def rebuild(k):
-        levels[k].transversal = _orbit_transversal(levels[k].point,
-                                                   gens_at(k), degree)
-
     def depth_of(g):
-        for k, lv in enumerate(levels):
-            if g[lv.point] != lv.point:
-                return k
-        return len(levels)
+        return next((k for k, lv in enumerate(levels)
+                     if g[lv.point] != lv.point), len(levels))
 
     def add_gen(g):
+        """Add a non-identity g at its depth j, the new last level
+        (based at the first point g moves) if g fixes the base; returns j."""
         j = depth_of(g)
         if j == len(levels):
-            levels.append(_DenseLevel(first_moved(g), [], {}))
+            levels.append(_DenseLevel(int(np.argmax(g != np.arange(degree))),
+                                      []))
         levels[j].gens.append(g)
-        for k in range(j + 1):
-            rebuild(k)
+        for k, lv in enumerate(levels[:j + 1]):
+            lv.index, lv.inv = _inverse_transversal(lv.point, gens_at(k))
         return j
 
-    def sift_below(g, start):
-        for j in range(start, len(levels)):
-            u = levels[j].transversal.get(int(g[levels[j].point]))
-            if u is None:
-                return g
-            g = compose(g, inverse(u))
-        return g
+    def unsifted_schreier_gen(k):
+        nonlocal sift_count
+        lv = levels[k]
+        level_gens = gens_at(k)
+        for uy_inv in lv.inv:
+            uy = inverse(uy_inv)
+            y = uy[lv.point]
+            for g in level_gens:
+                sift_count += 1
+                if sift_count > max_sifts:
+                    raise BudgetExceeded("schreier-sims work budget exceeded")
+                schreier = compose(compose(uy, g), lv.inv[lv.index[g[y]]])
+                residue = _sift_dense(levels, schreier, k + 1)
+                if not is_identity(residue):
+                    return residue
+        return None
 
     for g in gens:
         if not is_identity(g):
@@ -277,38 +315,17 @@ def schreier_sims(gens, seed=0, max_sifts=MAX_SIFTS):
 
     k = len(levels) - 1
     while k >= 0:
-        lv = levels[k]
-        added = None
-        level_gens = gens_at(k)
-        for y, uy in list(lv.transversal.items()):
-            for g in level_gens:
-                sift_count += 1
-                if sift_count > max_sifts:
-                    raise BudgetExceeded("schreier-sims work budget exceeded")
-                schreier = compose(compose(uy, g),
-                                   inverse(lv.transversal[int(g[y])]))
-                residue = sift_below(schreier, k + 1)
-                if not is_identity(residue):
-                    added = add_gen(residue)
-                    break
-            if added is not None:
-                break
-        if added is not None:
-            k = added  # re-verify from the level that changed
-        else:
-            k -= 1
+        residue = unsifted_schreier_gen(k)
+        # re-verify from the level that changed
+        k = k - 1 if residue is None else add_gen(residue)
 
     chain = StabChain(degree=degree, gens=gens,
                       base=[lv.point for lv in levels],
-                      orbit_sizes=[len(lv.transversal) for lv in levels],
-                      strategy="dense", seed=seed, levels=levels)
-    for k, lv in enumerate(levels):
-        lv.gens = gens_at(k)  # expose the full level generating sets
-    for lv in levels:
-        for g in lv.gens:
-            if not chain.contains(g):
-                raise BoundViolated("a level generator does not sift through "
-                                    "its own chain")
+                      orbit_sizes=[len(lv.inv) for lv in levels],
+                      strategy="dense", levels=levels)
+    if not all(chain.contains(g) for g in gens_at(0)):
+        raise BoundViolated("a level generator does not sift through its "
+                            "own chain")
     return chain
 
 
@@ -327,8 +344,7 @@ def _extract_three_cycle(g):
         return None
     m = lcm(*others)
     rep = threes[0]
-    lst = g.tolist()
-    cyc = [rep, lst[rep], lst[lst[rep]]]
+    cyc = [rep, int(g[rep]), int(g[g[rep]])]
     shift = m % 3  # in {1, 2}; both orientations are fine
     return (cyc[0], cyc[shift], cyc[(2 * shift) % 3])
 
@@ -348,19 +364,11 @@ def _conjugate_triples(gens, triple):
     """(3, d) array T whose column x is the 3-cycle t^w = (x, T[1, x],
     T[2, x]) for the word w on a BFS Schreier tree path from a to x, where
     t = (a, b, c) = triple; None if the tree does not reach every point."""
-    d = len(gens[0])
-    moves = gens + [inverse(g) for g in gens]
-    T = np.full((3, d), -1, dtype=np.int64)
+    moves = np.array(gens + [inverse(g) for g in gens])
+    T = np.full((3, moves.shape[1]), -1, dtype=np.int64)
     T[:, triple[0]] = triple
-    frontier = np.array([triple[0]], dtype=np.int64)
-    while frontier.size:
-        reached = []
-        for h in moves:
-            img = h[T[:, frontier]]  # conjugate by h: img[0] = h(frontier)
-            img = img[:, T[0, img[0]] < 0]
-            T[:, img[0]] = img
-            reached.append(img[0])
-        frontier = np.concatenate(reached)
+    for kids, parents, move in _schreier_tree(triple[0], moves):
+        T[:, kids] = moves[move, T[:, parents]]  # conjugate by the move
     return None if (T[0] < 0).any() else T
 
 
@@ -392,12 +400,11 @@ def try_alt_ladder(gens, seed=0):
     T = _conjugate_triples(gens, triple)
     if T is None or components([T[1], T[2]]).any():
         return None  # intransitive, or several components
-    rest = np.ones(degree, dtype=bool)
-    rest[list(triple)] = False
     return StabChain(degree=degree, gens=gens,
-                     base=list(triple) + np.flatnonzero(rest).tolist(),
+                     base=list(triple) + np.setdiff1d(np.arange(degree),
+                                                      triple).tolist(),
                      orbit_sizes=list(range(degree, 2, -1)),
-                     strategy="cycles", seed=seed)
+                     strategy="cycles")
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +415,9 @@ def try_alt_ladder(gens, seed=0):
 class AltCertificate:
     degree: int
     order: int
-    order_matches: bool  # chain order == degree!/2
     all_even: bool
     verdict: str  # "Alt" | "Sym" | "Proper"
     strategy: str
-    seed: int
 
 
 def certify_alternating(chain):
@@ -425,34 +430,28 @@ def certify_alternating(chain):
     # <gens> for Schreier-Sims (which has already sifted the odd ones)
     if any(e and not chain.contains(g) for g, e in zip(chain.gens, even)):
         raise BoundViolated("a generator does not sift through its chain")
-    half = factorial(d) // 2
-    order_matches = chain.order == half
+    full = factorial(d)
     # a group of order d!/2 is Alt(d), a lower bound for a 'cycles' group:
     # an odd generator then makes it Sym(d)
-    order = factorial(d) if order_matches and not all(even) else chain.order
-    verdict = ("Alt" if order == half else "Sym" if order == factorial(d)
+    order = full if chain.order == full // 2 and not all(even) else chain.order
+    verdict = ("Alt" if order == full // 2 else "Sym" if order == full
                else "Proper")
-    return AltCertificate(d, order, order_matches, all(even), verdict,
-                          chain.strategy, chain.seed)
+    return AltCertificate(d, order, all(even), verdict, chain.strategy)
 
 
 def transitivity_degree(chain):
     """Largest t with successive level orbits of sizes d, d-1, ..., d-t+1."""
-    d = chain.degree
+    sizes = chain.orbit_sizes
     t = 0
-    for k, s in enumerate(chain.orbit_sizes):
-        if s == d - k:
-            t += 1
-        else:
-            break
+    while t < len(sizes) and sizes[t] == chain.degree - t:
+        t += 1
     return t
 
 
 def build_chain(gens, seed=0):
     """3-cycle closure first (it certifies giants cheaply), dense
     fallback."""
-    gens = [np.asarray(g, dtype=np.int64) for g in gens]
     chain = try_alt_ladder(gens, seed=seed)
     if chain is not None:
         return chain
-    return schreier_sims(gens, seed=seed)
+    return schreier_sims(gens)

@@ -35,6 +35,10 @@ from .ff import (make_field, minimal_polynomial, poly_add, poly_mul,
 from .tame import (BiTransvection, Transvection, Word, apply_word,
                    letter_endo, poly_transvection_letter, tau, word_to_endo)
 
+GRID_CAP = 10**6  # largest grid a synthesized word is checked on exhaustively
+VERIFY_SAMPLES = 10**4  # random points checked on a larger grid
+WITNESS_GRID_CAP = 10**7  # largest separating grid of elementary_abelian_witness
+
 # ---------------------------------------------------------------------------
 # the nilpotent group Gamma_{c,F_p}
 
@@ -236,7 +240,6 @@ class GammaWordEmbedding:
         self._pre = {t: y_family(t % p) for t in range(1, c + 1)}
         self._post = {t: y_family((-t) % p) for t in range(1, c + 1)}
         self._y = y_family
-        self._unit = {}
 
     def _node_matrix(self):
         # column t = coefficients of (x+t)^c
@@ -341,10 +344,7 @@ class TransvectionSynthesizer:
             raise BadExponent("need E >= 2")
         if params.p <= max(params.e):
             raise NotInvertible("need p > max e_i")
-        self._alpha = {}
-        self._b3 = {}
-        self._b43 = {}
-        self._b5 = {}
+        self._memo = {}  # key -> family or embedding, built on first use
 
     def _nxt(self, i):
         return i % self.params.n + 1
@@ -352,88 +352,65 @@ class TransvectionSynthesizer:
     def _e(self, i):
         return self.params.e[i - 1]
 
+    def _memoized(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def _tau_embedding(self, i, j):
+        """Gamma_{e_i,F_p} with P_0(r) -> tau_i(r) and translation part
+        alpha(i+1, j, 0); its P_ell images give alpha(i, j, 0) (ell = e_i),
+        beta3(i, j) (ell = e_i - 1) and, for j = i+2, beta43(i) (ell = 1)."""
+        params = self.params
+        return self._memoized(("tau", i, j), lambda: GammaWordEmbedding(
+            params.p, self._e(i),
+            x0_family=lambda r: Word.of(tau(params, i, r)),
+            y_family=self._alpha_family(self._nxt(i), j, 0),
+            budget=self.budget))
+
     def _alpha_family(self, i, j, m):
-        key = (i, j, m)
-        fam = self._alpha.get(key)
-        if fam is not None:
-            return fam
+        return self._memoized(("alpha", i, j, m),
+                              lambda: self._build_alpha(i, j, m))
+
+    def _build_alpha(self, i, j, m):
         params = self.params
         if m == 0 and j == self._nxt(i):
-            fam = lambda r: Word.of(tau(params, i, r))
-        elif m == 0:
-            emb = GammaWordEmbedding(
-                params.p, self._e(i),
-                x0_family=lambda r: Word.of(tau(params, i, r)),
-                y_family=self._alpha_family(self._nxt(i), j, 0),
-                budget=self.budget)
-            ell = self._e(i)
-            fam = lambda r: emb.p_ell_word(ell, r)
-        elif j == self._nxt(i):
-            i2 = self._nxt(self._nxt(i))
-            emb = GammaWordEmbedding(
-                params.p, 1,
-                x0_family=self._beta5_family(i),
-                y_family=self._alpha_family(i2, j, m - 1),
-                budget=self.budget)
-            fam = lambda r: emb.p_ell_word(1, r)
+            return lambda r: Word.of(tau(params, i, r))
+        if m == 0:
+            emb, ell = self._tau_embedding(i, j), self._e(i)
+            return lambda r: emb.p_ell_word(ell, r)
+        if j == self._nxt(i):
+            x0 = self._beta5_family(i)
+            y = self._alpha_family(self._nxt(self._nxt(i)), j, m - 1)
         else:
-            emb = GammaWordEmbedding(
-                params.p, 1,
-                x0_family=self._beta3_family(i, j),
-                y_family=self._alpha_family(self._nxt(i), j, m),
-                budget=self.budget)
-            fam = lambda r: emb.p_ell_word(1, r)
-        self._alpha[key] = fam
-        return fam
+            x0 = self._beta3_family(i, j)
+            y = self._alpha_family(self._nxt(i), j, m)
+        emb = GammaWordEmbedding(params.p, 1, x0_family=x0, y_family=y,
+                                 budget=self.budget)
+        return lambda r: emb.p_ell_word(1, r)
 
     def _beta3_family(self, i, j):
         """beta^(1, (e_i - 1) t_{i+1,j})_{i; i+1, j}; collapses to tau_i
         when e_i = 1."""
-        key = (i, j)
-        fam = self._b3.get(key)
-        if fam is None:
-            params = self.params
-            emb = GammaWordEmbedding(
-                params.p, self._e(i),
-                x0_family=lambda r: Word.of(tau(params, i, r)),
-                y_family=self._alpha_family(self._nxt(i), j, 0),
-                budget=self.budget)
-            ell = self._e(i) - 1
-            fam = lambda r: emb.p_ell_word(ell, r)
-            self._b3[key] = fam
-        return fam
+        emb, ell = self._tau_embedding(i, j), self._e(i) - 1
+        return lambda r: emb.p_ell_word(ell, r)
 
     def _beta43_family(self, i):
         """beta^(e_{i+1}, e_i - 1)_{i; i+2, i+1} via the step-2 embedding
         toward j = i+2 at ell = 1."""
-        fam = self._b43.get(i)
-        if fam is None:
-            params = self.params
-            i2 = self._nxt(self._nxt(i))
-            emb = GammaWordEmbedding(
-                params.p, self._e(i),
-                x0_family=lambda r: Word.of(tau(params, i, r)),
-                y_family=self._alpha_family(self._nxt(i), i2, 0),
-                budget=self.budget)
-            fam = lambda r: emb.p_ell_word(1, r)
-            self._b43[i] = fam
-        return fam
+        emb = self._tau_embedding(i, self._nxt(self._nxt(i)))
+        return lambda r: emb.p_ell_word(1, r)
 
     def _beta5_family(self, i):
         """beta^(1, e_i - E/e_{i+1} + E - 1)_{i; i+2, i+1}."""
-        fam = self._b5.get(i)
-        if fam is None:
-            params = self.params
-            i1 = self._nxt(i)
-            emb = GammaWordEmbedding(
-                params.p, self._e(i1),
-                x0_family=self._beta43_family(i),
-                y_family=self._alpha_family(self._nxt(i1), i1, 0),
-                budget=self.budget)
-            ell = self._e(i1) - 1
-            fam = lambda r: emb.p_ell_word(ell, r)
-            self._b5[i] = fam
-        return fam
+        i1 = self._nxt(i)
+        emb = self._memoized(("beta5", i), lambda: GammaWordEmbedding(
+            self.params.p, self._e(i1),
+            x0_family=self._beta43_family(i),
+            y_family=self._alpha_family(self._nxt(i1), i1, 0),
+            budget=self.budget))
+        ell = self._e(i1) - 1
+        return lambda r: emb.p_ell_word(ell, r)
 
     def alpha_word(self, i, j, m, r):
         w = self._alpha_family(i, j, m)(r)
@@ -461,23 +438,24 @@ class SynthCert:
         return len(self.word)
 
 
-def _grid_ctx(params, degree, grid_cap):
+def _grid_ctx(params, degree):
     m = 1
     while params.p**m <= degree + 1:
         m += 1
     ctx = make_field(params.p, m)
-    exhaustive = ctx.q ** params.n <= grid_cap
+    exhaustive = ctx.q ** params.n <= GRID_CAP
     return ctx, exhaustive
 
 
-def _verify_word_letter(word, letter, params, grid_cap=10**6, samples=10**4,
-                        seed=0, force_symbolic=False):
+def _verify_word_letter(word, letter, params):
+    """Exhaustive comparison on the grid when it has at most GRID_CAP
+    points; otherwise VERIFY_SAMPLES random points plus a symbolic check."""
     if isinstance(letter, Transvection):
         degree = letter.e
     else:
         degree = letter.t + letter.nexp * max(
             (m for m, c in enumerate(letter.coeffs) if c), default=0)
-    ctx, exhaustive = _grid_ctx(params, degree, grid_cap)
+    ctx, exhaustive = _grid_ctx(params, degree)
     n = params.n
     symbolic = False
     if exhaustive:
@@ -488,25 +466,23 @@ def _verify_word_letter(word, letter, params, grid_cap=10**6, samples=10**4,
         npts = ctx.q**n
         mode = "exhaustive"
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         ok = True
-        for _ in range(samples):
+        for _ in range(VERIFY_SAMPLES):
             pt = tuple(rng.randrange(ctx.q) for _ in range(n))
             if apply_word(word, pt, ctx) != apply_word(Word.of(letter), pt, ctx):
                 ok = False
                 break
-        npts = samples
+        npts = VERIFY_SAMPLES
         mode = "sampled"
-        force_symbolic = True
-    if force_symbolic and ok:
-        endo = word_to_endo(word, ctx, n)
-        ok = endo == letter_endo(letter, +1, ctx, n)
-        symbolic = True
+        if ok:
+            endo = word_to_endo(word, ctx, n)
+            ok = endo == letter_endo(letter, +1, ctx, n)
+            symbolic = True
     return ok, mode, symbolic, ctx, npts
 
 
-def synth_transvection(i, j, t, r, params, budget=10**6, grid_cap=10**6,
-                       synthesizer=None, force_symbolic=False):
+def synth_transvection(i, j, t, r, params, budget=10**6, synthesizer=None):
     """Word in the standard generators acting as a_i += r a_j^t, verified.
 
     t must satisfy t = t_{i,j} mod (E-1) with t >= t_{i,j}; this congruence
@@ -525,13 +501,12 @@ def synth_transvection(i, j, t, r, params, budget=10**6, grid_cap=10**6,
     synth = synthesizer or TransvectionSynthesizer(params, budget)
     word = synth.alpha_word(i, j, m, r % params.p)
     letter = Transvection(i, j, t, r % params.p)
-    ok, mode, symbolic, ctx, npts = _verify_word_letter(
-        word, letter, params, grid_cap, force_symbolic=force_symbolic)
+    ok, mode, symbolic, ctx, npts = _verify_word_letter(word, letter, params)
     return SynthCert(f"T({i},{j},{t},{r % params.p})", word, ok, mode,
                      symbolic, ctx.serialize(), npts)
 
 
-def synth_poly_transvection(i, j, coeffs, params, budget=10**6, grid_cap=10**6,
+def synth_poly_transvection(i, j, coeffs, params, budget=10**6,
                             synthesizer=None):
     """Word acting as a_i += a_j^{t_ij} P(a_j^{E-1}), one transvection word
     per nonzero monomial of P (they commute)."""
@@ -545,13 +520,12 @@ def synth_poly_transvection(i, j, coeffs, params, budget=10**6, grid_cap=10**6,
             if len(word) > budget:
                 raise BudgetExceeded("synthesized word exceeds length budget")
     letter = poly_transvection_letter(params, i, j, coeffs)
-    ok, mode, symbolic, ctx, npts = _verify_word_letter(
-        word, letter, params, grid_cap)
+    ok, mode, symbolic, ctx, npts = _verify_word_letter(word, letter, params)
     return SynthCert(f"P({i},{j},{list(coeffs)})", word, ok, mode, symbolic,
                      ctx.serialize(), npts)
 
 
-def elementary_abelian_witness(params, rank, grid_cap=10**7):
+def elementary_abelian_witness(params, rank):
     """rank pairwise-commuting words of order p generating a permutation
     group of order p^rank, realized as a_1 += a_2^(t_12 + m(E-1)) for
     m = 0..rank-1 and certified on a separating grid."""
@@ -568,9 +542,9 @@ def elementary_abelian_witness(params, rank, grid_cap=10**7):
     while params.p**m - 1 <= tmax:
         m += 1
     ctx = make_field(params.p, m)
-    if ctx.q ** params.n > grid_cap:
-        raise RankTooLarge(
-            f"separating grid {ctx.q}^{params.n} exceeds cap {grid_cap}")
+    if ctx.q ** params.n > WITNESS_GRID_CAP:
+        raise RankTooLarge(f"separating grid {ctx.q}^{params.n} exceeds cap "
+                           f"{WITNESS_GRID_CAP}")
     words = [synth.alpha_word(1, 2, k, 1) for k in range(rank)]
     codes = np.arange(ctx.q**params.n)
     perms = [orbits.word_code_perm(w, codes, ctx, params.n) for w in words]

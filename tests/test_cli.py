@@ -28,6 +28,20 @@ def test_certify_alt_exit_codes(tmp_path):
     assert json.loads(text)["verdict"] == "Proper"
 
 
+@pytest.mark.parametrize("p, order, base", [("3", 5616, [2, 8, 0]),
+                                            ("5", 372000, [4, 24, 0])])
+def test_dense_chain_payload_is_pinned(tmp_path, p, order, base):
+    # SL_3(F_p) is no giant, so the chain comes from Schreier-Sims; its base
+    # follows from the transversal and Schreier-generator order
+    code, text = run(tmp_path, "certify-alt", "--p", p, "--e", "1,1,1")
+    payload = json.loads(text)
+    assert code == 1
+    assert (payload["strategy"], payload["verdict"]) == ("dense", "Proper")
+    assert payload["order"] == str(order)
+    assert payload["base"] == base
+    assert payload["transitivity_degree"] == 1
+
+
 def test_outputs_are_deterministic(tmp_path):
     a = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2",
             "--seed", "5")[1]

@@ -201,6 +201,14 @@ def test_inverse_extended_euclid():
             assert F.mul(a, F.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p, ell", [(2, 8), (3, 5), (5, 3), (7, 2), (251, 2)])
+def test_table_inverse_matches_extended_euclid(p, ell):
+    F = ff.make_field(p, ell)
+    assert F.q <= ff.TABLE_LIMIT
+    assert [F.inv(a) for a in range(1, F.q)] == \
+        [F._inv_slow(a) for a in range(1, F.q)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(3, 2), (5, 2), (3, 3), (7, 2)]), st.data())
 def test_frobenius_is_additive(params, data):
