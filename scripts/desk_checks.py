@@ -85,6 +85,11 @@ def main():
     require(cert.verified, "synthesized word not verified")
     print(f"    word length {cert.length}, checked on {cert.points_checked} "
           f"points ({cert.mode})")
+    cert = timed("x1 += 5 x2^3 over F_101 (e = (1,1,2)), sampled grid",
+                 lambda: synth.synth_transvection(
+                     1, 2, 3, 5, tame.GroupParams(101, 3, (1, 1, 2))))
+    require(cert.verified and cert.mode == "sampled" and cert.symbolic_checked,
+            f"sampled word: verified {cert.verified}, mode {cert.mode}")
 
     print("Kazhdan bound:")
     rep = spectra.kazhdan_bound(spectra.KazhdanParams(11, 3, (1, 1, 2)))

@@ -24,7 +24,8 @@ from .errors import BoundViolated, BudgetExceeded, NotClosed, ProbeFailed
 from .ff import make_field, minimal_polynomial
 from .synth import interpolate
 from .tame import (Transvection, Word, apply_letter, apply_word,
-                   apply_word_arrays, poly_transvection_letter, tau)
+                   apply_word_arrays, poly_transvection_letter, sample_coords,
+                   tau)
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .tame import apply_letter_arrays  # noqa: F401
 
@@ -147,59 +148,58 @@ def make_gamma_spec(params, ctx):
     d = [prod(params.e[i:]) for i in range(params.n)]
     scales = tuple(ctx.pow(lam, di) for di in d)
     spec = GammaSpec(ctx, params, lam, root_order, scales)
-    rng = random.Random(0)
-    for _ in range(GAMMA_CHECK_POINTS):
-        pt = tuple(rng.randrange(ctx.q) for _ in range(params.n))
+    coords = sample_coords(random.Random(0), ctx.q, params.n, GAMMA_CHECK_POINTS)
+    for which in ("mlambda", "frobenius"):
         for i in range(1, params.n + 1):
-            let = tau(params, i, 1)
-            a = gamma_apply("mlambda", apply_letter(let, 1, pt, ctx), spec)
-            b = apply_letter(let, 1, gamma_apply("mlambda", pt, spec), ctx)
-            if a != b:
-                raise BoundViolated("m_lambda fails to commute with a generator")
-            a = gamma_apply("frobenius", apply_letter(let, 1, pt, ctx), spec)
-            b = apply_letter(let, 1, gamma_apply("frobenius", pt, spec), ctx)
-            if a != b:
-                raise BoundViolated("frobenius fails to commute with a generator")
+            let = Word.of(tau(params, i, 1))
+            a = _gamma_coords(which, apply_word_arrays(let, coords, ctx), spec)
+            b = apply_word_arrays(let, _gamma_coords(which, coords, spec), ctx)
+            if not all(map(np.array_equal, a, b)):
+                raise BoundViolated(f"{which} fails to commute with a generator")
     return spec
 
 
-def gamma_apply(which, point, spec):
+def _gamma_tables(which, spec):
+    """Per coordinate, the table of `which` on field-element indices: the
+    only statement of the Frobenius and m_lambda formulas."""
     ctx = spec.ctx
     if which == "frobenius":
-        return tuple(ctx.frobenius(a) for a in point)
+        return [ctx.frob_table()] * len(spec.scales)
     if which == "mlambda":
-        return tuple(ctx.mul(s, a) for s, a in zip(spec.scales, point))
+        return [ctx.mul_const_table(s) for s in spec.scales]
     raise ValueError(f"unknown gamma action {which!r}")
 
 
+def gamma_apply(which, point, spec):
+    return tuple(int(t[a]) for t, a in zip(_gamma_tables(which, spec), point))
+
+
+def _gamma_coords(which, coords, spec):
+    return [t[c] for t, c in zip(_gamma_tables(which, spec), coords)]
+
+
 def gamma_apply_codes(which, codes, spec, n):
-    ctx = spec.ctx
-    q = ctx.q
-    coords = codes_to_coords(codes, q, n)
-    if which == "frobenius":
-        ft = ctx.frob_table()
-        coords = [ft[c] for c in coords]
-    elif which == "mlambda":
-        coords = [ctx.mul_const_table(s)[c] for s, c in zip(spec.scales, coords)]
-    else:
-        raise ValueError(f"unknown gamma action {which!r}")
-    return coords_to_codes(coords, q)
+    q = spec.ctx.q
+    return coords_to_codes(
+        _gamma_coords(which, codes_to_coords(codes, q, n), spec), q)
+
+
+def _gamma_twists(point, spec):
+    """{(a, b): F^a(m_lambda^b(point))} over Gamma, a < ell, b < lam_order,
+    in increasing (a, b).  F goes last: F m_lambda = m_lambda^p F."""
+    scaled = [point]
+    for _ in range(1, spec.lam_order):
+        scaled.append(gamma_apply("mlambda", scaled[-1], spec))
+    twists = {}
+    for a in range(spec.ctx.ell):
+        twists.update(((a, b), img) for b, img in enumerate(scaled))
+        scaled = [gamma_apply("frobenius", img, spec) for img in scaled]
+    return twists
 
 
 def gamma_class_of(point, spec):
     """The full <F, m_lambda>-orbit of a point, as a set of tuples."""
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for which in ("frobenius", "mlambda"):
-                im = gamma_apply(which, p, spec)
-                if im not in seen:
-                    seen.add(im)
-                    nxt.append(im)
-        frontier = nxt
-    return seen
+    return set(_gamma_twists(point, spec).values())
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +472,13 @@ class _ProbeMachine:
                 raise ProbeFailed("no enlargement move available")
 
     def _twist_to(self, s, state, gammas, target_first):
-        """Gamma element sending the first coordinate to target_first."""
-        ctx, spec = self.ctx, self.spec
-        pt = state[s]
-        for a in range(self.ell):
-            for b in range(spec.lam_order):
-                img = pt
-                for _ in range(b):
-                    img = gamma_apply("mlambda", img, spec)
-                for _ in range(a):
-                    img = gamma_apply("frobenius", img, spec)
-                if img[0] == target_first:
-                    state[s] = img
-                    gammas[s] = (a, b)
-                    return
+        """The first Gamma twist, in increasing (a, b), sending the first
+        coordinate to target_first."""
+        for ab, img in _gamma_twists(state[s], self.spec).items():
+            if img[0] == target_first:
+                state[s] = img
+                gammas[s] = ab
+                return
         raise ProbeFailed("no Gamma twist matches the colliding node")
 
     def _fresh_generators(self, count, banned_keys):
@@ -641,14 +634,8 @@ def transitivity_probe(params, ell, k, trials, seed=0):
         try:
             word, gammas = machine.run(pts, alphas)
             for i in range(k):
-                img = pts[i]
-                a, b = gammas[i]
-                for _ in range(b):
-                    img = gamma_apply("mlambda", img, spec)
-                for _ in range(a):
-                    img = gamma_apply("frobenius", img, spec)
-                img = apply_word(word, img, ctx)
-                if img != (alphas[i],) + (0,) * (n - 1):
+                img = _gamma_twists(pts[i], spec)[gammas[i]]
+                if apply_word(word, img, ctx) != (alphas[i],) + (0,) * (n - 1):
                     raise ProbeFailed(f"verification failed for point {i}")
             successes += 1
             max_len = max(max_len, len(word))

@@ -15,7 +15,9 @@ Word synthesis follows a double induction: distance-1 targets at level m
 come from a class-1 embedding whose translation part is a distance-2
 family at level m-1, and distance propagation at fixed level runs through
 class-1 embeddings with the step-3 bi-transvection words.  Every produced
-word is verified against the closed-form action on a grid.
+word is verified against its closed-form letter on code arrays: on the
+whole grid ("exhaustive") or, above GRID_CAP points, on VERIFY_SAMPLES
+seeded points plus a symbolic check ("sampled").
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .errors import (BadExponent, BoundViolated, BudgetExceeded,
                      ValueOutsideSubfield)
 from .ff import (make_field, minimal_polynomial, poly_add, poly_mul,
                  poly_trim, solve_mod_p)
-from .tame import (BiTransvection, Transvection, Word, apply_word,
-                   letter_endo, poly_transvection_letter, tau, word_to_endo)
+from .tame import (BiTransvection, Transvection, Word, letter_endo,
+                   poly_transvection_letter, same_action, sample_coords, tau,
+                   word_to_endo)
 
 GRID_CAP = 10**6  # largest grid a synthesized word is checked on exhaustively
 VERIFY_SAMPLES = 10**4  # random points checked on a larger grid
@@ -307,15 +310,21 @@ def embedded_beta_letter(i, j, k, c, d, ell, r):
     return BiTransvection(i, j, k, cexp, dexp, r)
 
 
+def _check_coords(ctx, n, exhaustive, samples, rng):
+    """Per-coordinate index arrays of the points a check runs on: all of
+    ctx^n when exhaustive, else `samples` points drawn from rng."""
+    if exhaustive:
+        from .orbits import codes_to_coords
+        return codes_to_coords(np.arange(ctx.q**n), ctx.q, n)
+    return sample_coords(rng, ctx.q, n, samples)
+
+
 def check_embedding_homomorphism(embedding, c, p, ctx, n, pairs=100, seed=0):
     """Semantic homomorphism check on random element pairs: the word of a
     product acts like the concatenation of the factor words on all of
     ctx^n (exhaustive when small, sampled otherwise)."""
     rng = random.Random(seed)
-    if ctx.q ** n <= 4096:
-        pts = list(itertools.product(range(ctx.q), repeat=n))
-    else:
-        pts = [tuple(rng.randrange(ctx.q) for _ in range(n)) for _ in range(500)]
+    coords = _check_coords(ctx, n, ctx.q**n <= 4096, 500, rng)
     for _ in range(pairs):
         a = GammaElem(c, p, tuple(rng.randrange(p) for _ in range(c + 1)),
                       rng.randrange(p))
@@ -323,9 +332,8 @@ def check_embedding_homomorphism(embedding, c, p, ctx, n, pairs=100, seed=0):
                       rng.randrange(p))
         w_ab = embedding.elem_word(gamma_op(a, b))
         w_a_b = embedding.elem_word(a) + embedding.elem_word(b)
-        for pt in pts:
-            if apply_word(w_ab, pt, ctx) != apply_word(w_a_b, pt, ctx):
-                return False
+        if not same_action(w_ab, w_a_b, coords, ctx):
+            return False
     return True
 
 
@@ -448,8 +456,9 @@ def _grid_ctx(params, degree):
 
 
 def _verify_word_letter(word, letter, params):
-    """Exhaustive comparison on the grid when it has at most GRID_CAP
-    points; otherwise VERIFY_SAMPLES random points plus a symbolic check."""
+    """One comparison of word and letter on code arrays of ctx^n: every
+    point ("exhaustive") up to GRID_CAP points, else VERIFY_SAMPLES seeded
+    points ("sampled"), which must be followed by equal endomorphisms."""
     if isinstance(letter, Transvection):
         degree = letter.e
     else:
@@ -457,29 +466,13 @@ def _verify_word_letter(word, letter, params):
             (m for m, c in enumerate(letter.coeffs) if c), default=0)
     ctx, exhaustive = _grid_ctx(params, degree)
     n = params.n
-    symbolic = False
-    if exhaustive:
-        from . import orbits
-        codes = np.arange(ctx.q**n)
-        ok = np.array_equal(orbits.word_code_perm(word, codes, ctx, n),
-                            orbits.word_code_perm(Word.of(letter), codes, ctx, n))
-        npts = ctx.q**n
-        mode = "exhaustive"
-    else:
-        rng = random.Random(0)
-        ok = True
-        for _ in range(VERIFY_SAMPLES):
-            pt = tuple(rng.randrange(ctx.q) for _ in range(n))
-            if apply_word(word, pt, ctx) != apply_word(Word.of(letter), pt, ctx):
-                ok = False
-                break
-        npts = VERIFY_SAMPLES
-        mode = "sampled"
-        if ok:
-            endo = word_to_endo(word, ctx, n)
-            ok = endo == letter_endo(letter, +1, ctx, n)
-            symbolic = True
-    return ok, mode, symbolic, ctx, npts
+    coords = _check_coords(ctx, n, exhaustive, VERIFY_SAMPLES, random.Random(0))
+    ok = same_action(word, Word.of(letter), coords, ctx)
+    symbolic = ok and not exhaustive
+    if symbolic:
+        ok = word_to_endo(word, ctx, n) == letter_endo(letter, +1, ctx, n)
+    return (ok, "exhaustive" if exhaustive else "sampled", symbolic, ctx,
+            len(coords[0]))
 
 
 def synth_transvection(i, j, t, r, params, budget=10**6, synthesizer=None):

@@ -9,7 +9,9 @@ Each transvection-type letter is stated once, as the polynomial it adds
 to one coordinate (_letter_delta).  The point action evaluates it on a
 tuple of field-element indices (see ff), the bulk action on
 per-coordinate numpy index arrays via the context tables, and the
-symbolic bridge adds it to the image of x_i.
+symbolic bridge adds it to the image of x_i.  Checks over many points
+run on the arrays (same_action); the point action serves single points
+and test oracles.
 
 Ring automorphisms act on points through inverse precomposition, which
 flips the sign of the transvection coefficient; the +1 convention here
@@ -23,6 +25,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+
+import numpy as np
 
 from .errors import DimensionMismatch
 from .ff import is_prime
@@ -298,6 +302,20 @@ def apply_word_arrays(word, coords, ctx):
     for let, s in word:
         coords = apply_letter_arrays(let, s, coords, ctx)
     return coords
+
+
+def same_action(u, v, coords, ctx):
+    """Whether words u and v send every point of the per-coordinate index
+    arrays `coords` to the same image."""
+    return all(map(np.array_equal, apply_word_arrays(u, coords, ctx),
+                   apply_word_arrays(v, coords, ctx)))
+
+
+def sample_coords(rng, q, n, count):
+    """`count` random points of F_q^n, drawn from the random.Random `rng`
+    point by point, as per-coordinate index arrays."""
+    pts = [[rng.randrange(q) for _ in range(n)] for _ in range(count)]
+    return list(np.array(pts, dtype=np.int64).reshape(count, n).T.copy())
 
 
 # ---------------------------------------------------------------------------

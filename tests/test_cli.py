@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tamexp import ff, permgrp
+from tamexp import ff, permgrp, synth, tame
 from tamexp.cli import main
 from tamexp.errors import BoundViolated, ProbeFailed
 
@@ -97,6 +97,31 @@ def test_synth_cli(tmp_path):
     # bad exponent: exit 1
     code, _ = run(tmp_path, "synth", "--p", "23", "--e", "2,2,2", "--t", "3")
     assert code == 1
+
+
+def test_synth_sampled_mode(tmp_path):
+    # F_101^3 has more than GRID_CAP points
+    code, text = run(tmp_path, "synth", "--p", "101", "--e", "1,1,2",
+                     "--t", "3", "--r", "5")
+    payload = json.loads(text)
+    assert code == 0 and payload["verified"]
+    assert (payload["mode"], payload["points_checked"],
+            payload["symbolic_checked"], payload["length"]) == \
+        ("sampled", 10000, True, 124)
+
+
+@pytest.mark.parametrize("p, mode", [("101", "sampled"), ("5", "exhaustive")])
+def test_synth_corrupted_word_is_not_verified(tmp_path, monkeypatch, p, mode):
+    alpha_word = synth.TransvectionSynthesizer.alpha_word
+    extra = tame.Word.of(tame.Transvection(1, 2, 1, 1))
+    monkeypatch.setattr(synth.TransvectionSynthesizer, "alpha_word",
+                        lambda self, *a: alpha_word(self, *a) + extra)
+    code, text = run(tmp_path, "synth", "--p", p, "--e", "1,1,2", "--t", "3",
+                     "--r", "5")
+    payload = json.loads(text)
+    assert code == 1
+    assert (payload["verified"], payload["mode"]) == (False, mode)
+    assert payload["symbolic_checked"] is False
 
 
 def test_gap_csv(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -106,6 +107,77 @@ def test_gamma_commutes_exhaustively():
                     a = gamma_apply(which, apply_letter(let, 1, pt, ctx), spec)
                     b = apply_letter(let, 1, gamma_apply(which, pt, spec), ctx)
                     assert a == b
+
+
+def _scalar_gamma(params, spec):
+    """Frobenius and m_lambda from the field's scalar operations."""
+    ctx = spec.ctx
+    scales = [ctx.pow(spec.lam, math.prod(params.e[i:]))
+              for i in range(params.n)]
+    frob = lambda pt: tuple(ctx.pow(a, ctx.p) for a in pt)
+    mlam = lambda pt: tuple(ctx.mul(s, a) for s, a in zip(scales, pt))
+    return frob, mlam
+
+
+def test_gamma_twists_apply_frobenius_last():
+    # lambda has order 3 in F_121 but not in F_11, so lambda^11 != lambda
+    # and F, m_lambda do not commute on points
+    params = GroupParams(11, 3, (1, 2, 2))
+    ctx = ff.make_field(11, 2)
+    spec = make_gamma_spec(params, ctx)
+    assert spec.lam_order == 3 and ctx.pow(spec.lam, 11) != spec.lam
+    frob, mlam = _scalar_gamma(params, spec)
+    rng = random.Random(0)
+    orders_differ = False
+    for _ in range(40):
+        pt = tuple(rng.randrange(1, ctx.q) for _ in range(3))
+        twists = orbits._gamma_twists(pt, spec)
+        assert list(twists) == [(a, b) for a in range(2) for b in range(3)]
+        for (a, b), img in twists.items():
+            want = other = pt
+            for _ in range(b):
+                want = mlam(want)
+            for _ in range(a):
+                want = frob(want)
+                other = frob(other)
+            for _ in range(b):
+                other = mlam(other)
+            assert img == want, (pt, a, b)
+            orders_differ |= other != want
+    assert orders_differ
+
+
+@pytest.mark.parametrize("p, e, ell", [(11, (1, 2, 2), 2), (7, (1, 1, 3), 2),
+                                       (5, (1, 1, 2), 3)])
+def test_gamma_class_of_is_the_bfs_closure(p, e, ell):
+    params = GroupParams(p, 3, e)
+    spec = make_gamma_spec(params, ff.make_field(p, ell))
+    frob, mlam = _scalar_gamma(params, spec)
+    rng = random.Random(1)
+    for _ in range(30):
+        pt = tuple(rng.randrange(spec.ctx.q) for _ in range(3))
+        seen, frontier = {pt}, [pt]
+        while frontier:
+            frontier = [im for x in frontier for im in (frob(x), mlam(x))
+                        if im not in seen]
+            seen.update(frontier)
+        assert gamma_class_of(pt, spec) == seen
+
+
+@pytest.mark.parametrize("which", ["frobenius", "mlambda"])
+def test_make_gamma_spec_rejects_a_corrupted_table(monkeypatch, which):
+    ctx = ff.make_field(5, 2)
+    tables = orbits._gamma_tables
+
+    def corrupted(kind, spec):
+        out = list(tables(kind, spec))
+        if kind == which:  # coordinate 1 scaled by 2 on top
+            out[0] = ctx.mul_const_table(2)[out[0]]
+        return out
+
+    monkeypatch.setattr(orbits, "_gamma_tables", corrupted)
+    with pytest.raises(BoundViolated, match=which):
+        make_gamma_spec(GroupParams(5, 3, (1, 1, 2)), ctx)
 
 
 def test_frobenius_fixed_points():

@@ -9,8 +9,8 @@ from tamexp.errors import DimensionMismatch
 from tamexp.tame import (BiTransvection, CoordCycle, GroupParams,
                          PolyTransvection, Transvection, Word, apply_letter,
                          apply_word, apply_word_arrays, parse_word,
-                         poly_transvection_letter, standard_generators, tau,
-                         word_to_endo)
+                         poly_transvection_letter, same_action, sample_coords,
+                         standard_generators, tau, word_to_endo)
 
 from conftest import all_points
 
@@ -263,3 +263,22 @@ def test_index_beyond_dimension_is_dimension_mismatch(letter):
 def test_index_zero_is_rejected_at_construction(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_sample_coords_draws_points_in_order():
+    coords = sample_coords(random.Random(4), 9, 3, 50)
+    rng = random.Random(4)
+    want = [tuple(rng.randrange(9) for _ in range(3)) for _ in range(50)]
+    assert [tuple(int(c[k]) for c in coords) for k in range(50)] == want
+
+
+def test_same_action_agrees_with_the_point_action():
+    # T(1,2,1,1) fixes exactly the points with a_2 = 0
+    u, v = Word.of(Transvection(1, 2, 1, 1)), Word()
+    pts = all_points(5, 3)
+    fixed = [pt for pt in pts if apply_word(u, pt, F5) == pt]
+    assert fixed == [pt for pt in pts if pt[1] == 0]
+    as_coords = lambda pts: [np.array(c) for c in zip(*pts)]
+    assert same_action(u, v, as_coords(fixed), F5)
+    assert not same_action(u, v, as_coords(fixed + [(0, 1, 0)]), F5)
+    assert same_action(u + u.inverse(), v, as_coords(pts), F5)
