@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One-shot desk verification: alternating certificates, orbit structure,
-Gamma-classes, a synthesized word, the Kazhdan bound, and the
-k-transitivity probe, printed as a short summary.
+Gamma-classes, a synthesized word, the small-field lemmas, the Kazhdan
+bound, and the k-transitivity probe, printed as a short summary.
 
 Usage: python scripts/desk_checks.py [--fast]
 """
@@ -90,6 +90,15 @@ def main():
                      1, 2, 3, 5, tame.GroupParams(101, 3, (1, 1, 2))))
     require(cert.verified and cert.mode == "sampled" and cert.symbolic_checked,
             f"sampled word: verified {cert.verified}, mode {cert.mode}")
+
+    print("small-field lemmas over F_625:")
+    F625 = ff.make_field(5, 4)
+
+    def lemmas():
+        return [(ff.verify_count_lemma(F625, N).holds,
+                 ff.verify_enlarge_lemma(F625, N).holds) for N in range(1, 5)]
+    held = timed("count and enlarge lemmas, N = 1..4", lemmas)
+    require(all(c and e for c, e in held), f"lemma results {held}")
 
     print("Kazhdan bound:")
     rep = spectra.kazhdan_bound(spectra.KazhdanParams(11, 3, (1, 1, 2)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -56,18 +55,44 @@ def _header(seed, ctx=None):
     return head
 
 
+_STR_BITS = 2048  # at most 617 digits: under any int-to-str limit (>= 640)
+
+
 def _bigint_str(n):
-    """Decimal string of an arbitrary-precision order; certificate orders
-    like 2186!/2 exceed the default int-to-str conversion limit, which is
-    lifted for this conversion only."""
-    if not hasattr(sys, "set_int_max_str_digits"):
+    """Decimal string of an arbitrary-precision order n >= 0.
+
+    Certificate orders like 78124!/2 have hundreds of thousands of digits,
+    where str() takes quadratic time and trips the int-to-str conversion
+    limit.  Above _STR_BITS the integer is split on bit boundaries, n =
+    hi * 2^h + lo, and the halves are recombined as exact decimals, whose
+    multiplication is subquadratic; below it, plain str() is faster.
+    """
+    if n.bit_length() <= _STR_BITS:
         return str(n)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    import decimal
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    pow2 = {}
+
+    def two_to(w):  # 2^w as a Decimal; the split widths repeat, so cache
+        d = pow2.get(w)
+        if d is None:
+            if w <= _STR_BITS:
+                d = decimal.Decimal(1 << w)
+            else:
+                d = ctx.multiply(two_to(w >> 1), two_to(w - (w >> 1)))
+            pow2[w] = d
+        return d
+
+    def convert(m, w):  # m < 2^w
+        if w <= _STR_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi, lo = m >> h, m & ((1 << h) - 1)
+        return ctx.add(ctx.multiply(convert(hi, w - h), two_to(h)),
+                       convert(lo, h))
+
+    return str(convert(n, n.bit_length()))
 
 
 def _params(args):
@@ -446,8 +471,9 @@ OPTIONS = {
     "nmax": dict(type=_at_least(1), default=4, help="largest N checked"),
     "trials": dict(type=_at_least(1), default=200,
                    help="interpolation trials"),
-    "threads": dict(type=_at_least(1), default=os.cpu_count() or 1,
-                    help="worker processes, one per core by default"),
+    "threads": dict(type=_at_least(1), default=1,
+                    help="worker processes; numpy may run several threads "
+                         "in each"),
     "seed": dict(type=_int, default=0, help="seed of every random choice"),
     "out": dict(default=None, help="output file, stdout if not given"),
 }

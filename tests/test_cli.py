@@ -1,11 +1,12 @@
 import json
 import math
+import random
 import sys
 
 import pytest
 
 from tamexp import ff, permgrp, synth, tame
-from tamexp.cli import main
+from tamexp.cli import _STR_BITS, _bigint_str, main
 from tamexp.errors import BoundViolated, ProbeFailed
 
 
@@ -173,6 +174,15 @@ def test_repeated_verify_lemmas_builds_no_field(tmp_path, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("argv", ["verify-lemmas --qmax 27 --trials 20",
+                                  "gap --thm15 i --p 7 --sweep"])
+def test_worker_pool_gives_the_serial_output(tmp_path, argv):
+    # --threads 2 maps the per-field (per-prime) tasks over a process pool
+    serial = run(tmp_path, *argv.split(), "--threads", "1")
+    assert serial[0] == 0
+    assert run(tmp_path, *argv.split(), "--threads", "2") == serial
+
+
 def test_certify_on_classes(tmp_path):
     # Gamma-class action for p=3, ell=2, e=(1,1,2): Alt((3^6-3^2)/2) = Alt(360)
     code, text = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2",
@@ -252,8 +262,8 @@ def test_certify_thm15_ii_big_order(tmp_path):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str limit before Python 3.11")
 def test_big_order_leaves_int_str_limit_alone(tmp_path):
-    # the limit is interpreter-wide: emitting 2186!/2 must lift it for
-    # that one conversion and restore it afterwards
+    # the limit is interpreter-wide: emitting 2186!/2 must not trip it and
+    # must leave it as it was
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # the interpreter default
     try:
@@ -265,3 +275,43 @@ def test_big_order_leaves_int_str_limit_alone(tmp_path):
         sys.set_int_max_str_digits(before)
     assert code == 0
     assert json.loads(text)["order"] == expected
+
+
+def _str_unlimited(n):
+    """Oracle: str() with the int-to-str digit limit lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_bigint_str_matches_str():
+    rng = random.Random(5)
+    cases = [0, 1, math.factorial(20000) // 2]
+    for bits in (_STR_BITS, 2 * _STR_BITS, 4 * _STR_BITS, 8 * _STR_BITS):
+        digits = int(bits * math.log10(2))
+        for k in range(digits - 2, digits + 3):
+            cases += [10**k, 10**k - 1]
+        cases += [2**k for k in (bits - 1, bits, bits + 1)]
+        cases += [2**k - 1 for k in (bits, bits + 1)]
+    cases += [rng.getrandbits(rng.randint(1, 10**5)) for _ in range(200)]
+    for n in cases:
+        assert _bigint_str(n) == _str_unlimited(n), n.bit_length()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str limit before Python 3.11")
+def test_bigint_str_under_the_smallest_digit_limit():
+    n = math.factorial(4912) // 2
+    expected = _str_unlimited(n)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least nonzero limit allowed
+    try:
+        assert _bigint_str(n) == expected
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -4,6 +4,7 @@ Derived expectations are computed by independent oracles inside the test
 (brute-force scans, direct arithmetic), never by the code paths they check.
 """
 
+import math
 import random
 
 import pytest
@@ -228,6 +229,25 @@ def test_multiplicative_group_cyclic_small():
         assert F.order(g) == F.q - 1
 
 
+@pytest.mark.parametrize("p, ell", [(2, 8), (5, 3), (11, 2)])
+def test_order_table_path_matches_slow_path(p, ell):
+    tabled = ff.make_field(p, ell)
+    tabled.inv(1)  # any table operation builds the exp/log tables
+    bare = ff.FieldCtx(p, ell)  # a second context: no tables until asked
+    assert tabled._log is not None
+    for a in range(1, tabled.q):
+        assert tabled.order(a) == bare.order(a), a
+    assert bare._log is None  # every bare order came from the slow path
+
+
+def test_order_matches_sympy_on_a_prime_field():
+    sympy = pytest.importorskip("sympy")
+    F = ff.make_field(1009, 1)
+    F.inv(1)
+    for a in range(1, F.q):
+        assert F.order(a) == sympy.n_order(a, F.q), a
+
+
 def test_count_lemma_f25():
     r = ff.verify_count_lemma(ff.make_field(5, 2), 1)
     # oracle: exactly the five elements of F_5 fail
@@ -264,6 +284,52 @@ def test_enlarge_lemma_f25_strict_instances_exist():
     r = ff.verify_enlarge_lemma(ff.make_field(5, 2), 3)
     assert r.holds
     assert r.part_ii_instances > 0
+
+
+def brute_force_enlarge(ctx, N):
+    """Oracle: enumerate every (alpha, beta, k, lambda) in scalar arithmetic,
+    full-degree alpha included, and assert both parts of the enlarge lemma.
+    Returns (triples checked, part (ii) instances)."""
+    deg = ctx.subfield_degree
+    q, ell = ctx.q, ctx.ell
+    pools = {d: [x for x in range(q) if d % deg(x) == 0]
+             for d in range(1, ell + 1) if ell % d == 0}
+    triples = part_ii = 0
+    for alpha in range(1, q):
+        d_a = deg(ctx.pow(alpha, N))
+        for k in range(N):
+            ak = ctx.pow(alpha, k)
+            for beta in range(q):
+                triples += 1
+                join = math.lcm(d_a, deg(ctx.pow(beta, N)),
+                                deg(ctx.mul(ak, ctx.pow(beta, N - 1))))
+                degs = (deg(ctx.pow(ctx.add(beta, ctx.mul(lam, ak)), N))
+                        for lam in pools[d_a])
+                if join > d_a:
+                    part_ii += 1
+                    assert any(d > d_a for d in degs), (alpha, beta, k)
+                else:
+                    assert any(d >= d_a for d in degs), (alpha, beta, k)
+    return triples, part_ii
+
+
+@pytest.mark.parametrize("p, ell, N", [
+    (p, ell, N) for p, ell in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+    for N in range(1, min(p - 1, 4) + 1)])
+def test_enlarge_lemma_matches_brute_force(p, ell, N):
+    ctx = ff.make_field(p, ell)
+    r = ff.verify_enlarge_lemma(ctx, N)
+    assert r.holds
+    assert (r.triples_checked, r.part_ii_instances) == brute_force_enlarge(ctx, N)
+
+
+@pytest.mark.parametrize("p, ell, N, part", [(2, 4, 1, "i"), (3, 2, 2, "ii")])
+def test_enlarge_lemma_short_lambda_pool_raises(p, ell, N, part, monkeypatch):
+    # with lambda = 0 alone, F_16 fails part (i) at an alpha of degree 2 and
+    # F_9 part (ii) at alpha = 1, beta^2 = -1; neither alpha is full-degree
+    monkeypatch.setattr(ff.FieldCtx, "subfield", lambda self, d: (0,))
+    with pytest.raises(BoundViolated, match=rf"\({part}\) failed"):
+        ff.verify_enlarge_lemma(ff.make_field(p, ell), N)
 
 
 def test_serialize_round_trip_line():
