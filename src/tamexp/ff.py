@@ -226,6 +226,7 @@ class FieldCtx:
         self._sub = {}
         self._mulc = {}
         self._powt = {}
+        self._addt = None
 
     # -- conversions --------------------------------------------------------
 
@@ -410,15 +411,42 @@ class FieldCtx:
     def frob_table(self):
         return self.pow_table(self.p)
 
+    def _add_blocks(self):
+        """(r, table, weights) for adding c base-p digits at a time: c is
+        the largest block with (p^c)^2 <= TABLE_LIMIT, at most ell, and
+        r = p^c.  table[a * r + b] is the digit-wise sum of two indices
+        below r, built and kept in the smallest unsigned dtype that holds
+        2r (it bounds every digit sum), at most two bytes an entry; the
+        weights r^k place the blocks.  With p^2 > TABLE_LIMIT, c = 1 and
+        table is None: one digit at a time."""
+        if self._addt is None:
+            p, c = self.p, 1
+            while c < self.ell and p ** (2 * c + 2) <= TABLE_LIMIT:
+                c += 1
+            r, table = p**c, None
+            if p * p <= TABLE_LIMIT:
+                d = np.arange(r, dtype=np.min_scalar_type(2 * r))
+                table = np.zeros((r, r), dtype=d.dtype)
+                for pk in self._pp[:c]:
+                    digit = d // pk % p
+                    table += (digit[:, None] + digit) % p * pk
+                table = table.ravel()
+            weights = tuple(np.int64(p**k) for k in range(0, self.ell, c))
+            self._addt = (r, table, weights)
+        return self._addt
+
     def add_arrays(self, A, B):
-        p = self.p
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
-        out = np.zeros_like(A)
-        for pk in self._pp:
-            out += ((A % p + B % p) % p) * pk
-            A = A // p
-            B = B // p
+        r, table, weights = self._add_blocks()
+        if table is not None and len(weights) == 1:
+            return table[A * r + B].astype(np.int64)
+        out = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=np.int64)
+        for w in weights:
+            a, b = A % r, B % r
+            # table entries times the int64 weight widen to int64
+            out += (table[a * r + b] if table is not None else (a + b) % r) * w
+            A, B = A // r, B // r
         return out
 
     def neg_table(self):

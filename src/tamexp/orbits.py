@@ -92,28 +92,27 @@ def components(maps):
     x -- g[x] for every index array g in `maps`: each point is labelled
     with the smallest point of its component.
 
-    Min-label propagation: each round pulls labels along the edges by a
-    gather, pushes them back by a scatter (so the maps need not be
-    permutations), then shortcuts the label forest by pointer jumping.
-    Labels only decrease and stay inside their component, so the fixed
-    point is the component minimum.  The number of rounds grows with the
-    path length a minimum has to travel, so one long cycle, as in a random
-    permutation, is far slower here than a walk along its cycles.
+    Root hooking (Shiloach and Vishkin, J. Algorithms 3, 1982) over a
+    parent forest f with f[x] <= x.  Each round moves every edge to its
+    pair of roots, drops the edges inside one tree, hooks each larger
+    root under its smallest neighbouring root, and flattens f by pointer
+    jumping.  Edges are read in both directions, so the maps need not be
+    permutations.  Every round with an edge left merges two trees, and
+    the roots are tree minima, so once no edge is left f[x] is the
+    smallest point of x's component.
     """
-    labels = np.arange(len(maps[0]), dtype=np.int32)
-    while True:
-        nxt = labels.copy()
-        for g in maps:
-            np.minimum(nxt, labels[g], out=nxt)
-            np.minimum.at(nxt, g, labels)
-        while True:
-            jumped = nxt[nxt]
-            if np.array_equal(jumped, nxt):
-                break
-            nxt = jumped
-        if np.array_equal(nxt, labels):
-            return labels
-        labels = nxt
+    f = np.arange(len(maps[0]), dtype=np.int32)
+    u = np.tile(f, len(maps))
+    v = np.concatenate([np.asarray(g, dtype=np.int32) for g in maps])
+    while u.size:
+        u, v = f[u], f[v]
+        live = u != v
+        u, v = u[live], v[live]
+        u, v = np.maximum(u, v), np.minimum(u, v)
+        np.minimum.at(f, u, v)
+        while not np.array_equal(jumped := f[f], f):
+            f = jumped
+    return f
 
 
 def component_ids(roots):
@@ -307,9 +306,11 @@ def orbit_partition(params, ell, budget=10**7, seed=0):
         inv = orbit_invariant(code_to_point(rep, q, n), params, ctx)
         if size > 1:
             members = np.flatnonzero(labels == oid)
-            pool = (members if len(members) <= INVARIANT_SAMPLES
-                    else rng.sample(members.tolist(), INVARIANT_SAMPLES))
-            for code in pool:
+            if len(members) > INVARIANT_SAMPLES:
+                # the same draws as sampling the member list itself
+                members = members[rng.sample(range(len(members)),
+                                             INVARIANT_SAMPLES)]
+            for code in members:
                 got = orbit_invariant(code_to_point(int(code), q, n), params, ctx)
                 if got != inv:
                     raise BoundViolated(

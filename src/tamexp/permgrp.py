@@ -433,7 +433,9 @@ def certify_alternating(chain):
     full = factorial(d)
     # a group of order d!/2 is Alt(d), a lower bound for a 'cycles' group:
     # an odd generator then makes it Sym(d)
-    order = full if chain.order == full // 2 and not all(even) else chain.order
+    order = chain.order  # a product over the levels: read it once
+    if order == full // 2 and not all(even):
+        order = full
     verdict = ("Alt" if order == full // 2 else "Sym" if order == full
                else "Proper")
     return AltCertificate(d, order, all(even), verdict, chain.strategy)

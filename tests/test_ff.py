@@ -337,6 +337,31 @@ def test_serialize_round_trip_line():
     assert F.serialize() == "p=5 ell=3 mod=" + ",".join(map(str, F.modulus))
 
 
+@pytest.mark.parametrize("p, ell, blocks", [
+    (5, 3, 1),  # one block: a single table gather
+    (2, 16, 2), (3, 10, 2), (2, 20, 3),  # several blocks, the last partial
+    (257, 2, 2),  # p^2 > TABLE_LIMIT: one digit at a time, no table
+])
+def test_add_arrays_matches_scalar_add(p, ell, blocks):
+    import numpy as np
+    F = ff.make_field(p, ell)
+    assert len(F._add_blocks()[2]) == blocks
+    rng = np.random.default_rng(p * 100 + ell)
+    A = rng.integers(0, F.q, 2000)
+    B = rng.integers(0, F.q, 2000)
+    s = F.add_arrays(A, B)
+    assert s.dtype == np.int64
+    assert s.tolist() == [F.add(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    # broadcast shapes: a column against a row, and an array against a scalar
+    col, row = A[:30, None], B[None, :20]
+    s = F.add_arrays(col, row)
+    assert s.shape == (30, 20)
+    assert s.tolist() == [[F.add(a, b) for b in B[:20].tolist()]
+                          for a in A[:30].tolist()]
+    assert F.add_arrays(A[:50], int(B[0])).tolist() == \
+        [F.add(a, int(B[0])) for a in A[:50].tolist()]
+
+
 def test_add_mul_table_consistency():
     import numpy as np
     F = ff.make_field(5, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamexp import ff, orbits, tame
+from tamexp import ff, orbits, permgrp, tame
 from tamexp.errors import BoundViolated
 from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_to_point,
                            component_ids, components, compute_A0,
@@ -297,6 +297,30 @@ def test_components_of_arbitrary_maps(maps):
     reps, ids = component_ids(roots)
     assert reps.tolist() == sorted(set(expect.tolist()))
     assert np.array_equal(reps[ids], roots)
+
+
+def test_components_of_random_permutation_are_its_cycles():
+    # a random permutation has cycles of thousands of points, long paths
+    # for any labelling scheme; cycle_lengths walks them by pointer doubling
+    perm = np.random.default_rng(7).permutation(78124)
+    roots = components([perm])
+    assert np.array_equal(roots[perm], roots)
+    assert (roots <= np.arange(perm.size)).all()
+    reps, ids = component_ids(roots)
+    sizes = np.bincount(ids)
+    assert [(int(s), int(r)) for s, r in zip(sizes, reps) if s > 1] == \
+        permgrp.cycle_lengths(perm)
+
+
+def test_components_of_shuffled_paths():
+    # two paths whose labels are shuffled, so each hooking round meets
+    # roots in no particular order, plus one isolated point
+    rng = np.random.default_rng(3)
+    order = rng.permutation(3001)
+    succ = np.arange(3001)
+    for path in (order[:2000], order[2000:3000]):
+        succ[path[:-1]] = path[1:]
+    assert np.array_equal(components([succ]), _networkx_roots([succ], 3001))
 
 
 def test_check_large_orbit():
