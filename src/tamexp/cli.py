@@ -99,7 +99,7 @@ def _params(args):
     return tame.GroupParams(args.p, len(args.e), args.e)
 
 
-def _thm15_words(variant, p):
+def _thm15_words(variant):
     if variant == "i":
         words = [tame.Word.of(tame.CoordCycle()),
                  tame.Word.of(tame.Transvection(1, 2, 1, 1)),
@@ -116,16 +116,19 @@ def _nonzero_codes(q, n):
 
 
 def cmd_certify_alt(args):
+    if args.ell > 1 and not args.on_classes:
+        raise BadInput(f"--ell {args.ell} needs --on-classes: the generators "
+                       "have prime-field coefficients, so they keep "
+                       "F_p^n minus 0 invariant and cannot act as Alt")
     seed = args.seed
     if args.thm15:
-        n, words = _thm15_words(args.thm15, args.p)
+        n, words = _thm15_words(args.thm15)
         params = None
-        ctx = ff.make_field(args.p, 1)
     else:
         params = _params(args)
         n = params.n
-        ctx = ff.make_field(args.p, args.ell)
         words = [tame.Word.of(tame.tau(params, i, 1)) for i in range(1, n + 1)]
+    ctx = ff.make_field(args.p, args.ell)
     if args.on_classes:
         params_ = params or tame.GroupParams(args.p, n, (1,) * (n - 1) + (2,))
         part = orbits.orbit_partition(params_, args.ell, budget=args.budget)
@@ -256,7 +259,7 @@ def cmd_synth(args):
 def _gap_row(task):
     p, variant, seed = task
     ctx = ff.make_field(p, 1)
-    n, words = _thm15_words(variant, p)
+    n, words = _thm15_words(variant)
     codes = _nonzero_codes(p, n)
     graph = spectra.build_schreier(codes, words, ctx, n)
     res = spectra.spectral_gap(graph, seed=seed)

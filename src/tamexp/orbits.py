@@ -52,8 +52,8 @@ def codes_to_coords(codes, q, n):
     out = []
     c = codes
     for _ in range(n):
-        out.append(c % q)
-        c = c // q
+        c, digit = np.divmod(c, q)
+        out.append(digit)
     return out
 
 
@@ -600,21 +600,9 @@ def transitivity_probe(params, ell, k, trials, seed=0):
     if not bound_ok:
         return ProbeReport(k, 0, 0, [], bound, False, dance_ok, 0, seed)
     rng = random.Random(seed)
-    N = E - 1
+    machine = _ProbeMachine(params, ctx, spec)
     # canonical targets: first k field generators with fresh minimal polys
-    alphas, keys = [], set()
-    for a in range(1, q):
-        aN = ctx.pow(a, N)
-        if ctx.subfield_degree(aN) != ell:
-            continue
-        key = minimal_polynomial(ctx, aN)
-        if key not in keys:
-            keys.add(key)
-            alphas.append(a)
-        if len(alphas) == k:
-            break
-    if len(alphas) < k:
-        raise ProbeFailed("field too small for k distinct target classes")
+    alphas = machine._fresh_generators(k, ())
     successes, failures = 0, []
     max_len = 0
     for trial in range(trials):
@@ -631,7 +619,6 @@ def transitivity_probe(params, ell, k, trials, seed=0):
                 continue
             class_keys.add(ck)
             pts.append(pt)
-        machine = _ProbeMachine(params, ctx, spec)
         try:
             word, gammas = machine.run(pts, alphas)
             for i in range(k):

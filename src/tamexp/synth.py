@@ -11,13 +11,16 @@ and use the product
 under which [P_{c-n}(r), y(s)] = sum_i C(n,i) P_{c-n+i}(r s^i), the
 commutator relation all the word constructions rest on.
 
-Word synthesis follows a double induction: distance-1 targets at level m
-come from a class-1 embedding whose translation part is a distance-2
-family at level m-1, and distance propagation at fixed level runs through
-class-1 embeddings with the step-3 bi-transvection words.  Every produced
-word is verified against its closed-form letter on code arrays: on the
-whole grid ("exhaustive") or, above GRID_CAP points, on VERIFY_SAMPLES
-seeded points plus a symbolic check ("sampled").
+Word synthesis follows a double induction, stated once as the rule table
+TransvectionSynthesizer._rule: each word family is the P_ell image of a
+Gamma embedding whose two generator families are earlier families.
+Distance-1 targets at level m come from a class-1 embedding whose
+translation part is a distance-2 family at level m-1, and distance
+propagation at fixed level runs through class-1 embeddings with the
+step-3 bi-transvection words.  Every produced word is verified against
+its closed-form letter on code arrays: on the whole grid ("exhaustive")
+or, above GRID_CAP points, on VERIFY_SAMPLES seeded points plus a
+symbolic check ("sampled").
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -343,88 +347,68 @@ def check_embedding_homomorphism(embedding, c, p, ctx, n, pairs=100, seed=0):
 
 class TransvectionSynthesizer:
     """Builds words for the derived transvections a_i += r a_j^t with
-    t = t_{i,j} + m (E-1), memoizing one embedding per family."""
+    t = t_{i,j} + m (E-1).
+
+    Each word family is the P_ell image of an embedding of Gamma_{c,F_p}
+    whose two generator families are earlier families: _rule states that
+    double induction as one table, and _word keeps one embedding per
+    (c, x0, y)."""
 
     def __init__(self, params, budget=10**6):
         self.params = params
         self.budget = budget
         if params.E < 2:
-            raise BadExponent("need E >= 2")
+            raise BadExponent("synthesis needs E >= 2")
         if params.p <= max(params.e):
             raise NotInvertible("need p > max e_i")
-        self._memo = {}  # key -> family or embedding, built on first use
+        self._embeddings = {}  # (c, x0, y) -> GammaWordEmbedding
 
-    def _nxt(self, i):
-        return i % self.params.n + 1
+    def _rule(self, family):
+        """(c, x0, y, ell) such that family is the P_ell image of
+        Gamma_{c,F_p} with P_0(r) -> x0(r) and translation part y; None for
+        the base case tau_i = alpha(i, i+1, 0).
 
-    def _e(self, i):
-        return self.params.e[i - 1]
+        ("alpha", i, j, m) adds r a_j^(t_ij + m(E-1)) to a_i; ("beta3", i, j)
+        is beta^(1, (e_i - 1) t_{i+1,j})_{i; i+1, j}, which collapses to
+        tau_i when e_i = 1; ("beta43", i) is beta^(e_{i+1}, e_i - 1)_{i; i+2,
+        i+1}; ("beta5", i) is beta^(1, e_i - E/e_{i+1} + E - 1)_{i; i+2, i+1}.
+        """
+        kind, i, *rest = family
+        n, e = self.params.n, self.params.e
+        i1 = i % n + 1
+        i2 = i1 % n + 1
+        tau_i = ("alpha", i, i1, 0)
+        if kind == "alpha":
+            j, m = rest
+            if m == 0 and j == i1:
+                return None
+            if m == 0:
+                return e[i - 1], tau_i, ("alpha", i1, j, 0), e[i - 1]
+            if j == i1:
+                return 1, ("beta5", i), ("alpha", i2, j, m - 1), 1
+            return 1, ("beta3", i, j), ("alpha", i1, j, m), 1
+        if kind == "beta3":
+            return e[i - 1], tau_i, ("alpha", i1, rest[0], 0), e[i - 1] - 1
+        if kind == "beta43":
+            return e[i - 1], tau_i, ("alpha", i1, i2, 0), 1
+        # "beta5"
+        return (e[i1 - 1], ("beta43", i), ("alpha", i2, i1, 0),
+                e[i1 - 1] - 1)
 
-    def _memoized(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def _tau_embedding(self, i, j):
-        """Gamma_{e_i,F_p} with P_0(r) -> tau_i(r) and translation part
-        alpha(i+1, j, 0); its P_ell images give alpha(i, j, 0) (ell = e_i),
-        beta3(i, j) (ell = e_i - 1) and, for j = i+2, beta43(i) (ell = 1)."""
-        params = self.params
-        return self._memoized(("tau", i, j), lambda: GammaWordEmbedding(
-            params.p, self._e(i),
-            x0_family=lambda r: Word.of(tau(params, i, r)),
-            y_family=self._alpha_family(self._nxt(i), j, 0),
-            budget=self.budget))
-
-    def _alpha_family(self, i, j, m):
-        return self._memoized(("alpha", i, j, m),
-                              lambda: self._build_alpha(i, j, m))
-
-    def _build_alpha(self, i, j, m):
-        params = self.params
-        if m == 0 and j == self._nxt(i):
-            return lambda r: Word.of(tau(params, i, r))
-        if m == 0:
-            emb, ell = self._tau_embedding(i, j), self._e(i)
-            return lambda r: emb.p_ell_word(ell, r)
-        if j == self._nxt(i):
-            x0 = self._beta5_family(i)
-            y = self._alpha_family(self._nxt(self._nxt(i)), j, m - 1)
-        else:
-            x0 = self._beta3_family(i, j)
-            y = self._alpha_family(self._nxt(i), j, m)
-        emb = GammaWordEmbedding(params.p, 1, x0_family=x0, y_family=y,
-                                 budget=self.budget)
-        return lambda r: emb.p_ell_word(1, r)
-
-    def _beta3_family(self, i, j):
-        """beta^(1, (e_i - 1) t_{i+1,j})_{i; i+1, j}; collapses to tau_i
-        when e_i = 1."""
-        emb, ell = self._tau_embedding(i, j), self._e(i) - 1
-        return lambda r: emb.p_ell_word(ell, r)
-
-    def _beta43_family(self, i):
-        """beta^(e_{i+1}, e_i - 1)_{i; i+2, i+1} via the step-2 embedding
-        toward j = i+2 at ell = 1."""
-        emb = self._tau_embedding(i, self._nxt(self._nxt(i)))
-        return lambda r: emb.p_ell_word(1, r)
-
-    def _beta5_family(self, i):
-        """beta^(1, e_i - E/e_{i+1} + E - 1)_{i; i+2, i+1}."""
-        i1 = self._nxt(i)
-        emb = self._memoized(("beta5", i), lambda: GammaWordEmbedding(
-            self.params.p, self._e(i1),
-            x0_family=self._beta43_family(i),
-            y_family=self._alpha_family(self._nxt(i1), i1, 0),
-            budget=self.budget))
-        ell = self._e(i1) - 1
-        return lambda r: emb.p_ell_word(ell, r)
+    def _word(self, family, r):
+        rule = self._rule(family)
+        if rule is None:
+            return Word.of(tau(self.params, family[1], r))
+        c, x0, y, ell = rule
+        emb = self._embeddings.get((c, x0, y))
+        if emb is None:
+            emb = self._embeddings[c, x0, y] = GammaWordEmbedding(
+                self.params.p, c, partial(self._word, x0),
+                partial(self._word, y), budget=self.budget)
+        return emb.p_ell_word(ell, r)
 
     def alpha_word(self, i, j, m, r):
-        w = self._alpha_family(i, j, m)(r)
-        if len(w) > self.budget:
-            raise BudgetExceeded("synthesized word exceeds length budget")
-        return w
+        return self._word(("alpha", i, j, m), r)
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +466,12 @@ def synth_transvection(i, j, t, r, params, budget=10**6, synthesizer=None):
     cannot be removed, since every generator preserves the grading.
     """
     params_tij = params.tij(i, j)
+    synth = synthesizer or TransvectionSynthesizer(params, budget)
     E = params.E
-    if E < 2:
-        raise BadExponent("synthesis needs E >= 2")
-    if params.p <= max(params.e):
-        raise NotInvertible("need p > max e_i")
     if t < params_tij or (t - params_tij) % (E - 1) != 0:
         raise BadExponent(
             f"t={t} violates t = t_ij + m(E-1) with t_ij={params_tij}, E-1={E - 1}")
     m = (t - params_tij) // (E - 1)
-    synth = synthesizer or TransvectionSynthesizer(params, budget)
     word = synth.alpha_word(i, j, m, r % params.p)
     letter = Transvection(i, j, t, r % params.p)
     ok, mode, symbolic, ctx, npts = _verify_word_letter(word, letter, params)
@@ -526,8 +506,6 @@ def elementary_abelian_witness(params, rank):
 
     if max(params.e) < 2:
         raise BadExponent("need max e_i > 1")
-    if params.p <= max(params.e):
-        raise NotInvertible("need p > max e_i")
     synth = TransvectionSynthesizer(params)
     E = params.E
     tmax = params.tij(1, 2) + (rank - 1) * (E - 1)

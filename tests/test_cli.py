@@ -193,9 +193,22 @@ def test_certify_on_classes(tmp_path):
     assert payload["degree"] == (3**6 - 3**3) // 2  # Alt(351)
 
 
+def test_certify_thm15_on_classes_reads_ell(tmp_path, capsys):
+    # the Theorem 15 triple acts on the same 351 classes of F_9^3
+    code, text = run(tmp_path, "certify-alt", "--thm15", "i", "--p", "3",
+                     "--ell", "2", "--on-classes")
+    assert code == 0 and capsys.readouterr().err == ""
+    payload = json.loads(text)
+    assert (payload["verdict"], payload["degree"]) == ("Alt", 351)
+    assert payload["field"] == ff.make_field(3, 2).serialize()
+
+
 @pytest.mark.parametrize("argv", [
     "certify-alt --p notanint",
     "certify-alt --p 4",
+    # --ell > 1 without --on-classes: F_p^n minus 0 stays invariant
+    "certify-alt --p 3 --e 1,1,2 --ell 2",
+    "certify-alt --thm15 i --p 3 --ell 2",
     "orbits --e 1,1",
     "orbits --e 0,1,2",
     "synth --i 1 --j 1",

@@ -258,12 +258,81 @@ def test_embedded_beta_letter_closed_forms():
                     apply_word(Word.of(letter), pt, F5), (ell, r, pt)
 
 
+# sha256 prefixes (16 hex digits) of alpha_word(i, j, m, r).text(), in the
+# order of ordered pairs i != j, then m in (0, 1, 2), then r in (1, 2): any
+# change to how the derived-transvection words are built shows here.
+GOLDEN_WORDS = {
+    (5, (1, 1, 2)): """
+        63c3b61017f858b2 b9b5f99530c37b29 d7a2de38e48c7938 4fbbcb0f9eaf6340
+        77804bba01c2c844 26eab0b7ed4e8f23 03abed7ae59c5675 bab1a918feecd4fb
+        7b981122b6390509 0300e4623c19dcfa ed07295bcdcc7a55 c97aa478769d55b7
+        dfbed8e29e66e5eb 8735ad8c88e929c8 493e8e3950dd74f4 1e9bff2884096bc1
+        146218f3849ff066 15e7141e83682dec 688046b99eec789d 80731b49b5709d01
+        f965aa6b11389f38 e3e579fc426cf6ee 08dcd97d727d8447 daf639b423154b66
+        95f9c3c3a1066af8 380acfc34ad6a351 cb134a797c287ec0 19c5759ee8c8211f
+        6381c897af60b881 f8289072eeb0731f 11f3dd6f7504fead 1ce85f8102a2f530
+        b2fecac6b0009491 f08b1adeda542b54 c8eae6b74a01b072 ad725e590006917c""",
+    (23, (2, 2, 2)): """
+        e508fe3ccaebb39e dd7106e20bbd08db 8a01138aad70840e 422c29bbb2c68845
+        8e6ffc6c70ce067a 5f42946d46fff460 7b7388d15ef692f4 2d090284f43850a8
+        4c5adc838dfd34c3 a2d4833f6526db1b 5e0a57b81c52b73a c15bccfe5ee45358
+        817e82bab083d027 65bfb6361ffbe501 e3f7ad3acce54ec7 8f2e03372a6a8103
+        d05b63fca7e7dd33 717a7359c4a13ccb 472e389cfedb0b36 0940acc97a5fb251
+        59a9a131196a52ad 4d9eab0d0e71364d a889fe246b079dfd 5dbe24fb58dbc04a
+        95f9c3c3a1066af8 380acfc34ad6a351 5289ed0a584650bf 3171934e0de9890c
+        e7ff97eee97e2072 bdc8d4a712f0cb75 0aa2f3d20cf80961 4f85c880a28e821d
+        eebd5625bcfa58b5 de2d77774f40f58b 9ccb7f125b743da4 b07b261fe3c04549""",
+    (7, (1, 2, 2)): """
+        63c3b61017f858b2 b9b5f99530c37b29 fe4a32c10f2853b2 9f09be868aed9912
+        6a252920934daf2e 67d707d8bc87fe5f 1735c9d4ed3eeea9 33f1f5087c0053bf
+        ebdf760d95d7372a 78c31895a5728bca ab4564a80041f406 63046caeba56f7cd
+        07283d995f131047 188fececa874d9b8 a1e2802186b27a2e cfdf76226ac57853
+        7abf0ff7382acd52 13e28337df1b1fe5 472e389cfedb0b36 0940acc97a5fb251
+        331c22f652ff43de 2454bd7e7ff6172f 5f01b8bcec333cbe f0e1854c9693c016
+        95f9c3c3a1066af8 380acfc34ad6a351 af212980cbd38aaf bb2449320af7434e
+        d0132f0944396f26 2f2b9fa1f6420e83 cda5c6650f01a047 b6430c6cf1fa676c
+        e16e3e1cde87f19d 7150062ab8baadeb f8a0ff06fcf5c2cd 63a16fa439e1d3e8""",
+    (11, (2, 1, 2)): """
+        e508fe3ccaebb39e dd7106e20bbd08db fa292827b761ec99 4d42259c7a7ffe7f
+        dc965cf627660d5b aabd2ab5fc455ac4 ad7204470949b19b d2b972e4a4454e94
+        36c7a12cceb46eb3 9ea1787de8df4098 9aa01704f83d8bf2 b135ef81bddbcfc1
+        449e5e96c2abe64b f05ab7cdccdc17f2 d47c52f38c87a151 c4befda7d6101cf1
+        89024d5cff6981d6 4787a00287fd7ecb 688046b99eec789d 80731b49b5709d01
+        84d7c5d1ff5d8d92 c2ad20cc24f4e7b5 02e3d29e87ba1bfe 3d385d27038a03dd
+        95f9c3c3a1066af8 380acfc34ad6a351 d98467bd43f3b735 1c006f341469f914
+        907d52880bf8b435 4837bb1e31e22946 6bd07f89c272987d 0c6da819dbba40e3
+        37fde6910fea1e24 24bfb8479b4a5e2f 453c25960157f3e5 64d66fc51c43fecb""",
+    (11, (1, 1, 3)): """
+        63c3b61017f858b2 b9b5f99530c37b29 486d89cb33680e22 2ad2157669452e62
+        8ec2893922bf384d 3acd220420a86b06 81584fc115e134fb 73f0f11db1fe5d8a
+        6f4a128f24dc09e0 e5b0f571eac921ce 85c5581e1d3bfce5 4e09370b67654d3a
+        49d7b119dc860188 7ca45dd343eb26f3 37dae717e0b3086f 050ba10f3bb3a6c9
+        26d7c98399eec219 16ac1141e20e2f51 688046b99eec789d 80731b49b5709d01
+        e176a65c7de70a8a aec942009ece4198 eb71283640e97fe2 22f6680d09ec51fe
+        ce9df90fd4ea1998 6ce1b42a25c35d6e f3b95eac9bc7f859 5e11dbce3803ecca
+        918088f650557530 1f5ee54e9d15b16a f875551f66841fdd 29a875c4ac12e08b
+        317eec85475c9a77 4cb46252c35039e3 e68d5b353b295675 46b29ee923f545cb""",
+}
+
+
+@pytest.mark.parametrize("p,e", list(GOLDEN_WORDS))
+def test_golden_alpha_words(p, e):
+    import hashlib
+    import itertools
+    s = synth.TransvectionSynthesizer(GroupParams(p, 3, e))
+    got = [hashlib.sha256(s.alpha_word(i, j, m, r).text().encode())
+           .hexdigest()[:16]
+           for i, j in itertools.permutations((1, 2, 3), 2)
+           for m in (0, 1, 2) for r in (1, 2)]
+    assert got == GOLDEN_WORDS[p, e].split()
+
+
 def test_step5_family_closed_form():
     # beta5 word for (2,2,2): adds r * a_3 * a_2^(e_1 - E/e_2 + E - 1)
     params = GroupParams(23, 3, (2, 2, 2))
     F23 = ff.make_field(23, 1)
     s = synth.TransvectionSynthesizer(params)
-    w = s._beta5_family(1)(7)
+    w = s._word(("beta5", 1), 7)
     kexp = 2 - 4 + 7  # e_1 - E/e_2 + (E-1) = 5
     import random
     rng = random.Random(2)
