@@ -529,8 +529,9 @@ def main(argv=None):
     except BadInput as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:  # MemoryError: a backstop
+        print(f"budget exceeded: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2
     except (BoundViolated, ProbeFailed) as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)

@@ -333,20 +333,27 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
 # the 3-cycle closure ('cycles')
 
 
+def _one_three_cycle(g):
+    """Whether g has one 3-cycle: exactly 3 x with g^3(x) = x != g(x)."""
+    pts = np.arange(len(g))
+    return np.count_nonzero((g[g[g]] == pts) & (g != pts)) == 3
+
+
 def _extract_three_cycle(g):
-    """If g powers to a single 3-cycle, return its support triple in cycle
-    order, else None.  Requires exactly one 3-cycle and no other cycle
-    length divisible by 3."""
+    """If g powers to a single 3-cycle, return (triple, m): the support
+    triple in cycle order and the m with g^m that 3-cycle; else None.
+    Requires exactly one 3-cycle and no other cycle length divisible by 3."""
+    if not _one_three_cycle(g):
+        return None
     lengths = cycle_lengths(g)
-    threes = [rep for length, rep in lengths if length == 3]
     others = [length for length, _ in lengths if length != 3]
-    if len(threes) != 1 or any(length % 3 == 0 for length in others):
+    if any(length % 3 == 0 for length in others):
         return None
     m = lcm(*others)
-    rep = threes[0]
+    rep = next(rep for length, rep in lengths if length == 3)
     cyc = [rep, int(g[rep]), int(g[g[rep]])]
     shift = m % 3  # in {1, 2}; both orientations are fine
-    return (cyc[0], cyc[shift], cyc[(2 * shift) % 3])
+    return (cyc[0], cyc[shift], cyc[(2 * shift) % 3]), m
 
 
 def _power(p, m):
@@ -388,13 +395,13 @@ def try_alt_ladder(gens, seed=0):
     rattle = Rattle(gens, random.Random(seed))
     for _ in range(LADDER_CYCLE_TRIES):
         g = rattle.sample()
-        triple = _extract_three_cycle(g)
-        if triple:
+        hit = _extract_three_cycle(g)
+        if hit:
             break
     else:
         return None
-    if not np.array_equal(_power(g, perm_order(g) // 3),
-                          perm_from_cycles(degree, [triple])):
+    triple, m = hit
+    if not np.array_equal(_power(g, m), perm_from_cycles(degree, [triple])):
         raise BoundViolated(f"the power of a sample is not the 3-cycle "
                             f"{triple}")
     T = _conjugate_triples(gens, triple)

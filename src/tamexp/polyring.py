@@ -2,11 +2,13 @@
 endomorphisms of F_p[x_1,...,x_n], and the Z/(E-1)Z grading.
 
 A MultiPoly stores a dict mapping exponent vectors (tuples of length n) to
-nonzero field-element indices.  A PolyEndo is a list of n images; composing
-endomorphisms substitutes one list of images into the other.  Equality of
-endomorphisms is symbolic (normalized coefficient comparison); callers that
-cannot afford expansion compare actions on a grid instead, which is exact
-for maps of known bounded degree.
+nonzero field-element indices; no product, sum or substitution may exceed
+TERM_CAP terms (DegreeOverflow).  A PolyEndo is a list of n images; the
+action loop of tame builds a word's images by substituting them into one
+letter delta at a time.  Equality of endomorphisms is symbolic
+(normalized coefficient comparison); callers that cannot afford expansion
+compare actions on a grid instead, which is exact for maps of known
+bounded degree.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class MultiPoly:
         out = MultiPoly(self.ctx, self.n, self.terms)
         for e, c in other.terms.items():
             out._add_term(e, c)
+        if len(out.terms) > TERM_CAP:
+            raise DegreeOverflow("sum term count exceeds cap")
         return out
 
     def __neg__(self):
@@ -169,8 +173,6 @@ class MultiPoly:
                         pow_cache[i][e] = pe
                     t = t * pe
             out = out + t
-            if len(out.terms) > TERM_CAP:
-                raise DegreeOverflow("substitution term count exceeds cap")
         return out
 
     def text(self):
@@ -214,10 +216,6 @@ class PolyEndo:
         if len(images) != self.n:
             raise DimensionMismatch("need one image per variable")
 
-    @classmethod
-    def identity(cls, ctx, n):
-        return cls([MultiPoly.variable(ctx, n, i + 1) for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, PolyEndo) and self.images == other.images
 
@@ -231,17 +229,6 @@ class PolyEndo:
 def evaluate(f, point):
     """Value of a MultiPoly at an affine point (tuple of element indices)."""
     return f.evaluate(point)
-
-
-def compose(f, g):
-    """Endomorphism with images[i] = f.images[i] evaluated at g's images.
-
-    Its action on points applies g first: evaluate(compose(f, g), a) equals
-    f evaluated at the point g(a).
-    """
-    if f.n != g.n or f.ctx != g.ctx:
-        raise DimensionMismatch("endomorphism composition dimension mismatch")
-    return PolyEndo([fi.substitute(g.images) for fi in f.images])
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ r * a_j^e to coordinate i; sign -1 subtracts.  Words act left to right:
 apply_word(u + v, a) == apply_word(v, apply_word(u, a)).
 
 Each transvection-type letter is stated once, as the polynomial it adds
-to one coordinate (_letter_delta).  The point action evaluates it on a
-tuple of field-element indices (see ff), the bulk action on
-per-coordinate numpy index arrays via the context tables, and the
-symbolic bridge adds it to the image of x_i.  Checks over many points
+to one coordinate (_letter_delta), and one loop (_act) runs a word's
+letters: on tuples of field-element indices (see ff), on per-coordinate
+numpy index arrays via the context tables, and symbolically, where each
+delta takes the current images of x_1, ..., x_n.  Checks over many points
 run on the arrays (same_action); the point action serves single points
 and test oracles.
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .ff import is_prime
-from .polyring import GradingSpec, MultiPoly, PolyEndo, compose
+from .polyring import GradingSpec, MultiPoly, PolyEndo
 
 
 @dataclass(frozen=True)
@@ -269,39 +269,45 @@ def _letter_delta(letter, sign, ctx, n):
 
 
 def _rotate(seq, sign):
-    """CoordCycle's action on a tuple or list of coordinates."""
+    """CoordCycle's action on a list of coordinates."""
     return seq[1:] + seq[:1] if sign > 0 else seq[-1:] + seq[:-1]
+
+
+def _act(word, state, ctx, value, add):
+    """The one loop over a word's (letter, sign) pairs, run on `state`, a
+    list of n coordinates: a CoordCycle rotates it, and every other letter
+    sets state[i] = add(state[i], value(delta, state)).  Returns the final
+    list."""
+    n = len(state)
+    for let, s in word:
+        if isinstance(let, CoordCycle):
+            state = _rotate(state, s)
+            continue
+        i, delta = _letter_delta(let, s, ctx, n)
+        if not delta.is_zero():
+            state[i] = add(state[i], value(delta, state))
+    return state
 
 
 def apply_letter(letter, sign, point, ctx):
     """Image of one point under a single signed letter."""
-    if isinstance(letter, CoordCycle):
-        return _rotate(point, sign)
-    i, delta = _letter_delta(letter, sign, ctx, len(point))
-    return point[:i] + (ctx.add(point[i], delta.evaluate(point)),) + point[i + 1:]
+    return tuple(_act(((letter, sign),), list(point), ctx,
+                      MultiPoly.evaluate, ctx.add))
 
 
 def apply_word(word, point, ctx):
-    for let, s in word:
-        point = apply_letter(let, s, point, ctx)
-    return point
+    return tuple(_act(word, list(point), ctx, MultiPoly.evaluate, ctx.add))
 
 
 def apply_letter_arrays(letter, sign, coords, ctx):
     """Same action on a list of per-coordinate numpy index arrays."""
-    coords = list(coords)
-    if isinstance(letter, CoordCycle):
-        return _rotate(coords, sign)
-    i, delta = _letter_delta(letter, sign, ctx, len(coords))
-    if not delta.is_zero():
-        coords[i] = ctx.add_arrays(coords[i], delta.evaluate_arrays(coords))
-    return coords
+    return _act(((letter, sign),), list(coords), ctx,
+                MultiPoly.evaluate_arrays, ctx.add_arrays)
 
 
 def apply_word_arrays(word, coords, ctx):
-    for let, s in word:
-        coords = apply_letter_arrays(let, s, coords, ctx)
-    return coords
+    return _act(word, list(coords), ctx, MultiPoly.evaluate_arrays,
+                ctx.add_arrays)
 
 
 def same_action(u, v, coords, ctx):
@@ -324,17 +330,12 @@ def sample_coords(rng, q, n, count):
 
 def letter_endo(letter, sign, ctx, n):
     """The letter's action as a polynomial endomorphism."""
-    images = [MultiPoly.variable(ctx, n, i + 1) for i in range(n)]
-    if isinstance(letter, CoordCycle):
-        return PolyEndo(_rotate(images, sign))
-    i, delta = _letter_delta(letter, sign, ctx, n)
-    images[i] = images[i] + delta
-    return PolyEndo(images)
+    return word_to_endo(((letter, sign),), ctx, n)
 
 
 def word_to_endo(word, ctx, n):
-    """Endomorphism whose evaluation at any point equals apply_word there."""
-    acc = PolyEndo.identity(ctx, n)
-    for let, s in word:
-        acc = compose(letter_endo(let, s, ctx, n), acc)
-    return acc
+    """Endomorphism whose evaluation at any point equals apply_word there,
+    built by one delta substitution per letter."""
+    images = [MultiPoly.variable(ctx, n, k + 1) for k in range(n)]
+    return PolyEndo(_act(word, images, ctx, MultiPoly.substitute,
+                         MultiPoly.__add__))

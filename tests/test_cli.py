@@ -261,6 +261,20 @@ def test_generator_that_does_not_sift_exits_4(tmp_path, monkeypatch, capsys):
                                        "does not sift through its chain\n")
 
 
+@pytest.mark.parametrize("message,line", [
+    ("", "out of memory"),
+    ("Unable to allocate 3.14 GiB for an array",
+     "Unable to allocate 3.14 GiB for an array")], ids=["bare", "numpy"])
+def test_out_of_memory_exits_2(message, line, tmp_path, monkeypatch, capsys):
+    def no_memory(gens, seed=0):
+        raise MemoryError(message)
+    monkeypatch.setattr(permgrp, "build_chain", no_memory)
+    code, out = run(tmp_path, "certify-alt", "--p", "3", "--e", "1,1,2")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"budget exceeded: {line}\n" and "Traceback" not in err
+
+
 def test_certify_thm15_ii_big_order(tmp_path):
     # the order string of Alt(2186) has ~6100 digits; the emitter must
     # not trip Python's int-to-str conversion limit

@@ -77,14 +77,48 @@ def test_sift_random_products():
 
 def test_three_cycle_extraction():
     g = pg.perm_from_cycles(12, [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9]])
-    tri = pg._extract_three_cycle(g)
-    assert tri is not None and sorted(tri) == [0, 1, 2]
+    tri, m = pg._extract_three_cycle(g)
+    assert sorted(tri) == [0, 1, 2] and m == 10 == pg.perm_order(g) // 3
     # two 3-cycles: rejected
     assert pg._extract_three_cycle(
         pg.perm_from_cycles(9, [[0, 1, 2], [3, 4, 5]])) is None
     # another cycle length divisible by 3: rejected
     assert pg._extract_three_cycle(
         pg.perm_from_cycles(10, [[0, 1, 2], [3, 4, 5, 6, 7, 8]])) is None
+
+
+def _one_three_cycle_by_cycles(g):
+    return sum(length == 3 for length, _ in pg.cycle_lengths(g)) == 1
+
+
+@pytest.mark.parametrize("cycles", [
+    [], [[0, 1, 2]], [[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3, 4, 5, 6, 7, 8]],
+    [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9]], [[0, 1], [2, 3]], [[0, 1, 2, 3]]],
+    ids=["identity", "3", "3+3", "3+6", "3+2+5", "2+2", "4"])
+def test_three_cycle_filter_on_hand_built_perms(cycles):
+    g = pg.perm_from_cycles(12, cycles)
+    assert pg._one_three_cycle(g) == _one_three_cycle_by_cycles(g)
+    if not pg._one_three_cycle(g):
+        assert pg._extract_three_cycle(g) is None
+
+
+def test_three_cycle_filter_on_random_perms():
+    rng = random.Random(11)
+    passed = found = 0
+    for _ in range(400):
+        g = np.array(rng.sample(range(30), 30), dtype=np.int64)
+        ok = pg._one_three_cycle(g)
+        assert ok == _one_three_cycle_by_cycles(g)
+        hit = pg._extract_three_cycle(g)
+        assert ok or hit is None
+        if hit:
+            triple, m = hit
+            assert m == pg.perm_order(g) // 3
+            assert np.array_equal(pg._power(g, m),
+                                  pg.perm_from_cycles(30, [list(triple)]))
+        passed += ok
+        found += hit is not None
+    assert 0 < found < passed < 400  # both rejection paths are exercised
 
 
 def test_ladder_matches_dense_on_alt9():
@@ -262,8 +296,8 @@ BROKEN_CHECKS = {
         "                  pg.perm_from_cycles(4, [[0, 1], [2, 3]])])\n"),
     "ladder-witness": (
         "find = pg._extract_three_cycle\n"
-        "pg._extract_three_cycle = lambda g: find(g) and tuple(\n"
-        "    sorted(set(range(7)) - set(find(g)))[:3])  # fixed by g^m\n"
+        "pg._extract_three_cycle = lambda g: (hit := find(g)) and (tuple(\n"
+        "    sorted(set(range(7)) - set(hit[0]))[:3]), hit[1])  # fixed by g^m\n"
         "pg.try_alt_ladder([pg.perm_from_cycles(7, [[0, 1, 2]]),\n"
         "                   pg.perm_from_cycles(7, [list(range(7))])])\n"),
     "certify-sift": (

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamexp import ff
+from tamexp import ff, polyring
 from tamexp.errors import DegreeOverflow
-from tamexp.polyring import (GradingSpec, MultiPoly, PolyEndo, compose,
-                             evaluate, grading_degree, is_graded)
+from tamexp.polyring import (GradingSpec, MultiPoly, evaluate, grading_degree,
+                             is_graded)
 from tamexp.tame import Transvection, Word, letter_endo, word_to_endo
 
 from conftest import all_points
@@ -23,24 +23,25 @@ def test_evaluate_examples():
 
 def test_compose_identity():
     F5 = ff.make_field(5, 1)
-    ident = PolyEndo.identity(F5, 3)
-    assert compose(ident, ident) == ident
+    ident = word_to_endo(Word(), F5, 3)
+    assert ident.images == [MultiPoly.variable(F5, 3, k) for k in (1, 2, 3)]
+    assert word_to_endo(Word() + Word(), F5, 3) == ident
 
 
 def test_compose_transvection_squares():
     # x1 -> x1 + x2^2 composed with itself gives x1 -> x1 + 2 x2^2
     F5 = ff.make_field(5, 1)
-    t = letter_endo(Transvection(1, 2, 2, 1), 1, F5, 3)
-    tt = compose(t, t)
+    t = Transvection(1, 2, 2, 1)
+    tt = word_to_endo(Word.of(t, t), F5, 3)
     want = letter_endo(Transvection(1, 2, 2, 2), 1, F5, 3)
     assert tt == want
 
 
 def test_compose_matches_pointwise_evaluation():
     F3 = ff.make_field(3, 1)
-    f = letter_endo(Transvection(1, 2, 2, 1), 1, F3, 3)
-    g = letter_endo(Transvection(2, 3, 1, 2), 1, F3, 3)
-    fg = compose(f, g)
+    tf, tg = Transvection(1, 2, 2, 1), Transvection(2, 3, 1, 2)
+    f, g = letter_endo(tf, 1, F3, 3), letter_endo(tg, 1, F3, 3)
+    fg = word_to_endo(Word.of(tg, tf), F3, 3)  # g acts first
     for a in all_points(3, 3):
         assert fg.evaluate(a) == f.evaluate(g.evaluate(a))
 
@@ -69,6 +70,15 @@ def test_degree_overflow_guard():
         _ = big * MultiPoly(F3, 2, {(0, j): 1 for j in range(1, 1100)})
 
 
+def test_sum_past_the_term_cap_overflows(monkeypatch):
+    F3 = ff.make_field(3, 1)
+    x = [MultiPoly.variable(F3, 3, k) for k in (1, 2, 3)]
+    monkeypatch.setattr(polyring, "TERM_CAP", 3)
+    assert len((x[0] + x[1] + x[2]).terms) == 3
+    with pytest.raises(DegreeOverflow):
+        _ = x[0] + x[1] + x[2] + MultiPoly.constant(F3, 3, 1)
+
+
 def test_grading_spec_values():
     spec = GradingSpec((2, 2, 2))
     assert spec.E == 8 and spec.N == 7
@@ -86,15 +96,14 @@ def test_is_graded_examples():
     assert is_graded(tau1, spec)
     bad = letter_endo(Transvection(1, 2, 1, 1), 1, F23, 3)  # x1 -> x1 + x2
     assert not is_graded(bad, spec)
-    assert is_graded(PolyEndo.identity(F23, 3), spec)
+    assert is_graded(word_to_endo(Word(), F23, 3), spec)
 
 
 def test_graded_closed_under_composition():
     F23 = ff.make_field(23, 1)
     spec = GradingSpec((2, 2, 2))
-    f = letter_endo(Transvection(1, 2, 2, 1), 1, F23, 3)
-    g = letter_endo(Transvection(2, 3, 2, 5), 1, F23, 3)
-    assert is_graded(compose(f, g), spec)
+    f, g = Transvection(1, 2, 2, 1), Transvection(2, 3, 2, 5)
+    assert is_graded(word_to_endo(Word.of(g, f), F23, 3), spec)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,11 +1,13 @@
+import hashlib
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamexp import ff
-from tamexp.errors import DimensionMismatch
+from tamexp import ff, polyring, synth
+from tamexp.errors import DegreeOverflow, DimensionMismatch
 from tamexp.tame import (BiTransvection, CoordCycle, GroupParams,
                          PolyTransvection, Transvection, Word, apply_letter,
                          apply_word, apply_word_arrays, parse_word,
@@ -282,3 +284,50 @@ def test_same_action_agrees_with_the_point_action():
     assert same_action(u, v, as_coords(fixed), F5)
     assert not same_action(u, v, as_coords(fixed + [(0, 1, 0)]), F5)
     assert same_action(u + u.inverse(), v, as_coords(pts), F5)
+
+
+# sha256 prefixes of the image texts of word_to_endo(alpha_word(i, j, m, 1))
+# over F_p, for i != j in permutation order and m in (0, 1)
+GOLDEN_ENDOS = {
+    (5, (1, 1, 2)): """
+        669b1ae42ef15dc3 0e3647ba7a9cf5ba a857dd51bb733753 c342ef37c1f0151f
+        bcd2fe4c5e180d01 7d53e5370885ea33 2e8b553f2db20b7d ec86a8d5ce3e349e
+        64ce1557ce323ee5 ee75f64cb2103633 056961a9797c2cdf bcb9d4aac8f595fe""",
+    (7, (1, 2, 2)): """
+        669b1ae42ef15dc3 2e037861e4b70632 c342ef37c1f0151f 07a6fc1cfb5aa383
+        4ec864105cdcc2b1 60361dee0c65993b ec86a8d5ce3e349e a961b9b3acd0246a
+        64ce1557ce323ee5 3dd03d1e405c18ee 056961a9797c2cdf e34a9e56dad261da""",
+    (11, (1, 1, 3)): """
+        669b1ae42ef15dc3 ade6e039a6a5f2ea a857dd51bb733753 e33e5ae74a116243
+        7d53e5370885ea33 e1547b70842dacd0 2e8b553f2db20b7d 0007e0e8d76e1259
+        ee75f64cb2103633 3dd03d1e405c18ee bcb9d4aac8f595fe e34a9e56dad261da""",
+    (23, (2, 2, 2)): """
+        0e3647ba7a9cf5ba 30dc03ffa8cd03ff 7795c30c53ff9d8f 47ea7d74d2809cb0
+        4ec864105cdcc2b1 1343521b54af73fc ec86a8d5ce3e349e 78a9661297144580
+        64ce1557ce323ee5 be7a2568a1c0a385 2df9d4e6bfd4cfb6 e0946322711503be""",
+}
+
+
+@pytest.mark.parametrize("p,e", list(GOLDEN_ENDOS))
+def test_golden_alpha_word_endos(p, e):
+    s = synth.TransvectionSynthesizer(GroupParams(p, 3, e))
+    ctx = ff.make_field(p, 1)
+    got = []
+    for i, j in itertools.permutations((1, 2, 3), 2):
+        for m in (0, 1):
+            endo = word_to_endo(s.alpha_word(i, j, m, 1), ctx, 3)
+            text = "\n".join(f.text() for f in endo.images)
+            got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert got == GOLDEN_ENDOS[p, e].split()
+
+
+def test_word_to_endo_respects_the_term_cap(monkeypatch):
+    # the 238-letter word ends at 1-2 terms per image, but its prefixes
+    # pass through images of up to 28 terms
+    word = synth.TransvectionSynthesizer(
+        GroupParams(23, 3, (2, 2, 2))).alpha_word(1, 3, 1, 1)
+    F23 = ff.make_field(23, 1)
+    assert max(len(f.terms) for f in word_to_endo(word, F23, 3).images) <= 2
+    monkeypatch.setattr(polyring, "TERM_CAP", 4)
+    with pytest.raises(DegreeOverflow):
+        word_to_endo(word, F23, 3)
