@@ -93,10 +93,11 @@ def components(maps):
     with the smallest point of its component.
 
     Root hooking (Shiloach and Vishkin, J. Algorithms 3, 1982) over a
-    parent forest f with f[x] <= x.  Each round moves every edge to its
-    pair of roots, drops the edges inside one tree, hooks each larger
-    root under its smallest neighbouring root, and flattens f by pointer
-    jumping.  Edges are read in both directions, so the maps need not be
+    parent forest f with f[x] <= x, whose edges always join roots (at the
+    start every point is one).  Each round drops the edges inside one
+    tree, hooks each larger root under its smallest neighbouring root,
+    flattens f by pointer jumping, and moves every edge left to its pair
+    of roots.  Edges are read in both directions, so the maps need not be
     permutations.  Every round with an edge left merges two trees, and
     the roots are tree minima, so once no edge is left f[x] is the
     smallest point of x's component.
@@ -105,13 +106,13 @@ def components(maps):
     u = np.tile(f, len(maps))
     v = np.concatenate([np.asarray(g, dtype=np.int32) for g in maps])
     while u.size:
-        u, v = f[u], f[v]
         live = u != v
         u, v = u[live], v[live]
         u, v = np.maximum(u, v), np.minimum(u, v)
         np.minimum.at(f, u, v)
         while not np.array_equal(jumped := f[f], f):
             f = jumped
+        u, v = f[u], f[v]
     return f
 
 

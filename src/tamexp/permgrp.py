@@ -8,10 +8,15 @@ type, and one layered BFS Schreier tree (`_schreier_tree`) every orbit.
 
 Two chain strategies share the StabChain interface:
 
-* 'dense' is a deterministic Schreier-Sims, verified by sifting every
+* 'dense' is a deterministic Schreier-Sims, verified by checking every
   Schreier generator.  A level keeps its inverse coset representatives
-  as one int32 (orbit x d) array, so a sift step is one gather.  Fine for
-  groups whose chain is small (moderate order, or small degree).
+  w_y = u_y^-1 as one int32 (orbit x d) array, so a sift step is one
+  gather.  u_y g w_{g(y)} sifts to the identity iff g w_{g(y)}, gathered
+  through the deeper rows its sift picks, is the stored row w_y; the
+  picks come from the tree images u_y(b_j), so no row is inverted, and a
+  Schreier-tree edge (u_{g(y)} = u_y g) gives the identity and is
+  skipped.  Fine for groups whose chain is small (moderate order, or
+  small degree).
 
 * 'cycles' is the chain of Alt(d) for giant alternating groups, taken
   once Alt(d) <= G is proved.  A random element powers to a 3-cycle
@@ -41,7 +46,7 @@ import numpy as np
 from .errors import BoundViolated, BudgetExceeded
 from .orbits import components
 
-MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators sifted
+MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators considered
 LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
 RATTLE_EXTRA = 5  # identity slots of the rattle beside the generators
 RATTLE_SCRAMBLE = 40  # rattle stirs before the first sample, plus 4 per generator
@@ -169,10 +174,12 @@ def _schreier_tree(root, moves):
 
 
 def _inverse_transversal(point, gens):
-    """(index, inv) for the orbit of point: inv[index[y]] is u_y^-1, where
-    u_y, the word along the Schreier tree path to y, maps point to y.
+    """(index, inv, tree) for the orbit of point: inv[index[y]] is u_y^-1,
+    where u_y, the word along the Schreier tree path to y, maps point to y.
     inv is one int32 row per orbit point in BFS order; index is -1 off
-    the orbit."""
+    the orbit.  tree is one (parent rows, moves) pair per BFS layer: the
+    layer's points take the next rows in order, each reached from its
+    parent by gens[move]."""
     d = len(gens[0])
     layers = _schreier_tree(point, gens)
     orbit = np.concatenate([[point]] + [kids for kids, _, _ in layers])
@@ -186,7 +193,21 @@ def _inverse_transversal(point, gens):
             sel = move == m
             # u_kid = u_parent g, so u_kid^-1 = g^-1 u_parent^-1
             inv[index[kids[sel]]] = inv[index[parents[sel]]][:, ginv]
-    return index, inv
+    return index, inv, [(index[parents], move) for _, parents, move in layers]
+
+
+def _tree_images(tree, gens, points):
+    """(orbit x len(points)) array whose row for y holds u_y(points), from
+    u_kid(x) = g(u_parent(x)) down the tree: O(orbit) per point."""
+    moves = np.array(gens)
+    images = np.empty((1 + sum(len(move) for _, move in tree), len(points)),
+                      dtype=np.int32)
+    images[0] = points
+    row = 1
+    for parents, move in tree:
+        images[row:row + len(move)] = moves[move[:, None], images[parents]]
+        row += len(move)
+    return images
 
 
 @dataclass
@@ -195,6 +216,7 @@ class _DenseLevel:
     gens: list
     index: np.ndarray = None  # point -> row of inv, -1 off the orbit
     inv: np.ndarray = None  # int32 inverse coset representatives, one per row
+    tree: list = None  # (parent rows, moves) per BFS layer, as built
 
 
 def _sift_dense(levels, g, start=0):
@@ -266,7 +288,8 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
     orbit runs over all generators of levels >= k.  Level k is verified by
     sifting all its Schreier generators through the deeper levels, deepest
     levels first, so on return the chain is complete and the product of
-    orbit sizes is the exact group order.
+    orbit sizes is the exact group order.  max_sifts caps the Schreier
+    generators considered, tree edges included (BudgetExceeded).
     """
     gens = [np.asarray(g, dtype=np.int64) for g in gens]
     degree = len(gens[0])
@@ -289,24 +312,45 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
                                       []))
         levels[j].gens.append(g)
         for k, lv in enumerate(levels[:j + 1]):
-            lv.index, lv.inv = _inverse_transversal(lv.point, gens_at(k))
+            lv.index, lv.inv, lv.tree = _inverse_transversal(lv.point,
+                                                              gens_at(k))
         return j
 
     def unsifted_schreier_gen(k):
+        # With w_y = u_y^-1 the stored row of y and W the product of the
+        # deeper rows that the sift of s = u_y g w_{g(y)} picks, s W = id
+        # iff t W = w_y for t = g w_{g(y)}; the sift reads s(b_j) =
+        # t(u_y(b_j)) at level j, so no u_y is ever formed
         nonlocal sift_count
         lv = levels[k]
         level_gens = gens_at(k)
-        for uy_inv in lv.inv:
-            uy = inverse(uy_inv)
-            y = uy[lv.point]
-            for g in level_gens:
+        deeper = levels[k + 1:]
+        images = _tree_images(lv.tree, level_gens,
+                              [lv.point] + [dl.point for dl in deeper])
+        on_tree = np.zeros((len(lv.inv), len(level_gens)), dtype=bool)
+        for parents, move in lv.tree:
+            on_tree[parents, move] = True
+        for w_y, (y, *at), edges in zip(lv.inv, images, on_tree.tolist()):
+            for g, edge in zip(level_gens, edges):
                 sift_count += 1
                 if sift_count > max_sifts:
                     raise BudgetExceeded("schreier-sims work budget exceeded")
-                schreier = compose(compose(uy, g), lv.inv[lv.index[g[y]]])
-                residue = _sift_dense(levels, schreier, k + 1)
-                if not is_identity(residue):
-                    return residue
+                if edge:
+                    continue  # u_{g(y)} = u_y g, so s is the identity
+                w_gy = lv.inv[lv.index[g[y]]]
+                t = w_gy.take(g)
+                for dl, x in zip(deeper, at):
+                    row = dl.index[t[x]]
+                    if row < 0:
+                        break
+                    t = dl.inv[row].take(t)
+                else:
+                    # both int32 and contiguous: equal arrays, equal bytes
+                    if t.tobytes() == w_y.tobytes():
+                        continue
+                return _sift_dense(levels,
+                                   compose(compose(inverse(w_y), g), w_gy),
+                                   k + 1)
         return None
 
     for g in gens:

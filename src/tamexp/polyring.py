@@ -110,15 +110,19 @@ class MultiPoly:
         return out
 
     def power(self, e):
-        result = MultiPoly.constant(self.ctx, self.n, 1)
+        """self^e by repeated squaring; the product starts from the first
+        square it needs, not from the constant 1."""
+        if not e:
+            return MultiPoly.constant(self.ctx, self.n, 1)
         base = self
-        while e:
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        while e := e >> 1:
+            base = base * base
             if e & 1:
                 result = result * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
-            e >>= 1
         return result
 
     def total_degree(self):
@@ -164,15 +168,16 @@ class MultiPoly:
         out = MultiPoly(ctx, n_out)
         pow_cache = [dict() for _ in range(self.n)]
         for expv, c in self.terms.items():
-            t = MultiPoly.constant(ctx, n_out, c)
+            t = None
             for i, e in enumerate(expv):
                 if e:
                     pe = pow_cache[i].get(e)
                     if pe is None:
                         pe = images[i].power(e)
                         pow_cache[i][e] = pe
-                    t = t * pe
-            out = out + t
+                    t = pe.scaled(c) if t is None else t * pe
+            out = out + (MultiPoly.constant(ctx, n_out, c) if t is None
+                         else t)
         return out
 
     def text(self):

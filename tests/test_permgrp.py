@@ -210,6 +210,99 @@ def test_chain_order_divides_factorial_and_gen_orders():
         assert chain.order % pg.perm_order(g) == 0
 
 
+def _reference_schreier_sims(gens):
+    """The plain loop: sift every Schreier generator u_y g u_{g(y)}^-1 as
+    a permutation, forming each u_y by inverting its stored row.  Returns
+    (base, orbit sizes, strong generators per level, generators sifted)."""
+    gens = [np.asarray(g, dtype=np.int64) for g in gens]
+    levels, sifted = [], 0
+
+    def gens_at(k):
+        return [g for lv in levels[k:] for g in lv.gens]
+
+    def add_gen(g):
+        j = next((k for k, lv in enumerate(levels) if g[lv.point] != lv.point),
+                 len(levels))
+        if j == len(levels):
+            moved = np.flatnonzero(g != np.arange(len(g)))
+            levels.append(pg._DenseLevel(int(moved[0]), []))
+        levels[j].gens.append(g)
+        for k, lv in enumerate(levels[:j + 1]):
+            lv.index, lv.inv, _ = pg._inverse_transversal(lv.point, gens_at(k))
+        return j
+
+    def unsifted(k):
+        nonlocal sifted
+        lv = levels[k]
+        for row in lv.inv:
+            uy = pg.inverse(row)
+            y = uy[lv.point]
+            for g in gens_at(k):
+                sifted += 1
+                s = pg.compose(pg.compose(uy, g), lv.inv[lv.index[g[y]]])
+                residue = pg._sift_dense(levels, s, k + 1)
+                if not pg.is_identity(residue):
+                    return residue
+        return None
+
+    for g in gens:
+        if not pg.is_identity(g):
+            add_gen(g)
+    k = len(levels) - 1
+    while k >= 0:
+        residue = unsifted(k)
+        k = k - 1 if residue is None else add_gen(residue)
+    return ([lv.point for lv in levels], [len(lv.inv) for lv in levels],
+            [lv.gens for lv in levels], sifted)
+
+
+def _sl3_on_vectors(p):
+    F = ff.make_field(p, 1)
+    params = tame.GroupParams(p, 3, (1, 1, 1))
+    words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
+    return [word_code_perm(w, nonzero_codes(p, 3), F, 3) for w in words]
+
+
+_IMPRIMITIVE = [pg.perm_from_cycles(6, [[0, 1, 2]]),
+                pg.perm_from_cycles(6, [[3, 4, 5]]),
+                pg.perm_from_cycles(6, [[0, 3], [1, 4], [2, 5]])]
+
+
+def _assert_same_chain(gens):
+    base, sizes, strong, sifted = _reference_schreier_sims(gens)
+    chain = pg.schreier_sims(gens)
+    assert chain.base == base and chain.orbit_sizes == sizes
+    assert len(chain.levels) == len(strong)
+    for lv, want in zip(chain.levels, strong):
+        assert len(lv.gens) == len(want)
+        for g, h in zip(lv.gens, want):
+            assert g.dtype == h.dtype and np.array_equal(g, h)
+    return sifted
+
+
+@pytest.mark.parametrize("gens", [_sl3_on_vectors(5), _sl3_on_vectors(7),
+                                  _IMPRIMITIVE], ids=["sl3-f5", "sl3-f7",
+                                                      "imprimitive"])
+def test_schreier_sims_matches_the_plain_loop(gens):
+    _assert_same_chain(gens)
+
+
+def test_schreier_sims_matches_the_plain_loop_on_random_groups():
+    rng = random.Random(20)
+    for _ in range(150):
+        _assert_same_chain(_random_generators(rng))
+
+
+@pytest.mark.parametrize("gens", [_sl3_on_vectors(5), _IMPRIMITIVE],
+                         ids=["sl3-f5", "imprimitive"])
+def test_schreier_sims_budget_counts_every_schreier_generator(gens):
+    # tree edges are skipped unsifted but still count against the budget
+    n = _reference_schreier_sims(gens)[3]
+    assert pg.schreier_sims(gens, max_sifts=n).order == _sympy_order(gens)
+    with pytest.raises(BudgetExceeded):
+        pg.schreier_sims(gens, max_sifts=n - 1)
+
+
 def test_schreier_sims_budget():
     gens = [pg.perm_from_cycles(40, [[0, 1, 2]]),
             pg.perm_from_cycles(40, [list(range(1, 40))])]

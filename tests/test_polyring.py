@@ -114,3 +114,14 @@ def test_grading_degree_additive_on_products(m1, m2):
     total = tuple(a + b for a, b in zip(m1, m2))
     assert grading_degree(total, spec) == \
         (grading_degree(tuple(m1), spec) + grading_degree(tuple(m2), spec)) % spec.N
+
+
+@pytest.mark.parametrize("p, ell", [(5, 1), (3, 2)])
+def test_power_matches_repeated_products(p, ell):
+    F = ff.make_field(p, ell)
+    f = MultiPoly(F, 3, {(1, 0, 0): 1, (0, 2, 1): 2, (0, 0, 0): 3})
+    want = MultiPoly.constant(F, 3, 1)
+    for e in range(7):
+        got = f.power(e)
+        assert got == want and got.text() == want.text()
+        want = want * f
