@@ -45,7 +45,7 @@ def main():
                  tame.Word.of(tame.Transvection(1, 2, 1, 1)),
                  tame.Word.of(tame.Transvection(1, 2, 2, 1))]
         codes = np.arange(1, p**3, dtype=np.int64)
-        gens = [orbits.word_code_perm(w, codes, ctx, 3) for w in words]
+        gens = orbits.word_code_perms(words, codes, ctx, 3)
         cert = timed(f"p={p}: certify Alt({p**3 - 1})",
                      lambda: permgrp.certify_alternating(
                          permgrp.build_chain(gens, seed=1)))
@@ -56,8 +56,9 @@ def main():
     print("dense Schreier-Sims (SL_3(F_5) on F_5^3 minus 0):")
     sl3 = tame.GroupParams(5, 3, (1, 1, 1))
     codes = np.arange(1, 5**3, dtype=np.int64)
-    gens = [orbits.word_code_perm(tame.Word.of(tame.tau(sl3, i, 1)), codes,
-                                  ff.make_field(5, 1), 3) for i in (1, 2, 3)]
+    gens = orbits.word_code_perms(
+        [tame.Word.of(tame.tau(sl3, i, 1)) for i in (1, 2, 3)], codes,
+        ff.make_field(5, 1), 3)
     chain = timed("order 372000, verdict Proper",
                   lambda: permgrp.build_chain(gens, seed=1))
     cert = permgrp.certify_alternating(chain)

@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 import numpy as np
 
 from . import __version__, ff, orbits, permgrp, spectra, synth, tame
-from .errors import BoundViolated, BudgetExceeded, ProbeFailed, TamexpError
+from .errors import (BoundViolated, BudgetExceeded, FieldTooLarge,
+                     ProbeFailed, TamexpError)
 
 SCHEMA = 1
 
@@ -139,11 +141,10 @@ def cmd_certify_alt(args):
         domain_size = len(perms[0])
         domain_kind = "gamma-classes of the largest orbit"
     else:
-        codes = _nonzero_codes(ctx.q, n)
-        if len(codes) > 10**5:
-            raise BudgetExceeded(f"domain of {len(codes)} points exceeds 1e5")
-        perms = [orbits.word_code_perm(w, codes, ctx, n) for w in words]
-        domain_size = len(codes)
+        domain_size = ctx.q**n - 1
+        if domain_size > 10**5:  # checked before the codes are allocated
+            raise BudgetExceeded(f"domain of {domain_size} points exceeds 1e5")
+        perms = orbits.word_code_perms(words, _nonzero_codes(ctx.q, n), ctx, n)
         domain_kind = "nonzero points"
     chain = permgrp.build_chain(perms, seed=seed)
     cert = permgrp.certify_alternating(chain)
@@ -168,8 +169,8 @@ def _class_action_perms(codes, words, ctx, n, spec, params):
     codes = np.sort(codes)
     roots = orbits.gamma_classes(codes, spec, params).roots
     reps, class_id = orbits.component_ids(roots)
-    return [class_id[orbits.word_code_perm(w, codes, ctx, n)[reps]]
-            for w in words]
+    return [class_id[g[reps]]
+            for g in orbits.word_code_perms(words, codes, ctx, n)]
 
 
 def cmd_orbits(args):
@@ -318,7 +319,7 @@ def _lemma_fields(qmax):
     Both lemmas are vacuous over a prime field, where every element
     generates F_p, so prime fields are left to the unit tests."""
     out = []
-    for p in range(2, qmax + 1):
+    for p in range(2, isqrt(qmax) + 1):
         if not ff.is_prime(p):
             continue
         ell = 2
@@ -350,7 +351,13 @@ def _lemma_field_worker(task):
 def cmd_verify_lemmas(args):
     import random as _random
 
-    tasks = [(p, ell, args.nmax) for p, ell in _lemma_fields(args.qmax)]
+    fields = _lemma_fields(args.qmax)
+    largest = max(p**ell for p, ell in fields)  # --qmax >= 4 holds F_4
+    if largest > ff.TABLE_LIMIT:
+        raise FieldTooLarge(f"--qmax {args.qmax} reaches a field of {largest} "
+                            f"elements, beyond the {ff.TABLE_LIMIT}-element "
+                            "field tables")
+    tasks = [(p, ell, args.nmax) for p, ell in fields]
     field_results = _pool_map(_lemma_field_worker, tasks, args.threads)
     checks = []
     ok = True
@@ -526,7 +533,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except BadInput as exc:
+    except (BadInput, FieldTooLarge) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 3
     except (BudgetExceeded, MemoryError) as exc:  # MemoryError: a backstop

@@ -49,6 +49,11 @@ class ValueOutsideSubfield(TamexpError):
     pass
 
 
+class FieldTooLarge(TamexpError):
+    """A field beyond ff.TABLE_LIMIT where the array kernels need its
+    exp/log tables: an input the command cannot run with."""
+
+
 class NotClosed(TamexpError):
     """A generator maps a domain point outside the domain."""
 

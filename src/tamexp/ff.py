@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import BoundViolated, DegreeZero, NonPrime
+from .errors import BoundViolated, DegreeZero, FieldTooLarge, NonPrime
 
 PRIME_LIMIT = 1 << 31
 ORDER_LIMIT = 1 << 40  # keeps point indices of F_q^n in 64-bit range
@@ -366,7 +366,7 @@ class FieldCtx:
     def _exp_log(self):
         if self._exp is None:
             if self.q > TABLE_LIMIT:
-                raise ValueError("field too large for exp/log tables")
+                raise FieldTooLarge("field too large for exp/log tables")
             g = self.multiplicative_generator()
             exp = np.empty(2 * (self.q - 1), dtype=np.int64)
             x = 1

@@ -4,8 +4,9 @@ constructive almost-k-transitivity probe.
 
 Points of F_q^n are tuples of field-element indices; bulk code paths pack
 a point into a single integer sum(idx_i * q^i), so index 0 is the origin.
-This module owns that format: `word_code_perm` turns a word into a
-permutation of a code set, and `components` finds the connected
+This module owns that format: `code_perms` turns maps on coordinate
+arrays (words through `word_code_perms`, Frobenius, m_lambda) into
+permutations of a code set, and `components` finds the connected
 components under such maps.  Orbits are the components under the
 standard generators with r = 1, Gamma-classes those under Frobenius and
 m_lambda.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, prod
 
 import numpy as np
@@ -68,23 +70,31 @@ def coords_to_codes(coords, q):
 # maps on point codes and their connected components
 
 
-def code_perm(codes, images, universe):
-    """Positions of `images` in the distinct codes `codes`, all below
-    `universe`, through one universe-entry int32 lookup table; raises
+def code_perms(maps, codes, q, n):
+    """Positions in the distinct codes `codes` of F_q^n, in any order, of
+    their images under each map on per-coordinate index arrays, split per
+    map and looked up in one shared int32 table of q^n entries; raises
     NotClosed if an image is not in `codes`."""
-    lookup = np.full(universe, -1, dtype=np.int32)
-    lookup[codes] = np.arange(len(codes), dtype=np.int32)
-    pos = lookup[images]
-    if (pos < 0).any():
-        raise NotClosed("a map sends a point outside the domain")
-    return pos
+    lookup, perms = None, []
+    for f in maps:
+        coords = f(codes_to_coords(codes, q, n))
+        images = coords_to_codes(coords, q)
+        if lookup is None:  # after the first map's arrays: built before
+            # them it cost a fresh process 50% more page faults (glibc)
+            lookup = np.full(q**n, -1, dtype=np.int32)
+            lookup[codes] = np.arange(len(codes), dtype=np.int32)
+        pos = lookup[images]
+        if (pos < 0).any():
+            raise NotClosed("a map sends a point outside the domain")
+        perms.append(pos)
+        del coords, images  # one map's arrays alive at a time
+    return perms
 
 
-def word_code_perm(word, codes, ctx, n):
-    """The permutation a word induces on a set of codes of F_q^n, as
-    positions into `codes`."""
-    coords = apply_word_arrays(word, codes_to_coords(codes, ctx.q, n), ctx)
-    return code_perm(codes, coords_to_codes(coords, ctx.q), ctx.q**n)
+def word_code_perms(words, codes, ctx, n):
+    """code_perms of the action of each word."""
+    return code_perms([partial(apply_word_arrays, w, ctx=ctx) for w in words],
+                      codes, ctx.q, n)
 
 
 def components(maps):
@@ -176,12 +186,6 @@ def gamma_apply(which, point, spec):
 
 def _gamma_coords(which, coords, spec):
     return [t[c] for t, c in zip(_gamma_tables(which, spec), coords)]
-
-
-def gamma_apply_codes(which, codes, spec, n):
-    q = spec.ctx.q
-    return coords_to_codes(
-        _gamma_coords(which, codes_to_coords(codes, q, n), spec), q)
 
 
 def _gamma_twists(point, spec):
@@ -284,9 +288,9 @@ class OrbitPartition:
 def _generator_maps(params, ctx):
     """Code maps of the standard generators on all of F_q^n; orbits are
     their components, inverses being implied by the undirected edges."""
-    codes = np.arange(ctx.q**params.n, dtype=np.int64)
-    return [word_code_perm(Word.of(tau(params, i, 1)), codes, ctx, params.n)
-            for i in range(1, params.n + 1)]
+    words = [Word.of(tau(params, i, 1)) for i in range(1, params.n + 1)]
+    return word_code_perms(words, np.arange(ctx.q**params.n, dtype=np.int64),
+                           ctx, params.n)
 
 
 def orbit_partition(params, ell, budget=10**7, seed=0):
@@ -334,9 +338,9 @@ def gamma_classes(orbit_codes, spec, params):
     smallest code."""
     codes = np.sort(np.asarray(orbit_codes, dtype=np.int64))
     try:
-        maps = [code_perm(codes, gamma_apply_codes(which, codes, spec, params.n),
-                          spec.ctx.q**params.n)
-                for which in ("frobenius", "mlambda")]
+        maps = code_perms([partial(_gamma_coords, which, spec=spec)
+                           for which in ("frobenius", "mlambda")],
+                          codes, spec.ctx.q, params.n)
     except NotClosed:
         raise BoundViolated("orbit is not Gamma-invariant") from None
     roots = components(maps)

@@ -482,9 +482,10 @@ def certify_alternating(chain):
     if any(e and not chain.contains(g) for g, e in zip(chain.gens, even)):
         raise BoundViolated("a generator does not sift through its chain")
     full = factorial(d)
-    # a group of order d!/2 is Alt(d), a lower bound for a 'cycles' group:
-    # an odd generator then makes it Sym(d)
-    order = chain.order  # a product over the levels: read it once
+    # a 'cycles' chain proves Alt(d) <= G (orbit sizes d, ..., 3), so its
+    # order d!/2 comes from the one factorial; an odd generator then makes
+    # it Sym(d).  A dense chain's order is the product over its levels.
+    order = full // 2 if chain.strategy == "cycles" else chain.order
     if order == full // 2 and not all(even):
         order = full
     verdict = ("Alt" if order == full // 2 else "Sym" if order == full

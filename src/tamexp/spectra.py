@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .orbits import components, word_code_perm
+from .orbits import components, word_code_perms
+from .permgrp import inverse
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .orbits import codes_to_coords  # noqa: F401
 
@@ -44,11 +45,11 @@ class SchreierGraph:
 
 
 def build_schreier(domain_codes, gen_words, ctx, n):
-    """Orbit graph on a set of point codes closed under the generators;
-    raises NotClosed otherwise."""
+    """Orbit graph on a set of point codes closed under the generators, else
+    NotClosed; each inverse word's column is the inverse permutation."""
     codes = np.sort(np.asarray(domain_codes, dtype=np.int64))
-    cols = [word_code_perm(word, codes, ctx, n)
-            for w in gen_words for word in (w, w.inverse())]
+    cols = [c for g in word_code_perms(gen_words, codes, ctx, n)
+            for c in (g, inverse(g))]
     return SchreierGraph(len(codes), 2 * len(gen_words), np.stack(cols, axis=1))
 
 

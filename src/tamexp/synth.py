@@ -34,10 +34,10 @@ from math import comb
 import numpy as np
 
 from .errors import (BadExponent, BoundViolated, BudgetExceeded,
-                     ClashingMinimalPolynomials, NotInvertible, RankTooLarge,
-                     ValueOutsideSubfield)
-from .ff import (make_field, minimal_polynomial, poly_add, poly_mul,
-                 poly_trim, solve_mod_p)
+                     ClashingMinimalPolynomials, FieldTooLarge, NotInvertible,
+                     RankTooLarge, ValueOutsideSubfield)
+from .ff import (TABLE_LIMIT, make_field, minimal_polynomial, poly_add,
+                 poly_mul, poly_trim, solve_mod_p)
 from .tame import (BiTransvection, Transvection, Word, letter_endo,
                    poly_transvection_letter, same_action, sample_coords, tau,
                    word_to_endo)
@@ -430,32 +430,36 @@ class SynthCert:
         return len(self.word)
 
 
-def _grid_ctx(params, degree):
-    m = 1
-    while params.p**m <= degree + 1:
-        m += 1
-    ctx = make_field(params.p, m)
-    exhaustive = ctx.q ** params.n <= GRID_CAP
-    return ctx, exhaustive
-
-
-def _verify_word_letter(word, letter, params):
-    """One comparison of word and letter on code arrays of ctx^n: every
-    point ("exhaustive") up to GRID_CAP points, else VERIFY_SAMPLES seeded
-    points ("sampled"), which must be followed by equal endomorphisms."""
+def _grid_ctx(params, letter):
+    """F_{p^m} with p^m > deg + 1 for the letter's degree deg in a_j, the
+    field a word for the letter is checked over.  Raises FieldTooLarge,
+    before any synthesis, when p^m is beyond the exp/log tables."""
     if isinstance(letter, Transvection):
         degree = letter.e
     else:
         degree = letter.t + letter.nexp * max(
             (m for m, c in enumerate(letter.coeffs) if c), default=0)
-    ctx, exhaustive = _grid_ctx(params, degree)
-    n = params.n
+    m = 1
+    while params.p**m <= degree + 1:
+        m += 1
+    if params.p**m > TABLE_LIMIT:
+        raise FieldTooLarge(f"checking the word needs a field of "
+                            f"{params.p}^{m} elements, beyond the "
+                            f"{TABLE_LIMIT}-element field tables")
+    return make_field(params.p, m)
+
+
+def _verify_word_letter(word, letter, ctx, n):
+    """One comparison of word and letter on code arrays of ctx^n: every
+    point ("exhaustive") up to GRID_CAP points, else VERIFY_SAMPLES seeded
+    points ("sampled"), which must be followed by equal endomorphisms."""
+    exhaustive = ctx.q ** n <= GRID_CAP
     coords = _check_coords(ctx, n, exhaustive, VERIFY_SAMPLES, random.Random(0))
     ok = same_action(word, Word.of(letter), coords, ctx)
     symbolic = ok and not exhaustive
     if symbolic:
         ok = word_to_endo(word, ctx, n) == letter_endo(letter, +1, ctx, n)
-    return (ok, "exhaustive" if exhaustive else "sampled", symbolic, ctx,
+    return (ok, "exhaustive" if exhaustive else "sampled", symbolic,
             len(coords[0]))
 
 
@@ -472,9 +476,10 @@ def synth_transvection(i, j, t, r, params, budget=10**6, synthesizer=None):
         raise BadExponent(
             f"t={t} violates t = t_ij + m(E-1) with t_ij={params_tij}, E-1={E - 1}")
     m = (t - params_tij) // (E - 1)
-    word = synth.alpha_word(i, j, m, r % params.p)
     letter = Transvection(i, j, t, r % params.p)
-    ok, mode, symbolic, ctx, npts = _verify_word_letter(word, letter, params)
+    ctx = _grid_ctx(params, letter)
+    word = synth.alpha_word(i, j, m, r % params.p)
+    ok, mode, symbolic, npts = _verify_word_letter(word, letter, ctx, params.n)
     return SynthCert(f"T({i},{j},{t},{r % params.p})", word, ok, mode,
                      symbolic, ctx.serialize(), npts)
 
@@ -485,15 +490,15 @@ def synth_poly_transvection(i, j, coeffs, params, budget=10**6,
     per nonzero monomial of P (they commute)."""
     coeffs = tuple(c % params.p for c in coeffs)
     synth = synthesizer or TransvectionSynthesizer(params, budget)
-    tij = params.tij(i, j)
+    letter = poly_transvection_letter(params, i, j, coeffs)
+    ctx = _grid_ctx(params, letter)
     word = Word()
     for m, c in enumerate(coeffs):
         if c:
             word = word + synth.alpha_word(i, j, m, c)
             if len(word) > budget:
                 raise BudgetExceeded("synthesized word exceeds length budget")
-    letter = poly_transvection_letter(params, i, j, coeffs)
-    ok, mode, symbolic, ctx, npts = _verify_word_letter(word, letter, params)
+    ok, mode, symbolic, npts = _verify_word_letter(word, letter, ctx, params.n)
     return SynthCert(f"P({i},{j},{list(coeffs)})", word, ok, mode, symbolic,
                      ctx.serialize(), npts)
 
@@ -518,8 +523,8 @@ def elementary_abelian_witness(params, rank):
                            f"{WITNESS_GRID_CAP}")
     words = [synth.alpha_word(1, 2, k, 1) for k in range(rank)]
     codes = np.arange(ctx.q**params.n)
-    perms = [orbits.word_code_perm(w, codes, ctx, params.n) for w in words]
-    chain = permgrp.schreier_sims(perms)
+    chain = permgrp.schreier_sims(
+        orbits.word_code_perms(words, codes, ctx, params.n))
     if chain.order != params.p**rank:
         raise BoundViolated(
             f"witness group has order {chain.order}, expected {params.p**rank}")

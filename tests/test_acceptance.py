@@ -26,8 +26,7 @@ def thm15i_chains():
     for p in (3, 5, 7):
         ctx = ff.make_field(p, 1)
         n, words = thm15_words("i")
-        gens = [orbits.word_code_perm(w, nonzero_codes(p, 3), ctx, 3)
-                for w in words]
+        gens = orbits.word_code_perms(words, nonzero_codes(p, 3), ctx, 3)
         chains[p] = pg.build_chain(gens, seed=17)
     return chains
 
@@ -73,7 +72,7 @@ def test_criterion_2_degree4_case():
     ctx = ff.make_field(p, 1)
     nwords, words = thm15_words("ii")
     codes = nonzero_codes(q, n)
-    rho, gamma = [orbits.word_code_perm(w, codes, ctx, n) for w in words]
+    rho, gamma = orbits.word_code_perms(words, codes, ctx, n)
     chain = pg.build_chain([rho, gamma], seed=11)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"

@@ -221,6 +221,11 @@ def test_certify_thm15_on_classes_reads_ell(tmp_path, capsys):
     "verify-lemmas --trials 0",
     "verify-lemmas --qmax 3",
     "gap --threads 0",
+    # fields beyond the exp/log tables: the checks cannot run
+    "synth --p 65537 --e 1,1,2 --t 2",
+    "synth --p 65537 --e 1,1,2 --poly 1",
+    "synth --p 3 --e 1,1,2 --t 70001",
+    "verify-lemmas --qmax 80000",
     # options the subcommand does not read
     "gap --k 2",
     "gap --method dense",
@@ -234,6 +239,14 @@ def test_bad_input_exit_code(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert err.startswith("bad input: ") and err.count("\n") == 1
+
+
+def test_domain_cap_is_checked_before_allocation(tmp_path, capsys):
+    # the 65537^3 - 1 codes would take 2 PiB
+    code, out = run(tmp_path, "certify-alt", "--p", "65537", "--e", "1,1,1")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "budget exceeded: domain of 281487861809152 points exceeds 1e5\n")
 
 
 @pytest.mark.parametrize("error", [BoundViolated, ProbeFailed])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import networkx as nx
 import numpy as np
@@ -9,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from tamexp import ff, orbits, permgrp, tame
 from tamexp.errors import BoundViolated
-from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_to_point,
-                           component_ids, components, compute_A0,
-                           gamma_apply, gamma_class_of, gamma_classes,
-                           make_gamma_spec, orbit_invariant, orbit_partition,
-                           point_to_code, transitivity_probe, word_code_perm)
+from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_perms,
+                           code_to_point, component_ids, components,
+                           compute_A0, gamma_apply, gamma_class_of,
+                           gamma_classes, make_gamma_spec, orbit_invariant,
+                           orbit_partition, point_to_code, transitivity_probe,
+                           word_code_perms)
 from tamexp.spectra import complete_graph, cycle_graph
 from tamexp.tame import (CoordCycle, GroupParams, Word, apply_letter,
                          apply_word, poly_transvection_letter, tau)
@@ -185,10 +187,10 @@ def test_frobenius_fixed_points():
     F9 = ff.make_field(3, 2)
     spec = make_gamma_spec(params, F9)
     codes = np.arange(9**3, dtype=np.int64)
-    f = orbits.gamma_apply_codes("frobenius", codes, spec, 3)
+    [f] = code_perms([partial(orbits._gamma_coords, "frobenius", spec=spec)],
+                     codes, 9, 3)
     assert int((f == codes).sum()) == 27
-    f2 = orbits.gamma_apply_codes("frobenius", f, spec, 3)
-    assert np.array_equal(f2, codes)
+    assert np.array_equal(f[f], codes)
 
 
 def test_gamma_classes_singletons_for_prime_field():
@@ -264,17 +266,30 @@ def test_orbit_partition_matches_networkx(p, ell, e):
 
 
 def test_word_code_perm_matches_scalar_action():
-    params = GroupParams(3, 3, (1, 1, 2))
+    # e = (1, 1, 3) over F_9: lambda = 2 has order 2, so m_lambda moves points
+    params = GroupParams(3, 3, (1, 1, 3))
     ctx = ff.make_field(3, 2)
     q = ctx.q
+    spec = make_gamma_spec(params, ctx)
+    assert spec.lam_order == 2
     poly = poly_transvection_letter(params, 1, 2, (1, 2))
-    word = Word([(CoordCycle(), 1), (poly, 1), (tau(params, 3, 1), -1),
-                 (CoordCycle(), -1), (poly, -1)])
+    words = [Word([(CoordCycle(), 1), (poly, 1), (tau(params, 3, 1), -1),
+                   (CoordCycle(), -1), (poly, -1)]),
+             Word.of(tau(params, 2, 1)), Word()]
     codes = np.random.default_rng(0).permutation(q**3)  # domain in any order
-    perm = word_code_perm(word, codes, ctx, 3)
-    for k, c in enumerate(codes.tolist()):
-        image = apply_word(word, code_to_point(c, q, 3), ctx)
-        assert codes[perm[k]] == point_to_code(image, q)
+    perms = word_code_perms(words, codes, ctx, 3) + code_perms(
+        [partial(orbits._gamma_coords, which, spec=spec)
+         for which in ("frobenius", "mlambda")], codes, q, 3)
+    scalar = [partial(apply_word, w, ctx=ctx) for w in words] + [
+        partial(gamma_apply, which, spec=spec)
+        for which in ("frobenius", "mlambda")]
+    assert len(perms) == len(scalar) == 5
+    for perm, act in zip(perms, scalar):
+        assert perm.dtype == np.int32
+        for k, c in enumerate(codes.tolist()):
+            image = act(code_to_point(c, q, 3))
+            assert codes[perm[k]] == point_to_code(image, q)
+    assert not np.array_equal(perms[4], np.arange(q**3))  # m_lambda moves
 
 
 @pytest.mark.parametrize("graph", [complete_graph(9), cycle_graph(10)])

@@ -10,7 +10,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from tamexp import ff, permgrp as pg, tame
 from tamexp.errors import BudgetExceeded
-from tamexp.orbits import word_code_perm
+from tamexp.orbits import word_code_perms
 
 from conftest import nonzero_codes, thm15_words
 
@@ -136,7 +136,7 @@ def test_certify_thm15i_p3():
     F3 = ff.make_field(3, 1)
     n, words = thm15_words("i")
     codes = nonzero_codes(3, 3)
-    gens = [word_code_perm(w, codes, F3, 3) for w in words]
+    gens = word_code_perms(words, codes, F3, 3)
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"
@@ -148,7 +148,7 @@ def test_certify_proper_sl3():
     F3 = ff.make_field(3, 1)
     params = tame.GroupParams(3, 3, (1, 1, 1))
     words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
-    gens = [word_code_perm(w, nonzero_codes(3, 3), F3, 3) for w in words]
+    gens = word_code_perms(words, nonzero_codes(3, 3), F3, 3)
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Proper"
@@ -167,17 +167,35 @@ def test_schreier_sims_order_matches_sympy(p, order):
     F = ff.make_field(p, 1)
     params = tame.GroupParams(p, 3, (1, 1, 1))
     words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
-    gens = [word_code_perm(w, nonzero_codes(p, 3), F, 3) for w in words]
+    gens = word_code_perms(words, nonzero_codes(p, 3), F, 3)
     assert pg.schreier_sims(gens).order == order == _sympy_order(gens)
 
 
 def test_ladder_order_matches_sympy():
     F3 = ff.make_field(3, 1)
     n, words = thm15_words("i")
-    gens = [word_code_perm(w, nonzero_codes(3, 3), F3, 3) for w in words]
+    gens = word_code_perms(words, nonzero_codes(3, 3), F3, 3)
     chain = pg.try_alt_ladder(gens, seed=1)
     assert chain.strategy == "cycles"
     assert chain.order == math.factorial(26) // 2 == _sympy_order(gens)
+
+
+@pytest.mark.parametrize("odd, verdict, order", [
+    (False, "Alt", math.factorial(9) // 2), (True, "Sym", math.factorial(9))])
+def test_cycles_certificate_takes_order_from_factorial(odd, verdict, order,
+                                                        monkeypatch):
+    # a 'cycles' chain is Alt(d): its order is d!/2 from the certificate's
+    # one factorial, with no product over the d - 2 levels
+    gens = [pg.perm_from_cycles(9, [[0, 1, 2]]),
+            pg.perm_from_cycles(9, [list(range(9))])]
+    gens += [pg.perm_from_cycles(9, [[0, 1]])] * odd
+    chain = pg.try_alt_ladder(gens, seed=2)
+    assert chain.strategy == "cycles"
+    monkeypatch.setattr(pg.StabChain, "order", property(
+        lambda self: pytest.fail("the level product was formed")))
+    cert = pg.certify_alternating(chain)
+    assert (cert.verdict, cert.order) == (verdict, order)
+    assert cert.all_even == (not odd)
 
 
 def test_certify_sym_with_odd_generator():
@@ -196,8 +214,7 @@ def test_even_parity_of_standard_generators():
         F = ff.make_field(p, 1)
         params = tame.GroupParams(p, 3, (1, 1, 2))
         words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
-        for w in words:
-            g = word_code_perm(w, nonzero_codes(p, 3), F, 3)
+        for g in word_code_perms(words, nonzero_codes(p, 3), F, 3):
             assert pg.parity(g) == "even"
 
 
@@ -260,7 +277,7 @@ def _sl3_on_vectors(p):
     F = ff.make_field(p, 1)
     params = tame.GroupParams(p, 3, (1, 1, 1))
     words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
-    return [word_code_perm(w, nonzero_codes(p, 3), F, 3) for w in words]
+    return word_code_perms(words, nonzero_codes(p, 3), F, 3)
 
 
 _IMPRIMITIVE = [pg.perm_from_cycles(6, [[0, 1, 2]]),
@@ -371,7 +388,7 @@ def test_certify_thm15ii_p5_alt78124():
     # the paper's headline family Alt(p^7 - 1) at p = 5
     F5 = ff.make_field(5, 1)
     n, words = thm15_words("ii")
-    gens = [word_code_perm(w, nonzero_codes(5, n), F5, n) for w in words]
+    gens = word_code_perms(words, nonzero_codes(5, n), F5, n)
     chain = pg.build_chain(gens, seed=0)
     cert = pg.certify_alternating(chain)
     assert cert.degree == 78124

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tamexp import ff, spectra, tame
+from tamexp import ff, orbits, spectra, tame
 from tamexp.errors import NoConvergence, NotClosed
 from tamexp.spectra import (AngleMatrix, KazhdanParams, angle_matrix_min_eig,
                             build_schreier, complete_graph, cycle_graph,
@@ -43,6 +43,22 @@ def test_schreier_graph_shapes():
     # all-ones is an eigenvector with eigenvalue 1
     ones = np.ones(26)
     assert np.allclose(g.matmat(ones), ones)
+
+
+@pytest.mark.parametrize("variant, p", [("i", 5), ("ii", 3)])
+def test_schreier_neighbors_match_inverse_words(variant, p):
+    # reference: act with w and w.inverse() and locate the images by
+    # binary search in the sorted codes
+    ctx = ff.make_field(p, 1)
+    n, words = thm15_words(variant)
+    codes = nonzero_codes(p, n)
+    coords = orbits.codes_to_coords(codes, p, n)
+    cols = [np.searchsorted(codes, orbits.coords_to_codes(
+                tame.apply_word_arrays(word, coords, ctx), p))
+            for w in words for word in (w, w.inverse())]
+    g = build_schreier(codes[::-1], words, ctx, n)  # sorted inside
+    assert g.neighbors.dtype == np.int32
+    assert np.array_equal(g.neighbors, np.stack(cols, axis=1))
 
 
 def test_not_closed():
