@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, ff, orbits, permgrp, spectra, synth, tame
 from .errors import (BoundViolated, BudgetExceeded, FieldTooLarge,
-                     ProbeFailed, TamexpError)
+                     NotClosed, ProbeFailed, TamexpError)
 
 SCHEMA = 1
 
@@ -136,8 +136,7 @@ def cmd_certify_alt(args):
         part = orbits.orbit_partition(params_, args.ell, budget=args.budget)
         spec = orbits.make_gamma_spec(params_, ctx)
         big = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
-        codes = np.flatnonzero(part.labels == big)
-        perms = _class_action_perms(codes, words, ctx, n, spec, params_)
+        perms = _class_action_perms(part.labels, big, words, ctx, n, spec)
         domain_size = len(perms[0])
         domain_kind = "gamma-classes of the largest orbit"
     else:
@@ -164,13 +163,21 @@ def cmd_certify_alt(args):
     return 0 if cert.verdict == "Alt" else 1
 
 
-def _class_action_perms(codes, words, ctx, n, spec, params):
-    """Permutations induced on the Gamma-classes of an invariant orbit."""
-    codes = np.sort(codes)
-    roots = orbits.gamma_classes(codes, spec, params).roots
-    reps, class_id = orbits.component_ids(roots)
-    return [class_id[g[reps]]
-            for g in orbits.word_code_perms(words, codes, ctx, n)]
+def _class_action_perms(labels, oid, words, ctx, n, spec):
+    """Permutations induced on the Gamma-classes of the orbit numbered
+    oid in `labels`, its classes numbered in order of their smallest
+    code; raises NotClosed if a word moves a point out of the orbit."""
+    roots = orbits.gamma_classes(labels, spec).roots
+    inside = labels == oid
+    is_rep = inside & (roots == np.arange(roots.size))
+    class_id = np.cumsum(is_rep, dtype=np.int32) - 1
+    reps = np.flatnonzero(is_rep)
+    perms = []
+    for g in orbits.word_code_perms(words, None, ctx, n):
+        if (labels[g[inside]] != oid).any():
+            raise NotClosed("a map sends a point outside the domain")
+        perms.append(class_id[roots[g[reps]]])
+    return perms
 
 
 def cmd_orbits(args):
@@ -212,14 +219,10 @@ def cmd_gamma_classes(args):
     part = orbits.orbit_partition(params, args.ell, budget=args.budget,
                                   seed=args.seed)
     spec = orbits.make_gamma_spec(params, part.ctx)
-    reports = []
-    for oid, o in enumerate(part.orbits):
-        codes = np.flatnonzero(part.labels == oid)
-        rep = orbits.gamma_classes(codes, spec, params)
-        reports.append({"orbit_size": rep.orbit_size,
-                        "class_count": rep.class_count,
-                        "histogram": {str(k): v
-                                      for k, v in sorted(rep.size_histogram.items())}})
+    reports = [{"orbit_size": o.orbit_size, "class_count": o.class_count,
+                "histogram": {str(k): v
+                              for k, v in sorted(o.size_histogram.items())}}
+               for o in orbits.gamma_classes(part.labels, spec).orbits]
     payload = _header(args.seed, part.ctx)
     payload["lambda"] = spec.lam
     payload["orbits"] = reports
@@ -536,7 +539,8 @@ def main(argv=None):
     except (BadInput, FieldTooLarge) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 3
-    except (BudgetExceeded, MemoryError) as exc:  # MemoryError: a backstop
+    # MemoryError and RecursionError: backstops for work too big or too deep
+    except (BudgetExceeded, MemoryError, RecursionError) as exc:
         print(f"budget exceeded: {str(exc) or 'out of memory'}",
               file=sys.stderr)
         return 2

@@ -7,9 +7,11 @@ a point into a single integer sum(idx_i * q^i), so index 0 is the origin.
 This module owns that format: `code_perms` turns maps on coordinate
 arrays (words through `word_code_perms`, Frobenius, m_lambda) into
 permutations of a code set, and `components` finds the connected
-components under such maps.  Orbits are the components under the
+components under such maps.  On all of F_q^n the maps act on a broadcast
+grid, one axis per coordinate, so codes are never split into digits and
+a point's code is its position.  Orbits are the components under the
 standard generators with r = 1, Gamma-classes those under Frobenius and
-m_lambda.
+m_lambda, found for every orbit at once.
 """
 
 from __future__ import annotations
@@ -72,9 +74,27 @@ def coords_to_codes(coords, q):
 
 def code_perms(maps, codes, q, n):
     """Positions in the distinct codes `codes` of F_q^n, in any order, of
-    their images under each map on per-coordinate index arrays, split per
-    map and looked up in one shared int32 table of q^n entries; raises
-    NotClosed if an image is not in `codes`."""
+    their images under each map on per-coordinate index arrays, as int32
+    arrays.
+
+    With codes None the domain is all of F_q^n in code order, acted on as
+    a broadcast grid: coordinate k is arange(q) shaped to vary along axis
+    n-1-k, so a map that reads m coordinates evaluates q^m values, and an
+    image's position is its code, packed once per map.  Otherwise the
+    codes are split per map and the images looked up in one shared table
+    of q^n entries; raises NotClosed if an image is not in `codes`."""
+    if codes is None:
+        if q**n >= 2**31:
+            raise BudgetExceeded(f"grid of {q}^{n} points exceeds int32 "
+                                 "positions")
+        grid = [np.arange(q).reshape((q,) + (1,) * k) for k in range(n)]
+        perms = []
+        for f in maps:
+            pos = np.zeros((q,) * n, dtype=np.int32)
+            for k, a in enumerate(f(grid)):
+                pos += a * q**k
+            perms.append(pos.ravel())
+        return perms
     lookup, perms = None, []
     for f in maps:
         coords = f(codes_to_coords(codes, q, n))
@@ -103,26 +123,45 @@ def components(maps):
     with the smallest point of its component.
 
     Root hooking (Shiloach and Vishkin, J. Algorithms 3, 1982) over a
-    parent forest f with f[x] <= x, whose edges always join roots (at the
-    start every point is one).  Each round drops the edges inside one
-    tree, hooks each larger root under its smallest neighbouring root,
-    flattens f by pointer jumping, and moves every edge left to its pair
-    of roots.  Edges are read in both directions, so the maps need not be
-    permutations.  Every round with an edge left merges two trees, and
-    the roots are tree minima, so once no edge is left f[x] is the
-    smallest point of x's component.
+    parent forest f with f[x] <= x, whose edges always join roots.  Each
+    round hooks each larger root under its smallest neighbouring root,
+    flattens f by pointer jumping, moves every edge to its pair of roots
+    and drops the edges inside one tree.  At the start every point is a
+    root, so the first round hooks each map's edges x -- g[x] directly,
+    and the live edges are gathered per map only after it.  Edges are
+    read in both directions, so the maps need not be permutations.  Every
+    round with an edge left merges two trees, and the roots are tree
+    minima, so once no edge is left f[x] is the smallest point of x's
+    component.
     """
-    f = np.arange(len(maps[0]), dtype=np.int32)
-    u = np.tile(f, len(maps))
-    v = np.concatenate([np.asarray(g, dtype=np.int32) for g in maps])
+    x = np.arange(len(maps[0]), dtype=np.int32)
+    f = x.copy()
+    maps = [np.asarray(g, dtype=np.int32) for g in maps]
+    for g in maps:
+        np.minimum.at(f, np.maximum(x, g), np.minimum(x, g))
+    del x
+    f = _flatten(f)
+    u, v = [], []
+    for g in maps:
+        fg = f[g]
+        live = fg != f
+        u.append(f[live])
+        v.append(fg[live])
+    u, v = np.concatenate(u), np.concatenate(v)
     while u.size:
-        live = u != v
-        u, v = u[live], v[live]
         u, v = np.maximum(u, v), np.minimum(u, v)
         np.minimum.at(f, u, v)
-        while not np.array_equal(jumped := f[f], f):
-            f = jumped
+        f = _flatten(f)
         u, v = f[u], f[v]
+        live = u != v
+        u, v = u[live], v[live]
+    return f
+
+
+def _flatten(f):
+    """Pointer jumping: f[x] := f[f[x]] until every point is on a root."""
+    while not np.array_equal(jumped := f[f], f):
+        f = jumped
     return f
 
 
@@ -289,8 +328,7 @@ def _generator_maps(params, ctx):
     """Code maps of the standard generators on all of F_q^n; orbits are
     their components, inverses being implied by the undirected edges."""
     words = [Word.of(tau(params, i, 1)) for i in range(1, params.n + 1)]
-    return word_code_perms(words, np.arange(ctx.q**params.n, dtype=np.int64),
-                           ctx, params.n)
+    return word_code_perms(words, None, ctx, params.n)
 
 
 def orbit_partition(params, ell, budget=10**7, seed=0):
@@ -325,29 +363,45 @@ def orbit_partition(params, ell, budget=10**7, seed=0):
 
 
 @dataclass
-class GammaClassReport:
-    class_count: int
-    size_histogram: dict
+class OrbitClasses:
     orbit_size: int
-    roots: np.ndarray = field(repr=False)  # sorted-code position -> class root
+    class_count: int
+    size_histogram: dict  # class size -> number of classes
 
 
-def gamma_classes(orbit_codes, spec, params):
-    """Gamma-classes of an orbit: the components of its sorted codes under
-    the Frobenius and m_lambda code maps, each class rooted at its
-    smallest code."""
-    codes = np.sort(np.asarray(orbit_codes, dtype=np.int64))
-    try:
-        maps = code_perms([partial(_gamma_coords, which, spec=spec)
-                           for which in ("frobenius", "mlambda")],
-                          codes, spec.ctx.q, params.n)
-    except NotClosed:
-        raise BoundViolated("orbit is not Gamma-invariant") from None
+@dataclass
+class GammaClassReport:
+    class_count: int  # over all orbits
+    orbits: list  # OrbitClasses per orbit id
+    roots: np.ndarray = field(repr=False)  # code -> smallest code of its class
+
+
+def gamma_classes(labels, spec):
+    """Gamma-classes of every orbit of F_q^n in one pass: the components
+    of the grid under the Frobenius and m_lambda code maps, each class
+    rooted at its smallest code, with per-orbit counts and class-size
+    histograms from bincounts.  labels[code] is the orbit id of each point
+    (as in OrbitPartition.labels); raises BoundViolated if a class meets
+    two orbits, that is if an orbit is not Gamma-invariant."""
+    maps = code_perms([partial(_gamma_coords, which, spec=spec)
+                       for which in ("frobenius", "mlambda")],
+                      None, spec.ctx.q, spec.params.n)
     roots = components(maps)
+    del maps
+    if not np.array_equal(labels[roots], labels):
+        raise BoundViolated("orbit is not Gamma-invariant")
     reps, ids = component_ids(roots)
-    sizes, mult = np.unique(np.bincount(ids), return_counts=True)
-    hist = {int(s): int(m) for s, m in zip(sizes, mult)}
-    return GammaClassReport(int(reps.size), hist, int(codes.size), roots)
+    sizes = np.bincount(ids)
+    orbit_sizes = np.bincount(labels)
+    width = int(sizes.max()) + 1
+    hist = np.bincount(labels[reps] * width + sizes,
+                       minlength=orbit_sizes.size * width)
+    per_orbit = []
+    for size, row in zip(orbit_sizes.tolist(),
+                         hist.reshape(-1, width).tolist()):
+        h = {s: m for s, m in enumerate(row) if m}
+        per_orbit.append(OrbitClasses(size, sum(h.values()), h))
+    return GammaClassReport(int(reps.size), per_orbit, roots)
 
 
 @dataclass

@@ -522,9 +522,8 @@ def elementary_abelian_witness(params, rank):
         raise RankTooLarge(f"separating grid {ctx.q}^{params.n} exceeds cap "
                            f"{WITNESS_GRID_CAP}")
     words = [synth.alpha_word(1, 2, k, 1) for k in range(rank)]
-    codes = np.arange(ctx.q**params.n)
     chain = permgrp.schreier_sims(
-        orbits.word_code_perms(words, codes, ctx, params.n))
+        orbits.word_code_perms(words, None, ctx, params.n))
     if chain.order != params.p**rank:
         raise BoundViolated(
             f"witness group has order {chain.order}, expected {params.p**rank}")

@@ -106,8 +106,7 @@ def test_criterion_4_gamma_classes(partition_5_3):
     params, part = partition_5_3
     spec = orbits.make_gamma_spec(params, part.ctx)
     big = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
-    codes = np.flatnonzero(part.labels == big)
-    rep = orbits.gamma_classes(codes, spec, params)
+    rep = orbits.gamma_classes(part.labels, spec).orbits[big]
     assert rep.class_count == (5**9 - 5**3) // 3 == 651000
     assert rep.size_histogram == {3: 651000}
     _report("criterion 4", "big orbit splits into 651000 Gamma-classes, "

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from tamexp import ff, permgrp, synth, tame
-from tamexp.cli import _STR_BITS, _bigint_str, main
-from tamexp.errors import BoundViolated, ProbeFailed
+from tamexp import ff, orbits, permgrp, synth, tame
+from tamexp.cli import _STR_BITS, _bigint_str, _class_action_perms, main
+from tamexp.errors import BoundViolated, NotClosed, ProbeFailed
 
 
 def run(tmp_path, *argv):
@@ -83,6 +83,24 @@ def test_gamma_classes_json(tmp_path):
     big = max(payload["orbits"], key=lambda o: o["orbit_size"])
     assert big["orbit_size"] == 3**6 - 3**3
     assert big["histogram"] == {"2": big["class_count"]}
+
+
+def test_class_action_perms_permute_classes_and_reject_leaving_words():
+    # F_9^3, e = (1,1,2): a generator permutes the 351 classes of the big
+    # orbit and the 26 singleton classes of the nonzero F_3-points; the
+    # shift a_1 += 1 sends (2,0,0) to the origin, out of the latter
+    params = tame.GroupParams(3, 3, (1, 1, 2))
+    part = orbits.orbit_partition(params, 2)
+    spec = orbits.make_gamma_spec(params, part.ctx)
+    gen = tame.Word.of(tame.tau(params, 1, 1))
+    for size, classes in ((702, 351), (26, 26)):
+        oid = next(i for i, o in enumerate(part.orbits) if o.size == size)
+        [perm] = _class_action_perms(part.labels, oid, [gen], part.ctx, 3,
+                                     spec)
+        assert sorted(perm.tolist()) == list(range(classes))
+    shift = tame.Word.of(tame.Transvection(1, 2, 0, 1))
+    with pytest.raises(NotClosed):
+        _class_action_perms(part.labels, oid, [shift], part.ctx, 3, spec)
 
 
 def test_synth_cli(tmp_path):
@@ -286,6 +304,17 @@ def test_out_of_memory_exits_2(message, line, tmp_path, monkeypatch, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err == f"budget exceeded: {line}\n" and "Traceback" not in err
+
+
+def test_too_deep_synthesis_exits_2(tmp_path, capsys):
+    # the derived-transvection induction recurses once per level, so a large
+    # t runs out of Python stack: one budget line, no traceback
+    code, out = run(tmp_path, "synth", "--p", "3", "--e", "1,1,2",
+                    "--t", "1001")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: maximum recursion depth")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_certify_thm15_ii_big_order(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamexp import ff, orbits, permgrp, tame
-from tamexp.errors import BoundViolated
+from tamexp.errors import BoundViolated, BudgetExceeded
 from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_perms,
                            code_to_point, component_ids, components,
                            compute_A0, gamma_apply, gamma_class_of,
@@ -17,8 +17,9 @@ from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_perms,
                            orbit_partition, point_to_code, transitivity_probe,
                            word_code_perms)
 from tamexp.spectra import complete_graph, cycle_graph
-from tamexp.tame import (CoordCycle, GroupParams, Word, apply_letter,
-                         apply_word, poly_transvection_letter, tau)
+from tamexp.tame import (BiTransvection, CoordCycle, GroupParams, Transvection,
+                         Word, apply_letter, apply_word,
+                         poly_transvection_letter, tau)
 
 from conftest import all_points
 
@@ -195,11 +196,12 @@ def test_frobenius_fixed_points():
 
 def test_gamma_classes_singletons_for_prime_field():
     params = GroupParams(5, 3, (1, 1, 2))
-    F5 = ff.make_field(5, 1)
-    spec = make_gamma_spec(params, F5)
-    rep = gamma_classes(np.arange(1, 125, dtype=np.int64), spec, params)
-    assert rep.class_count == 124
-    assert rep.size_histogram == {1: 124}
+    part = orbit_partition(params, 1)
+    rep = gamma_classes(part.labels, make_gamma_spec(params, part.ctx))
+    assert rep.class_count == 125
+    assert [(o.orbit_size, o.class_count, o.size_histogram)
+            for o in rep.orbits] == [(1, 1, {1: 1}), (124, 124, {1: 124})]
+    assert np.array_equal(rep.roots, np.arange(125))
 
 
 def test_gamma_classes_lemma_criterion():
@@ -221,8 +223,7 @@ def test_gamma_classes_big_orbit_f25():
     part = orbit_partition(params, 2)
     spec = make_gamma_spec(params, part.ctx)
     big = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
-    codes = np.flatnonzero(part.labels == big)
-    rep = gamma_classes(codes, spec, params)
+    rep = gamma_classes(part.labels, spec).orbits[big]
     assert rep.orbit_size == 25**3 - 5**3
     assert rep.size_histogram == {2: rep.class_count}
     assert rep.class_count == (25**3 - 5**3) // 2
@@ -230,11 +231,40 @@ def test_gamma_classes_big_orbit_f25():
 
 def test_gamma_classes_rejects_non_invariant_codes():
     # e = (1,1,3) over F_7: m_lambda scales every coordinate by 6, so
-    # (6,0,0) goes to (1,0,0), outside the code set
+    # (6,0,0) goes to (1,0,0), outside an orbit labelled {(6,0,0)}
     params = GroupParams(7, 3, (1, 1, 3))
     spec = make_gamma_spec(params, ff.make_field(7, 1))
-    with pytest.raises(BoundViolated):
-        gamma_classes(np.array([point_to_code((6, 0, 0), 7)]), spec, params)
+    labels = np.zeros(7**3, dtype=np.int32)
+    labels[point_to_code((6, 0, 0), 7)] = 1
+    with pytest.raises(BoundViolated, match="not Gamma-invariant"):
+        gamma_classes(labels, spec)
+
+
+@pytest.mark.parametrize("p, ell, e", [(5, 2, (1, 1, 2)), (7, 2, (1, 1, 3)),
+                                       (5, 1, (1, 1, 2)), (7, 1, (1, 1, 3))])
+def test_gamma_classes_match_brute_force_classes(p, ell, e):
+    # every point's class by the scalar gamma_class_of, tallied per orbit
+    params = GroupParams(p, 3, e)
+    part = orbit_partition(params, ell)
+    q = part.ctx.q
+    spec = make_gamma_spec(params, part.ctx)
+    rep = gamma_classes(part.labels, spec)
+    root = np.full(q**3, -1)
+    tally = [dict() for _ in part.orbits]
+    for c in range(q**3):
+        if root[c] >= 0:
+            continue
+        members = [point_to_code(x, q)
+                   for x in gamma_class_of(code_to_point(c, q, 3), spec)]
+        root[members] = min(members)
+        oid, = set(part.labels[members].tolist())
+        tally[oid][len(members)] = tally[oid].get(len(members), 0) + 1
+    assert np.array_equal(rep.roots, root)
+    assert [(o.orbit_size, o.class_count, o.size_histogram)
+            for o in rep.orbits] == [
+        (o.size, sum(h.values()), dict(sorted(h.items())))
+        for o, h in zip(part.orbits, tally)]
+    assert rep.class_count == sum(o.class_count for o in rep.orbits)
 
 
 def _networkx_roots(maps, size):
@@ -292,6 +322,50 @@ def test_word_code_perm_matches_scalar_action():
     assert not np.array_equal(perms[4], np.arange(q**3))  # m_lambda moves
 
 
+def _letter_zoo(params):
+    """Words with a letter of every kind and their inverses: a constant
+    shift T(i,j,0,r), a BiTransvection, a PolyTransvection whose
+    polynomial has a nonzero constant coefficient, and the CoordCycle."""
+    n = params.n
+    letters = [Transvection(2, n, 0, 1), BiTransvection(n, 1, 2, 1, 2, 1),
+               poly_transvection_letter(params, 1, n - 1, (2, 1)),
+               CoordCycle(), tau(params, n, 1)]
+    return [Word()] + [Word([(let, s)]) for let in letters for s in (1, -1)] \
+        + [Word([(letters[1], 1), (letters[3], 1), (letters[2], -1),
+                 (letters[0], -1), (letters[4], 1)])]
+
+
+@pytest.mark.parametrize("p, ell, e", [
+    (7, 1, (1, 1, 3)), (3, 2, (1, 1, 3)), (3, 3, (1, 1, 2)),
+    (5, 1, (1, 1, 1, 3)), (3, 2, (1, 2, 1, 1))])
+def test_grid_code_perms_match_explicit_codes(p, ell, e):
+    # the broadcast grid against the explicit code set of all of F_q^n
+    params = GroupParams(p, len(e), e)
+    ctx = ff.make_field(p, ell)
+    q, n = ctx.q, params.n
+    spec = make_gamma_spec(params, ctx)
+    maps = [partial(tame.apply_word_arrays, w, ctx=ctx)
+            for w in _letter_zoo(params)] + [
+        partial(orbits._gamma_coords, which, spec=spec)
+        for which in ("frobenius", "mlambda")]
+    grid = code_perms(maps, None, q, n)
+    explicit = code_perms(maps, np.arange(q**n), q, n)
+    assert len(grid) == len(explicit) == 14
+    for a, b in zip(grid, explicit):
+        assert a.dtype == b.dtype == np.int32
+        assert np.array_equal(a, b)
+    assert np.array_equal(grid[0], np.arange(q**n))
+    assert (spec.lam_order > 1) == (not np.array_equal(grid[-1], grid[0]))
+
+
+def test_grid_code_perms_reject_int32_overflow_before_allocating():
+    def never(coords):
+        raise AssertionError("map evaluated")
+    for q, n in ((2**11, 3), (2, 31)):  # 2^33 and exactly 2^31 points
+        with pytest.raises(BudgetExceeded, match="int32"):
+            code_perms([never], None, q, n)
+
+
 @pytest.mark.parametrize("graph", [complete_graph(9), cycle_graph(10)])
 def test_components_of_spectra_graphs(graph):
     # complete_graph's neighbour columns are not permutations
@@ -312,6 +386,20 @@ def test_components_of_arbitrary_maps(maps):
     reps, ids = component_ids(roots)
     assert reps.tolist() == sorted(set(expect.tolist()))
     assert np.array_equal(reps[ids], roots)
+
+
+def test_components_of_identity_maps():
+    # every point is its own root, and no edge is live after the first round
+    x = np.arange(50)
+    assert np.array_equal(components([x, x.copy()]), x)
+
+
+@pytest.mark.parametrize("maps", [[np.zeros(40, dtype=np.int64)],
+                                  [np.arange(40) ^ 1, np.arange(40) // 4 * 4]])
+def test_components_done_after_the_first_round(maps):
+    # a star into 0, and pairs hooked under the smallest point of each
+    # block of four: each point's first hook already lands on its root
+    assert np.array_equal(components(maps), _networkx_roots(maps, 40))
 
 
 def test_components_of_random_permutation_are_its_cycles():
