@@ -12,6 +12,15 @@ exactly the prime subfield.  All context operations take and return
 indices, which keeps points hashable and lets bulk code work on numpy
 arrays of indices via the precomputed tables.
 
+Scalar operations cost one or two Python-list lookups when q <=
+TABLE_LIMIT.  On its first scalar call a context turns its numpy exp/log
+tables into lists: exp (doubled, so a product needs no modulo), log, a
+Zech list zech[k] = log(1 + g^k) (Huber, IEEE Trans. Inf. Theory 36(4),
+1990), so that g^i + g^j = g^(i + zech[j - i]), and the subfield degree
+of every element.  Prime fields add in integer arithmetic mod p.  Above
+TABLE_LIMIT, addition runs digit by digit and multiplication on
+polynomials.  Nothing is built at import or by `make_field`.
+
 Univariate polynomials over F_p appear in two roles (moduli and minimal
 polynomials); they are plain tuples of ints, low-to-high, with no trailing
 zeros.
@@ -200,8 +209,9 @@ class FieldCtx:
     contexts are equal only when they are the same object.  Elements are
     integer indices (see module docstring).  Scalar operations work for any
     allowed size; the numpy table accessors require q <= TABLE_LIMIT and
-    exist for bulk index arithmetic.  The lazily built tables and subfield
-    lists are idempotent caches that every caller of the field shares.
+    exist for bulk index arithmetic.  The lazily built tables, scalar lists
+    and subfield lists are idempotent caches, bounded by the field size,
+    that every caller of the field shares.
     """
 
     def __init__(self, p, ell):
@@ -222,6 +232,7 @@ class FieldCtx:
         self._xell = poly_trim((-c) % p for c in self.modulus[:-1])
         self._exp = None
         self._log = None
+        self._lists = None  # (exp, log, zech, degree) Python lists
         self._deg = None
         self._sub = {}
         self._mulc = {}
@@ -248,7 +259,33 @@ class FieldCtx:
 
     # -- scalar arithmetic on indices ---------------------------------------
 
+    def _scalar_lists(self):
+        """(exp, log, zech, degree) as Python lists, for q <= TABLE_LIMIT,
+        built on the first scalar call from the numpy tables: exp doubled
+        (length 2(q-1)), log (log[0] unused), zech[k] = log(1 + g^k) or -1
+        where 1 + g^k = 0 (Zech logarithms), degree = subfield_degree_table.
+        Then g^i + g^j = g^(i + zech[j - i]), where a negative j - i
+        indexes zech from the end, since g^(j-i) = g^(q-1+j-i)."""
+        if self._lists is None:
+            exp, log = self._exp_log()
+            powers = exp[: self.q - 1]
+            one_plus = self.add_arrays(powers, 1)
+            zech = np.where(one_plus == 0, -1, log[one_plus])
+            half = powers.tolist()  # both halves share one set of ints
+            self._lists = (half + half, log.tolist(), zech.tolist(),
+                           self.subfield_degree_table().tolist())
+        return self._lists
+
     def add(self, a, b):
+        if self.ell == 1:
+            return (a + b) % self.p
+        if self.q <= TABLE_LIMIT:
+            if a == 0 or b == 0:
+                return a or b
+            exp, log, zech, _ = self._lists or self._scalar_lists()
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z < 0 else exp[la + z]
         p = self.p
         out = 0
         for pk in self._pp:
@@ -258,6 +295,13 @@ class FieldCtx:
         return out
 
     def neg(self, a):
+        if self.ell == 1:
+            return -a % self.p
+        if self.q <= TABLE_LIMIT:
+            if a == 0 or self.p == 2:
+                return a
+            exp, log, _, _ = self._lists or self._scalar_lists()
+            return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
         p = self.p
         out = 0
         for pk in self._pp:
@@ -272,8 +316,8 @@ class FieldCtx:
         if a == 0 or b == 0:
             return 0
         if self.q <= TABLE_LIMIT:
-            exp, log = self._exp_log()
-            return int(exp[(log[a] + log[b]) % (self.q - 1)])
+            exp, log, _, _ = self._lists or self._scalar_lists()
+            return exp[log[a] + log[b]]
         return self._mul_slow(a, b)
 
     def _reduce(self, c):
@@ -291,8 +335,8 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.q <= TABLE_LIMIT:
-            exp, log = self._exp_log()
-            return int(exp[(self.q - 1 - int(log[a])) % (self.q - 1)])
+            exp, log, _, _ = self._lists or self._scalar_lists()
+            return exp[self.q - 1 - log[a]]
         return self._inv_slow(a)
 
     def _inv_slow(self, a):
@@ -314,8 +358,8 @@ class FieldCtx:
         if a == 0:
             return 0 if e else 1
         if self.q <= TABLE_LIMIT:
-            exp, log = self._exp_log()
-            return int(exp[(int(log[a]) * e) % (self.q - 1)])
+            exp, log, _, _ = self._lists or self._scalar_lists()
+            return exp[log[a] * e % (self.q - 1)]
         return self._pow_slow(a, e)
 
     def frobenius(self, a):
@@ -352,7 +396,9 @@ class FieldCtx:
         raise BoundViolated("multiplicative group not cyclic")  # unreachable
 
     def subfield_degree(self, a):
-        for d in sorted(_divisors(self.ell)):
+        if self.q <= TABLE_LIMIT:
+            return (self._lists or self._scalar_lists())[3][a]
+        for d in _divisors(self.ell):
             if self.pow(a, self.p**d) == a:
                 return d
         raise BoundViolated("element not fixed by full Frobenius power")
@@ -494,15 +540,13 @@ def _divisors(n):
     return out
 
 
-def solve_mod_p(rows, rhs, p):
-    """Solve A x = b over F_p by Gaussian elimination.
-
-    rows is a list of equal-length lists (the matrix A), rhs the right-hand
-    side.  Returns one solution as a list, or None if inconsistent.  Free
-    variables are set to 0.
-    """
-    m = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0]) - 1
+def _row_reduce(m, ncols, p):
+    """Gauss-Jordan elimination over F_p, in place, of the list of row
+    lists m on its first ncols columns; the later columns ride along.
+    Returns the pivot columns: row r of the result has a 1 in column
+    pivots[r] and 0 in every other pivot column, and rows from
+    len(pivots) on are 0 in the first ncols columns."""
+    nrows = len(m)
     pivots = []
     row = 0
     for col in range(ncols):
@@ -520,7 +564,20 @@ def solve_mod_p(rows, rhs, p):
         row += 1
         if row == nrows:
             break
-    for r in range(row, nrows):
+    return pivots
+
+
+def solve_mod_p(rows, rhs, p):
+    """Solve A x = b over F_p by Gaussian elimination.
+
+    rows is a list of equal-length lists (the matrix A), rhs the right-hand
+    side.  Returns one solution as a list, or None if inconsistent.  Free
+    variables are set to 0.
+    """
+    m = [list(r) + [b % p] for r, b in zip(rows, rhs)]
+    ncols = len(m[0]) - 1
+    pivots = _row_reduce(m, ncols, p)
+    for r in range(len(pivots), len(m)):
         if m[r][-1] % p:
             return None
     x = [0] * ncols

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import BoundViolated, NoConvergence
 from .orbits import components, word_code_perms
 from .permgrp import inverse
 # re-exported: bench/test_bench.py checks its span wrapper under this name
@@ -156,25 +156,38 @@ def angle_matrix_min_eig(am):
     """Smallest eigenvalue of the cyclic matrix with off-diagonal entries
     -alpha_i against the bound 1 - max(alpha_i + alpha_{i+1}).
 
+    am is one AngleMatrix, which gives one report, or a sequence of them
+    of one size n, which gives the list of their reports from a single
+    stacked eigvalsh call.  Both bound checks run on every matrix.
     n = 2 makes the two corner entries collide (the matrix shape presumes
     n >= 3), so it is reported as not applicable.
     """
-    n = am.n
-    alphas = am.alphas
-    M = max(alphas[i] + alphas[(i + 1) % n] for i in range(n))
-    if n == 2:
-        return AngleEigReport(float("nan"), 1.0 - M, False, False)
-    lam_min = float(np.linalg.eigvalsh(am.matrix())[0])
-    if lam_min < 1.0 - M - 1e-12:
-        from .errors import BoundViolated
-        raise BoundViolated(f"lambda_min {lam_min} < 1 - M = {1.0 - M}")
-    equality = all(alphas[i] == alphas[(i + 2) % n] for i in range(n))
-    matches = abs(lam_min - (1.0 - M)) <= 1e-10
-    if equality != matches:
-        from .errors import BoundViolated
-        raise BoundViolated(
-            f"equality case mismatch: alphas {alphas}, lambda_min {lam_min}")
-    return AngleEigReport(lam_min, 1.0 - M, equality, True)
+    single = isinstance(am, AngleMatrix)
+    stack = [am] if single else list(am)
+    sizes = {a.n for a in stack}
+    if len(sizes) > 1:
+        raise ValueError(f"a stack needs one matrix size, got {sorted(sizes)}")
+    if stack and sizes != {2}:
+        mats = np.stack([a.matrix() for a in stack])
+        lams = np.linalg.eigvalsh(mats)[:, 0].tolist()
+    else:
+        lams = [float("nan")] * len(stack)
+    reports = []
+    for a, lam_min in zip(stack, lams):
+        n, alphas = a.n, a.alphas
+        M = max(alphas[i] + alphas[(i + 1) % n] for i in range(n))
+        if n == 2:
+            reports.append(AngleEigReport(lam_min, 1.0 - M, False, False))
+            continue
+        if lam_min < 1.0 - M - 1e-12:
+            raise BoundViolated(f"lambda_min {lam_min} < 1 - M = {1.0 - M}")
+        equality = all(alphas[i] == alphas[(i + 2) % n] for i in range(n))
+        matches = abs(lam_min - (1.0 - M)) <= 1e-10
+        if equality != matches:
+            raise BoundViolated(
+                f"equality case mismatch: alphas {alphas}, lambda_min {lam_min}")
+        reports.append(AngleEigReport(lam_min, 1.0 - M, equality, True))
+    return reports[0] if single else reports
 
 
 @dataclass

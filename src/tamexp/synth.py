@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (BadExponent, BoundViolated, BudgetExceeded,
                      ClashingMinimalPolynomials, FieldTooLarge, NotInvertible,
                      RankTooLarge, ValueOutsideSubfield)
-from .ff import (TABLE_LIMIT, make_field, minimal_polynomial, poly_add,
-                 poly_mul, poly_trim, solve_mod_p)
+from .ff import (TABLE_LIMIT, _row_reduce, make_field, minimal_polynomial,
+                 poly_add, poly_mul, poly_trim, solve_mod_p)
 from .tame import (BiTransvection, Transvection, Word, letter_endo,
                    poly_transvection_letter, same_action, sample_coords, tau,
                    word_to_endo)
@@ -77,8 +77,10 @@ def y_elem(c, p, s):
     return GammaElem(c, p, (0,) * (c + 1), s % p)
 
 
+@lru_cache(maxsize=1 << 12)
 def _shift_poly(poly, b, p):
-    """Coefficients of P(x + b)."""
+    """Coefficients of P(x + b), for a coefficient tuple poly.  Memoized:
+    products in Gamma shift the same few polynomials over and over."""
     c = len(poly) - 1
     out = [0] * (c + 1)
     for v, pv in enumerate(poly):
@@ -560,24 +562,37 @@ def _field_poly_eval(ctx, f, x):
     return acc
 
 
+@lru_cache(maxsize=1 << 12)
+def _power_basis_solve(ctx, mu):
+    """(d, S) with d = [F_p(mu) : F_p] and S an ell x ell matrix over F_p
+    with S A = [I_d; 0], where A has the coefficient vectors of the power
+    basis 1, mu, ..., mu^(d-1) as columns.  For nu with coefficient vector
+    b, (S b)[:d] are the power-basis coordinates of nu, and nu lies in
+    F_p(mu) iff (S b)[d:] = 0."""
+    d, ell = ctx.subfield_degree(mu), ctx.ell
+    cols = []
+    x = 1
+    for _ in range(d):
+        cols.append(ctx.coeffs(x))
+        x = ctx.mul(x, mu)
+    m = [[col[u] for col in cols] + [int(u == v) for v in range(ell)]
+         for u in range(ell)]
+    _row_reduce(m, d, ctx.p)  # pivots 0..d-1: the powers are independent
+    return d, tuple(tuple(row[d:]) for row in m)
+
+
 def _interpolate_rec(mus, nus, minpolys, ctx):
     p = ctx.p
     k = len(mus)
     if k == 1:
         mu, nu = mus[0], nus[0]
-        d = ctx.subfield_degree(mu)
         # solve sum_t c_t mu^t = nu over F_p in the power basis of F_p(mu)
-        cols = []
-        x = 1
-        for _ in range(d):
-            cols.append(ctx.coeffs(x))
-            x = ctx.mul(x, mu)
-        rows = [[cols[t][u] for t in range(d)] for u in range(ctx.ell)]
-        rhs = list(ctx.coeffs(nu))
-        sol = solve_mod_p(rows, rhs, p)
-        if sol is None:
+        d, solve = _power_basis_solve(ctx, mu)
+        b = ctx.coeffs(nu)
+        sol = [sum(s * x for s, x in zip(row, b)) % p for row in solve]
+        if any(sol[d:]):
             raise ValueOutsideSubfield(f"value not in F_p(node): {nu}")
-        return poly_trim(sol)
+        return poly_trim(sol[:d])
     fk = minpolys[-1]
     phi_targets = []
     for i in range(k - 1):

@@ -175,13 +175,28 @@ def test_criterion_7_nilpotent_structure():
             "commutator identity exhaustive over all (n, r, s)")
 
 
+def _angle_reports_by_size(instances):
+    """(alphas, report) for each alphas in instances, from one stacked
+    angle_matrix_min_eig call per matrix size n."""
+    by_n = {}
+    for alphas in instances:
+        by_n.setdefault(len(alphas), []).append(alphas)
+    out = []
+    for group in by_n.values():
+        reps = spectra.angle_matrix_min_eig(
+            [spectra.AngleMatrix(a) for a in group])
+        out += zip(group, reps, strict=True)
+    assert len(out) == len(instances)
+    return out
+
+
 def test_criterion_8_matrix_criterion():
     rng = np.random.default_rng(8)
-    checked = 0
+    instances = []
     equality_checked = 0
-    while checked < 10**5:
+    while len(instances) < 10**5:
         n = int(rng.integers(3, 13))
-        if checked % 997 == 0:
+        if len(instances) % 997 == 0:
             # deliberate equality instances: alpha_i = alpha_{i+2}
             if n % 2:
                 alphas = (float(rng.uniform(0.01, 0.49)),) * n
@@ -191,26 +206,29 @@ def test_criterion_8_matrix_criterion():
                                for i in range(n))
             equality_checked += 1
         else:
-            alphas = tuple(float(x) for x in rng.uniform(1e-3, 1.0, size=n))
-        M = max(alphas[i] + alphas[(i + 1) % n] for i in range(n))
-        if M >= 1:
+            alphas = tuple(rng.uniform(1e-3, 1.0, size=n).tolist())
+        # M = max(alpha_i + alpha_{i+1}) >= 1, stopping at the first pair
+        if any(alphas[i - 1] + alphas[i] >= 1 for i in range(n)):
             continue
-        rep = spectra.angle_matrix_min_eig(spectra.AngleMatrix(alphas))
-        # the op itself raises if lambda_min < 1 - M - 1e-12 or if the
-        # equality case mismatches at 1e-10
+        instances.append(alphas)
+    # the op itself raises if lambda_min < 1 - M - 1e-12 or if the
+    # equality case mismatches at 1e-10, for every matrix of a stack
+    for alphas, rep in _angle_reports_by_size(instances):
+        n = len(alphas)
+        M = max(alphas[i] + alphas[(i + 1) % n] for i in range(n))
         assert rep.lambda_min >= 1 - M - 1e-12
-        checked += 1
     # part (iii) family: alpha thrice, beta once, positive definite
+    family = []
     for _ in range(2000):
         n = int(rng.integers(4, 9))
         a = float(rng.uniform(0.01, 0.49))
         b = float(rng.uniform(0.01, 0.99))
         if a * a >= (1 - a) * (1 - b):
             continue
-        rep = spectra.angle_matrix_min_eig(
-            spectra.AngleMatrix((a,) * (n - 1) + (b,)))
+        family.append((a,) * (n - 1) + (b,))
+    for _, rep in _angle_reports_by_size(family):
         assert rep.lambda_min > 0
-    _report("criterion 8", f"{checked} random vectors passed the bound "
+    _report("criterion 8", f"{len(instances)} random vectors passed the bound "
             f"(incl. {equality_checked} exact equality cases); part (iii) "
             "instances positive definite")
 

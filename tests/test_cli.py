@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -265,6 +267,24 @@ def test_domain_cap_is_checked_before_allocation(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
         "budget exceeded: domain of 281487861809152 points exceeds 1e5\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_gap_domain_cap_is_checked_before_allocation(flags, tmp_path):
+    # the 65537^3 - 1 codes would take 2 PiB; a subprocess, so that -O is
+    # in force and a traceback would show on stderr
+    src = os.path.dirname(os.path.dirname(ff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out.csv"
+    res = subprocess.run(
+        [sys.executable, *flags, "-m", "tamexp.cli", "gap", "--thm15", "i",
+         "--p", "65537", "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == ("budget exceeded: domain of 281487861809152 points "
+                          "exceeds int32 positions\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [BoundViolated, ProbeFailed])

@@ -375,3 +375,120 @@ def test_add_mul_table_consistency():
     t3 = F.pow_table(3)
     for a in range(F.q):
         assert t3[a] == F.pow(a, 3)
+
+
+# -- scalar operations against sympy's galoistools ---------------------------
+# galoistools works on dense high-to-low coefficient lists over ZZ mod p; an
+# index a becomes the polynomial of its base-p digits, reduced mod
+# ctx.modulus.  The oracle knows nothing of exp/log or Zech tables.
+
+
+def _gf_poly(a, p, ell):
+    digits = []
+    for _ in range(ell):
+        digits.append(a % p)
+        a //= p
+    return _gf_strip(digits[::-1])
+
+
+def _gf_strip(f):
+    f = list(f)
+    while f and f[0] == 0:
+        f.pop(0)
+    return f
+
+
+def _gf_index(f, p):
+    a = 0
+    for c in f:
+        a = a * p + int(c)
+    return a
+
+
+class _GfOracle:
+    def __init__(self, ctx):
+        from sympy.polys import galoistools as gt
+        from sympy.polys.domains import ZZ
+        self.gt, self.ZZ = gt, ZZ
+        self.p, self.ell = ctx.p, ctx.ell
+        self.mod = ZZ.map(list(reversed(ctx.modulus)))
+
+    def f(self, a):
+        return self.ZZ.map(_gf_poly(a, self.p, self.ell))
+
+    def idx(self, f):
+        return _gf_index(f, self.p)
+
+    def add(self, a, b):
+        return self.idx(self.gt.gf_add(self.f(a), self.f(b), self.p, self.ZZ))
+
+    def sub(self, a, b):
+        return self.idx(self.gt.gf_sub(self.f(a), self.f(b), self.p, self.ZZ))
+
+    def neg(self, a):
+        return self.idx(self.gt.gf_neg(self.f(a), self.p, self.ZZ))
+
+    def mul(self, a, b):
+        prod = self.gt.gf_mul(self.f(a), self.f(b), self.p, self.ZZ)
+        return self.idx(self.gt.gf_rem(prod, self.mod, self.p, self.ZZ))
+
+    def pow(self, a, e):
+        return self.idx(self.gt.gf_pow_mod(self.f(a), e, self.mod, self.p,
+                                           self.ZZ))
+
+    def inv(self, a):
+        s, _, h = self.gt.gf_gcdex(self.f(a), self.mod, self.p, self.ZZ)
+        assert h == [1]
+        return self.idx(s)
+
+    def subfield_degree(self, a):
+        return min(d for d in range(1, self.ell + 1) if self.ell % d == 0
+                   and self.pow(a, self.p**d) == a)
+
+
+def _check_scalar_ops(ctx, pairs):
+    oracle = _GfOracle(ctx)
+    q = ctx.q
+    exps = (0, 1, 2, 3, ctx.p, q - 2, q - 1, q, 2 * q + 5)
+    singles = sorted({a for pair in pairs for a in pair})
+    for a, b in pairs:
+        got = (ctx.add(a, b), ctx.sub(a, b), ctx.mul(a, b))
+        assert all(type(x) is int for x in got), (a, b, got)
+        assert got == (oracle.add(a, b), oracle.sub(a, b),
+                       oracle.mul(a, b)), (a, b)
+    for a in singles:
+        neg = ctx.neg(a)
+        assert type(neg) is int and neg == oracle.neg(a)
+        assert ctx.add(a, neg) == 0
+        deg = ctx.subfield_degree(a)
+        assert type(deg) is int and deg == oracle.subfield_degree(a)
+        for e in exps:
+            got = ctx.pow(a, e)
+            assert type(got) is int and got == oracle.pow(a, e), (a, e)
+        if a:
+            inv = ctx.inv(a)
+            assert type(inv) is int and inv == oracle.inv(a)
+            assert ctx.pow(a, -3) == oracle.pow(oracle.inv(a), 3)
+    if ctx.p == 2:
+        assert ctx.neg(1) == 1  # -1 = 1 in characteristic 2
+
+
+@pytest.mark.parametrize("p, ell", [(2, 1), (7, 1), (2, 2), (2, 3), (3, 2),
+                                    (5, 2), (3, 3), (7, 2)])
+def test_scalar_ops_match_galoistools_on_every_pair(p, ell):
+    ctx = ff.make_field(p, ell)
+    _check_scalar_ops(ctx, [(a, b) for a in range(ctx.q)
+                            for b in range(ctx.q)])
+
+
+@pytest.mark.parametrize("p, ell, count", [(5, 3, 500), (7, 3, 500),
+                                           (2, 16, 100)])
+def test_scalar_ops_match_galoistools_on_random_pairs(p, ell, count):
+    # F_{2^16}: fewer pairs, since the oracle's powers of degree-16
+    # polynomials cost about a millisecond each
+    ctx = ff.make_field(p, ell)
+    rng = random.Random(p * 100 + ell)
+    pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q))
+             for _ in range(count)]
+    pairs += [(0, 0), (0, 1), (1, ctx.q - 1), (ctx.q - 1, ctx.q - 1)]
+    _check_scalar_ops(ctx, pairs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tamexp import ff, orbits, spectra, tame
-from tamexp.errors import NoConvergence, NotClosed
+from tamexp.errors import BoundViolated, NoConvergence, NotClosed
 from tamexp.spectra import (AngleMatrix, KazhdanParams, angle_matrix_min_eig,
                             build_schreier, complete_graph, cycle_graph,
                             kazhdan_bound, spectral_gap)
@@ -119,6 +119,31 @@ def test_angle_matrix_random_bound():
         r = angle_matrix_min_eig(AngleMatrix(alphas))  # raises on violation
         assert r.lambda_min >= 1 - M - 1e-12
         checked += 1
+
+
+def test_angle_matrix_stack_matches_single_calls(monkeypatch):
+    rng = np.random.default_rng(1)
+    stack = [AngleMatrix(tuple(rng.uniform(0.01, 0.45, size=5).tolist()))
+             for _ in range(20)] + [AngleMatrix((0.3,) * 5)]
+    reps = angle_matrix_min_eig(stack)
+    assert reps == [angle_matrix_min_eig(a) for a in stack]
+    assert reps[-1].equality_case and not any(r.equality_case
+                                              for r in reps[:-1])
+    assert angle_matrix_min_eig([]) == []
+    assert [r.applicable for r in angle_matrix_min_eig(
+        [AngleMatrix((0.3, 0.2))] * 2)] == [False, False]
+    with pytest.raises(ValueError):
+        angle_matrix_min_eig([AngleMatrix((0.1,) * 3), AngleMatrix((0.1,) * 4)])
+    # the bound is checked on every matrix of a stack, not only the first
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def low_at_7(mats):  # lambda_min <= 1 (trace n) < 2 - M
+        w = true_eigvalsh(mats)
+        w[7, 0] -= 1
+        return w
+    monkeypatch.setattr(np.linalg, "eigvalsh", low_at_7)
+    with pytest.raises(BoundViolated):
+        angle_matrix_min_eig(stack)
 
 
 def test_kazhdan_examples():

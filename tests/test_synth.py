@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,65 @@ def test_interpolate_errors():
         interpolate([t, F9.frobenius(t)], [1, 1], F9)
     with pytest.raises(ValueOutsideSubfield):
         interpolate([2], [t], F9)  # t not in F_3 = F_3(2)
+
+
+@pytest.mark.parametrize("p, ell", [(2, 4), (3, 3), (5, 2)])
+def test_single_node_interpolation_matches_brute_force(p, ell):
+    # oracle: every value of F_p(mu) as sum c_t mu^t, c in F_p^d, by scan
+    import itertools
+    ctx = ff.make_field(p, ell)
+    for mu in range(ctx.q):
+        d = ctx.subfield_degree(mu)
+        powers = [ctx.pow(mu, t) for t in range(d)]
+        coords = {}
+        for c in itertools.product(range(p), repeat=d):
+            acc = 0
+            for ct, pw in zip(c, powers):
+                acc = ctx.add(acc, ctx.mul(ct, pw))
+            coords[acc] = ff.poly_trim(c)
+        assert len(coords) == p**d  # the powers are independent
+        for _ in range(2):  # the second round reads the cached basis
+            for nu in range(ctx.q):
+                if nu in coords:
+                    assert interpolate([mu], [nu], ctx) == coords[nu]
+                else:
+                    with pytest.raises(ValueOutsideSubfield):
+                        interpolate([mu], [nu], ctx)
+
+
+def test_value_outside_subfield_raises_on_every_call():
+    # errors are not cached: the same node and value raise again, also
+    # after a call with the same node succeeded
+    F81 = ff.make_field(3, 4)
+    mu = next(a for a in range(F81.q) if F81.subfield_degree(a) == 2)
+    nu = next(a for a in range(F81.q) if F81.subfield_degree(a) == 4)
+    for _ in range(3):
+        with pytest.raises(ValueOutsideSubfield):
+            interpolate([mu], [nu], F81)
+        f = interpolate([mu], [F81.add(mu, 1)], F81)
+        assert synth._field_poly_eval(F81, f, mu) == F81.add(mu, 1)
+    with pytest.raises(ValueOutsideSubfield):
+        interpolate([2], [nu], F81)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_shift_poly_matches_evaluation(p):
+    # oracle: P(x + b) evaluated at every x against the shifted
+    # coefficients, for random P of degree up to 4 and every b in F_p.  The
+    # points x run over F_{p^3}, which holds F_p and has more than 4
+    # elements, so agreement there is equality of polynomials.
+    import random
+    rng = random.Random(p)
+    ctx = ff.make_field(p, 3)
+    value = partial(synth._field_poly_eval, ctx)
+    for _ in range(30):
+        poly = tuple(rng.randrange(p) for _ in range(rng.randint(1, 5)))
+        for b in range(p):
+            for _ in range(2):  # the second call is served by the memo
+                shifted = synth._shift_poly(poly, b, p)
+                assert len(shifted) == len(poly)
+                for x in range(ctx.q):
+                    assert value(shifted, x) == value(poly, ctx.add(x, b))
 
 
 @settings(max_examples=40, deadline=None)
