@@ -30,9 +30,11 @@ Two chain strategies share the StabChain interface:
   d!/2 on the nose.  Sifting undoes g(b_k) = y at level k by a 3-cycle
   (b_k, y, z) of the level set, O(d) per element.  If every input
   generator is even, |G| <= d!/2, which pins |G| = Alt(d) exactly.
-  Several components or an intransitive group give no chain, and
-  build_chain falls back to 'dense'.  Randomness only searches for t;
-  the certificate is exact.
+  Alt(d) is primitive, so an intransitive group, or one whose minimal
+  block system joining points 0 and 1 is proper (`_minimal_block`), gets
+  no chain before any random element is drawn; so do several
+  components.  build_chain then falls back to 'dense'.  Randomness only
+  searches for t; the certificate is exact.
 """
 
 from __future__ import annotations
@@ -411,16 +413,43 @@ def _power(p, m):
     return out
 
 
+def _minimal_block(gens, a, b):
+    """Labels of the minimal block system of <gens> with a and b in one
+    block: each point is labelled with the smallest point of its block.
+
+    Starts from the one edge a -- b and joins g(x) with g(label of x)
+    for every generator g until the labels stop changing; blocks only
+    merge, so this ends, at the finest partition with a and b in one
+    block that every generator maps block to block (Atkinson, Math. Comp.
+    29, 1975).  It is proper iff some label is nonzero."""
+    labels = np.arange(len(gens[0]))
+    labels[max(a, b)] = min(a, b)
+    while True:
+        maps = [labels]
+        for g in gens:
+            img = np.empty_like(labels)
+            img[g] = g[labels]
+            maps.append(img)
+        nxt = components(maps)
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
 def _conjugate_triples(gens, triple):
     """(3, d) array T whose column x is the 3-cycle t^w = (x, T[1, x],
     T[2, x]) for the word w on a BFS Schreier tree path from a to x, where
-    t = (a, b, c) = triple; None if the tree does not reach every point."""
+    t = (a, b, c) = triple.  The group is transitive, so the tree reaches
+    every point (else BoundViolated)."""
     moves = np.array(gens + [inverse(g) for g in gens])
     T = np.full((3, moves.shape[1]), -1, dtype=np.int64)
     T[:, triple[0]] = triple
     for kids, parents, move in _schreier_tree(triple[0], moves):
         T[:, kids] = moves[move, T[:, parents]]  # conjugate by the move
-    return None if (T[0] < 0).any() else T
+    if (T[0] < 0).any():
+        raise BoundViolated("the Schreier tree of a transitive group misses "
+                            "a point")
+    return T
 
 
 def try_alt_ladder(gens, seed=0):
@@ -428,14 +457,19 @@ def try_alt_ladder(gens, seed=0):
     Alt(d), or None if the proof does not go through (the group is then
     presumably not a giant).
 
-    A rattle search finds g in the group powering to a 3-cycle t; the
-    conjugates of t along a Schreier tree give a 3-cycle at every point,
-    and one connected component of their supports proves the claim.
+    Alt(d) is primitive for d >= 3, so an intransitive group, or one whose
+    minimal block system joining points 0 and 1 is proper, is no giant
+    and gets None before any random element is drawn.  Otherwise a rattle
+    search finds g in the group powering to a 3-cycle t; the conjugates
+    of t along a Schreier tree give a 3-cycle at every point, and one
+    connected component of their supports proves the claim.
     """
     gens = [np.asarray(g, dtype=np.int64) for g in gens]
     degree = len(gens[0])
     if degree < 5:
         return None
+    if components(gens).any() or _minimal_block(gens, 0, 1).any():
+        return None  # intransitive or imprimitive
     rattle = Rattle(gens, random.Random(seed))
     for _ in range(LADDER_CYCLE_TRIES):
         g = rattle.sample()
@@ -449,8 +483,8 @@ def try_alt_ladder(gens, seed=0):
         raise BoundViolated(f"the power of a sample is not the 3-cycle "
                             f"{triple}")
     T = _conjugate_triples(gens, triple)
-    if T is None or components([T[1], T[2]]).any():
-        return None  # intransitive, or several components
+    if components([T[1], T[2]]).any():
+        return None  # several components
     return StabChain(degree=degree, gens=gens,
                      base=list(triple) + np.setdiff1d(np.arange(degree),
                                                       triple).tolist(),

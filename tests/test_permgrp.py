@@ -9,7 +9,7 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from tamexp import ff, permgrp as pg, tame
-from tamexp.errors import BudgetExceeded
+from tamexp.errors import BoundViolated, BudgetExceeded
 from tamexp.orbits import word_code_perms
 
 from conftest import nonzero_codes, thm15_words
@@ -338,8 +338,8 @@ def test_ladder_strong_generators_sift():
 
 
 def test_imprimitive_group_with_three_cycles_falls_back():
-    # blocks {0, 1, 2} and {3, 4, 5}: the conjugates of a 3-cycle stay
-    # inside one block, so their supports form two components
+    # blocks {0, 1, 2} and {3, 4, 5}: the block test on points 0 and 1
+    # already rules out a giant
     gens = [pg.perm_from_cycles(6, [[0, 1, 2]]),
             pg.perm_from_cycles(6, [[3, 4, 5]]),
             pg.perm_from_cycles(6, [[0, 3], [1, 4], [2, 5]])]
@@ -347,6 +347,93 @@ def test_imprimitive_group_with_three_cycles_falls_back():
     chain = pg.build_chain(gens, seed=0)
     assert chain.strategy == "dense"
     assert chain.order == 18 == _sympy_order(gens)
+    assert pg.certify_alternating(chain).verdict == "Proper"
+
+
+def test_ladder_finds_several_components_when_0_and_1_lie_in_two_blocks(
+        monkeypatch):
+    # blocks {0, 2, 4} and {1, 3, 5}: the minimal block of 0 and 1 is the
+    # whole domain, so the ladder runs; the conjugates of its 3-cycle stay
+    # inside one block, so their supports form two components
+    gens = [pg.perm_from_cycles(6, [[0, 2, 4]]),
+            pg.perm_from_cycles(6, [[1, 3, 5]]),
+            pg.perm_from_cycles(6, [[0, 1], [2, 3], [4, 5]])]
+    assert not pg._minimal_block(gens, 0, 1).any()
+    closures = []
+    conjugate = pg._conjugate_triples
+    monkeypatch.setattr(pg, "_conjugate_triples", lambda gens, triple: (
+        closures.append(triple) or conjugate(gens, triple)))
+    assert pg.try_alt_ladder(gens, seed=0) is None
+    assert len(closures) == 1
+    chain = pg.build_chain(gens, seed=0)
+    assert chain.strategy == "dense"
+    assert chain.order == 18 == _sympy_order(gens)
+    assert pg.certify_alternating(chain).verdict == "Proper"
+
+
+def _partition(labels):
+    blocks = {}
+    for x, root in enumerate(labels):
+        blocks.setdefault(int(root), set()).add(x)
+    return {frozenset(b) for b in blocks.values()}
+
+
+def _assert_minimal_block_matches_sympy(gens, a, b):
+    group = PermutationGroup([Permutation([int(x) for x in g]) for g in gens])
+    want = _partition(group.minimal_block([a, b]))
+    assert _partition(pg._minimal_block(gens, a, b)) == want
+    return want
+
+
+def test_minimal_block_matches_sympy():
+    rng = random.Random(20)
+    transitive = 0
+    for _ in range(150):
+        gens = _random_generators(rng)
+        if pg.components(gens).any():
+            continue  # sympy's minimal_block needs a transitive group
+        transitive += 1
+        d = len(gens[0])
+        for a, b in [(0, 1), (0, d - 1), tuple(rng.sample(range(d), 2))]:
+            _assert_minimal_block_matches_sympy(gens, a, b)
+    assert transitive > 50
+    # SL_3(F_3) on 26 points: points 0 and 1 are x and 2x, one line
+    blocks = _assert_minimal_block_matches_sympy(_sl3_on_vectors(3), 0, 1)
+    assert frozenset({0, 1}) in blocks and len(blocks) == 13
+
+
+# Alt(5) on points 0-4, fixing 5, 6 and 7
+_INTRANSITIVE = [pg.perm_from_cycles(8, [[0, 1, 2]]),
+                 pg.perm_from_cycles(8, [[0, 1, 2, 3, 4]])]
+
+
+def test_non_giants_skip_the_rattle(monkeypatch):
+    # intransitive and imprimitive groups reach the dense chain without
+    # drawing a random element
+    monkeypatch.setattr(pg, "Rattle", lambda *a: pytest.fail("rattle built"))
+    for gens, order in [(_sl3_on_vectors(3), 5616),
+                        (_sl3_on_vectors(5), 372000), (_INTRANSITIVE, 60)]:
+        chain = pg.build_chain(gens, seed=0)
+        assert chain.strategy == "dense" and chain.order == order
+
+
+def test_closure_of_an_intransitive_group_is_an_internal_failure():
+    # try_alt_ladder checks transitivity first, so a Schreier tree that
+    # misses a point is a bug, not a verdict
+    with pytest.raises(BoundViolated):
+        pg._conjugate_triples(_INTRANSITIVE, (0, 1, 2))
+
+
+@pytest.mark.parametrize("variant, p, degree, base", [
+    ("i", 17, 4912, [1925, 3172, 4384]), ("ii", 3, 2186, [796, 835, 1444])])
+def test_giant_rattle_stream_is_pinned(variant, p, degree, base):
+    # the chains that `certify-alt --thm15 VARIANT --p P` builds at seed 0:
+    # the block test draws nothing, so the first 3-cycle is the same
+    n, words = thm15_words(variant)
+    gens = word_code_perms(words, nonzero_codes(p, n), ff.make_field(p, 1), n)
+    chain = pg.build_chain(gens, seed=0)
+    assert chain.strategy == "cycles" and chain.base[:3] == base
+    assert pg.certify_alternating(chain).order == math.factorial(degree) // 2
 
 
 def _random_generators(rng):
