@@ -149,6 +149,9 @@ def cmd_certify_alt(args):
         domain_size = ctx.q**n - 1
         if domain_size > 10**5:  # checked before the codes are allocated
             raise BudgetExceeded(f"domain of {domain_size} points exceeds 1e5")
+        if domain_size > args.budget:
+            raise BudgetExceeded(f"domain of {domain_size} points exceeds "
+                                 f"the budget {args.budget}")
         perms = orbits.word_code_perms(words, _nonzero_codes(ctx.q, n), ctx, n)
         domain_kind = "nonzero points"
     chain = permgrp.build_chain(perms, seed=seed)
@@ -279,6 +282,8 @@ def _gap_row(task):
 
 
 def cmd_gap(args):
+    if args.sweep and args.p < 3:
+        raise BadInput("--sweep covers the primes 3..p and needs p >= 3")
     primes = [q for q in range(3, args.p + 1) if ff.is_prime(q)] if args.sweep \
         else [args.p]
     tasks = [(p, args.thm15, args.seed) for p in primes]

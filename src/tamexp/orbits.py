@@ -7,11 +7,12 @@ a point into a single integer sum(idx_i * q^i), so index 0 is the origin.
 This module owns that format: `code_perms` turns maps on coordinate
 arrays (words through `word_code_perms`, Frobenius, m_lambda) into
 permutations of a code set, and `components` finds the connected
-components under such maps.  On all of F_q^n the maps act on a broadcast
-grid, one axis per coordinate, so codes are never split into digits and
-a point's code is its position.  Orbits are the components under the
-standard generators with r = 1, Gamma-classes those under Frobenius and
-m_lambda, found for every orbit at once.
+components under such maps.  The maps always act on the broadcast grid
+of all of F_q^n, one axis per coordinate, so codes are never split into
+digits; an explicit code set restricts the grid permutations.  Orbits
+are the components under the standard generators with r = 1,
+Gamma-classes those under Frobenius and m_lambda, found for every orbit
+at once.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import BoundViolated, BudgetExceeded, NotClosed, ProbeFailed
 from .ff import make_field, minimal_polynomial
 from .synth import interpolate
 from .tame import (Transvection, Word, apply_letter, apply_word,
-                   apply_word_arrays, poly_transvection_letter, sample_coords,
-                   tau)
+                   apply_word_arrays, grid_coords, poly_transvection_letter,
+                   sample_coords, tau)
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .tame import apply_letter_arrays  # noqa: F401
 
@@ -75,39 +76,29 @@ def coords_to_codes(coords, q):
 def code_perms(maps, codes, q, n):
     """Positions in the distinct codes `codes` of F_q^n, in any order, of
     their images under each map on per-coordinate index arrays, as int32
-    arrays.
+    arrays; codes None stands for all of F_q^n in code order.
 
-    With codes None the domain is all of F_q^n in code order, acted on as
-    a broadcast grid: coordinate k is arange(q) shaped to vary along axis
-    n-1-k, so a map that reads m coordinates evaluates q^m values, and an
-    image's position is its code, packed once per map.  Otherwise the
-    codes are split per map and the images looked up in one shared table
-    of q^n entries; raises NotClosed if an image is not in `codes`."""
-    if codes is None:
-        if q**n >= 2**31:
-            raise BudgetExceeded(f"grid of {q}^{n} points exceeds int32 "
-                                 "positions")
-        grid = [np.arange(q).reshape((q,) + (1,) * k) for k in range(n)]
-        perms = []
-        for f in maps:
-            pos = np.zeros((q,) * n, dtype=np.int32)
-            for k, a in enumerate(f(grid)):
-                pos += a * q**k
-            perms.append(pos.ravel())
-        return perms
-    lookup, perms = None, []
+    Each map acts on the broadcast grid of tame.grid_coords, where an
+    image's position is its code, packed once per map.  An explicit code
+    set restricts that through one table of q^n positions; raises
+    NotClosed if an image is not in `codes`."""
+    if q**n >= 2**31:
+        raise BudgetExceeded(f"grid of {q}^{n} points exceeds int32 positions")
+    grid = grid_coords(q, n)
+    if codes is not None:
+        lookup = np.full(q**n, -1, dtype=np.int32)
+        lookup[codes] = np.arange(len(codes), dtype=np.int32)
+    perms = []
     for f in maps:
-        coords = f(codes_to_coords(codes, q, n))
-        images = coords_to_codes(coords, q)
-        if lookup is None:  # after the first map's arrays: built before
-            # them it cost a fresh process 50% more page faults (glibc)
-            lookup = np.full(q**n, -1, dtype=np.int32)
-            lookup[codes] = np.arange(len(codes), dtype=np.int32)
-        pos = lookup[images]
-        if (pos < 0).any():
-            raise NotClosed("a map sends a point outside the domain")
+        pos = np.zeros((q,) * n, dtype=np.int32)
+        for k, a in enumerate(f(grid)):
+            pos += a * q**k
+        pos = pos.ravel()
+        if codes is not None:
+            pos = lookup[pos[codes]]  # one map's grid array alive at a time
+            if (pos < 0).any():
+                raise NotClosed("a map sends a point outside the domain")
         perms.append(pos)
-        del coords, images  # one map's arrays alive at a time
     return perms
 
 

@@ -242,12 +242,11 @@ class StabChain:
 
     @property
     def order(self):
-        # pairwise products keep the factors balanced; a running product
-        # of d sizes costs O(d^2) digit operations (seconds at d = 78124)
-        sizes = list(self.orbit_sizes) or [1]
-        while len(sizes) > 1:
-            sizes = [prod(sizes[i:i + 2]) for i in range(0, len(sizes), 2)]
-        return sizes[0]
+        # a 'cycles' chain is Alt(d): one factorial, not a product over its
+        # d - 2 levels, which costs O(d^2) digit operations
+        if self.strategy == "cycles":
+            return factorial(self.degree) // 2
+        return prod(self.orbit_sizes)
 
     def sift(self, g):
         """Reduce g through the chain; returns the residue permutation
@@ -516,10 +515,8 @@ def certify_alternating(chain):
     if any(e and not chain.contains(g) for g, e in zip(chain.gens, even)):
         raise BoundViolated("a generator does not sift through its chain")
     full = factorial(d)
-    # a 'cycles' chain proves Alt(d) <= G (orbit sizes d, ..., 3), so its
-    # order d!/2 comes from the one factorial; an odd generator then makes
-    # it Sym(d).  A dense chain's order is the product over its levels.
-    order = full // 2 if chain.strategy == "cycles" else chain.order
+    # a 'cycles' chain proves Alt(d) <= G, so an odd generator makes it Sym(d)
+    order = chain.order
     if order == full // 2 and not all(even):
         order = full
     verdict = ("Alt" if order == full // 2 else "Sym" if order == full

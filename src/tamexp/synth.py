@@ -18,9 +18,9 @@ Distance-1 targets at level m come from a class-1 embedding whose
 translation part is a distance-2 family at level m-1, and distance
 propagation at fixed level runs through class-1 embeddings with the
 step-3 bi-transvection words.  Every produced word is verified against
-its closed-form letter on code arrays: on the whole grid ("exhaustive")
-or, above GRID_CAP points, on VERIFY_SAMPLES seeded points plus a
-symbolic check ("sampled").
+its closed-form letter on coordinate arrays: on the broadcast grid of
+all points ("exhaustive") or, above GRID_CAP points, on VERIFY_SAMPLES
+seeded points plus a symbolic check ("sampled").
 """
 
 from __future__ import annotations
@@ -31,16 +31,14 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
 
-import numpy as np
-
 from .errors import (BadExponent, BoundViolated, BudgetExceeded,
                      ClashingMinimalPolynomials, FieldTooLarge, NotInvertible,
                      RankTooLarge, ValueOutsideSubfield)
 from .ff import (TABLE_LIMIT, _row_reduce, make_field, minimal_polynomial,
                  poly_add, poly_mul, poly_trim, solve_mod_p)
-from .tame import (BiTransvection, Transvection, Word, letter_endo,
-                   poly_transvection_letter, same_action, sample_coords, tau,
-                   word_to_endo)
+from .tame import (BiTransvection, Transvection, Word, grid_coords,
+                   letter_endo, poly_transvection_letter, same_action,
+                   sample_coords, tau, word_to_endo)
 
 GRID_CAP = 10**6  # largest grid a synthesized word is checked on exhaustively
 VERIFY_SAMPLES = 10**4  # random points checked on a larger grid
@@ -317,11 +315,11 @@ def embedded_beta_letter(i, j, k, c, d, ell, r):
 
 
 def _check_coords(ctx, n, exhaustive, samples, rng):
-    """Per-coordinate index arrays of the points a check runs on: all of
-    ctx^n when exhaustive, else `samples` points drawn from rng."""
+    """Per-coordinate index arrays of the points a check runs on: the
+    broadcast grid of ctx^n when exhaustive, else `samples` points drawn
+    from rng."""
     if exhaustive:
-        from .orbits import codes_to_coords
-        return codes_to_coords(np.arange(ctx.q**n), ctx.q, n)
+        return grid_coords(ctx.q, n)
     return sample_coords(rng, ctx.q, n, samples)
 
 
@@ -452,7 +450,7 @@ def _grid_ctx(params, letter):
 
 
 def _verify_word_letter(word, letter, ctx, n):
-    """One comparison of word and letter on code arrays of ctx^n: every
+    """One comparison of word and letter on coordinate arrays of ctx^n: every
     point ("exhaustive") up to GRID_CAP points, else VERIFY_SAMPLES seeded
     points ("sampled"), which must be followed by equal endomorphisms."""
     exhaustive = ctx.q ** n <= GRID_CAP
@@ -462,7 +460,7 @@ def _verify_word_letter(word, letter, ctx, n):
     if symbolic:
         ok = word_to_endo(word, ctx, n) == letter_endo(letter, +1, ctx, n)
     return (ok, "exhaustive" if exhaustive else "sampled", symbolic,
-            len(coords[0]))
+            ctx.q**n if exhaustive else VERIFY_SAMPLES)
 
 
 def synth_transvection(i, j, t, r, params, budget=10**6, synthesizer=None):

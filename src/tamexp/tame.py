@@ -10,8 +10,8 @@ to one coordinate (_letter_delta), and one loop (_act) runs a word's
 letters: on tuples of field-element indices (see ff), on per-coordinate
 numpy index arrays via the context tables, and symbolically, where each
 delta takes the current images of x_1, ..., x_n.  Checks over many points
-run on the arrays (same_action); the point action serves single points
-and test oracles.
+run on the arrays (same_action), sampled or on the broadcast grid; the
+point action serves single points and test oracles.
 
 Ring automorphisms act on points through inverse precomposition, which
 flips the sign of the transvection coefficient; the +1 convention here
@@ -312,9 +312,9 @@ def apply_word_arrays(word, coords, ctx):
 
 def same_action(u, v, coords, ctx):
     """Whether words u and v send every point of the per-coordinate index
-    arrays `coords` to the same image."""
-    return all(map(np.array_equal, apply_word_arrays(u, coords, ctx),
-                   apply_word_arrays(v, coords, ctx)))
+    arrays `coords` (sampled, or the broadcast grid) to the same image."""
+    return all((a == b).all() for a, b in zip(
+        apply_word_arrays(u, coords, ctx), apply_word_arrays(v, coords, ctx)))
 
 
 def sample_coords(rng, q, n, count):
@@ -322,6 +322,13 @@ def sample_coords(rng, q, n, count):
     point by point, as per-coordinate index arrays."""
     pts = [[rng.randrange(q) for _ in range(n)] for _ in range(count)]
     return list(np.array(pts, dtype=np.int64).reshape(count, n).T.copy())
+
+
+def grid_coords(q, n):
+    """All of F_q^n as a broadcast grid: coordinate k is arange(q) shaped
+    to vary along axis n-1-k, so a map that reads m coordinates evaluates
+    q^m values, and the point at grid position i has code i."""
+    return [np.arange(q).reshape((q,) + (1,) * k) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from tamexp.errors import BoundViolated, NotClosed, ProbeFailed
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
+    out.unlink(missing_ok=True)  # a run that writes nothing reads ""
     code = main(list(argv) + ["--out", str(out)])
     return code, out.read_text() if out.exists() else ""
 
@@ -241,6 +242,8 @@ def test_certify_thm15_on_classes_reads_ell(tmp_path, capsys):
     "verify-lemmas --trials 0",
     "verify-lemmas --qmax 3",
     "gap --threads 0",
+    # the sweep covers the primes 3..p: at p = 2 it would check nothing
+    "gap --p 2 --sweep",
     # fields beyond the exp/log tables: the checks cannot run
     "synth --p 65537 --e 1,1,2 --t 2",
     "synth --p 65537 --e 1,1,2 --poly 1",
@@ -267,6 +270,20 @@ def test_domain_cap_is_checked_before_allocation(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
         "budget exceeded: domain of 281487861809152 points exceeds 1e5\n")
+
+
+def test_certify_alt_budget_bounds_the_domain(tmp_path, capsys):
+    # F_13^3 has 2196 nonzero points; F_3^3 has 26
+    code, out = run(tmp_path, "certify-alt", "--p", "13", "--e", "1,1,1",
+                    "--budget", "100")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "budget exceeded: domain of 2196 points exceeds the budget 100\n")
+    argv = ("certify-alt", "--p", "3", "--e", "1,1,2")
+    default = run(tmp_path, *argv)
+    assert default[0] == 0
+    assert run(tmp_path, *argv, "--budget", "26") == default
+    assert run(tmp_path, *argv, "--budget", "25") == (2, "")
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamexp import ff, orbits, permgrp, tame
-from tamexp.errors import BoundViolated, BudgetExceeded
+from tamexp.errors import BoundViolated, BudgetExceeded, NotClosed
 from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_perms,
                            code_to_point, component_ids, components,
                            compute_A0, gamma_apply, gamma_class_of,
@@ -21,7 +21,7 @@ from tamexp.tame import (BiTransvection, CoordCycle, GroupParams, Transvection,
                          Word, apply_letter, apply_word,
                          poly_transvection_letter, tau)
 
-from conftest import all_points
+from conftest import all_points, thm15_words
 
 
 def test_compute_A0_examples():
@@ -335,11 +335,25 @@ def _letter_zoo(params):
                  (letters[0], -1), (letters[4], 1)])]
 
 
+def _split_and_pack(maps, codes, q, n):
+    """The reference for code_perms: split the codes into digits, apply
+    each map, pack the images and look them up in `codes`."""
+    order = np.argsort(codes)
+    perms = []
+    for f in maps:
+        images = orbits.coords_to_codes(
+            f(orbits.codes_to_coords(codes, q, n)), q)
+        pos = order[np.searchsorted(codes[order], images) % len(codes)]
+        assert np.array_equal(codes[pos], images)  # closed under f
+        perms.append(pos)
+    return perms
+
+
 @pytest.mark.parametrize("p, ell, e", [
     (7, 1, (1, 1, 3)), (3, 2, (1, 1, 3)), (3, 3, (1, 1, 2)),
     (5, 1, (1, 1, 1, 3)), (3, 2, (1, 2, 1, 1))])
 def test_grid_code_perms_match_explicit_codes(p, ell, e):
-    # the broadcast grid against the explicit code set of all of F_q^n
+    # on all of F_q^n, in code order and shuffled, against split-and-pack
     params = GroupParams(p, len(e), e)
     ctx = ff.make_field(p, ell)
     q, n = ctx.q, params.n
@@ -348,14 +362,42 @@ def test_grid_code_perms_match_explicit_codes(p, ell, e):
             for w in _letter_zoo(params)] + [
         partial(orbits._gamma_coords, which, spec=spec)
         for which in ("frobenius", "mlambda")]
+    codes = np.arange(q**n)
+    shuffled = np.random.default_rng(0).permutation(q**n)
     grid = code_perms(maps, None, q, n)
-    explicit = code_perms(maps, np.arange(q**n), q, n)
+    explicit = code_perms(maps, shuffled, q, n)
     assert len(grid) == len(explicit) == 14
-    for a, b in zip(grid, explicit):
+    for a, b, want, want_shuffled in zip(
+            grid, explicit, _split_and_pack(maps, codes, q, n),
+            _split_and_pack(maps, shuffled, q, n)):
         assert a.dtype == b.dtype == np.int32
-        assert np.array_equal(a, b)
-    assert np.array_equal(grid[0], np.arange(q**n))
+        assert np.array_equal(a, want)
+        assert np.array_equal(b, want_shuffled)
+    assert np.array_equal(grid[0], codes)
     assert (spec.lam_order > 1) == (not np.array_equal(grid[-1], grid[0]))
+
+
+@pytest.mark.parametrize("variant, p, ell", [
+    ("i", 5, 1), ("i", 3, 2), ("i", 2, 3), ("ii", 3, 1)])
+def test_code_perms_restrict_to_a_shuffled_closed_subset(variant, p, ell):
+    # the Theorem 15 words and the Gamma maps fix the origin, so the
+    # nonzero codes in random order are a proper subset closed under them
+    n, words = thm15_words(variant)
+    ctx = ff.make_field(p, ell)
+    q = ctx.q
+    spec = make_gamma_spec(GroupParams(p, n, (1,) * (n - 1) + (2,)), ctx)
+    maps = [partial(tame.apply_word_arrays, w, ctx=ctx) for w in words] + [
+        partial(orbits._gamma_coords, which, spec=spec)
+        for which in ("frobenius", "mlambda")]
+    codes = np.random.default_rng(1).permutation(np.arange(1, q**n))
+    got = code_perms(maps, codes, q, n)
+    for a, want in zip(got, _split_and_pack(maps, codes, q, n)):
+        assert a.dtype == np.int32
+        assert np.array_equal(a, want)
+    with pytest.raises(NotClosed):  # T(2,n,0,1) sends the origin to e_2
+        code_perms([partial(tame.apply_word_arrays,
+                            Word.of(Transvection(2, n, 0, 1)), ctx=ctx)],
+                   codes, q, n)
 
 
 def test_grid_code_perms_reject_int32_overflow_before_allocating():

@@ -105,6 +105,7 @@ def test_synth_single_letter():
     cert = synth.synth_transvection(1, 2, 1, 3, params)
     assert cert.word == Word.of(Transvection(1, 2, 1, 3))
     assert cert.verified and cert.mode == "exhaustive"
+    assert cert.points_checked == 5**3
 
 
 def test_synth_cubic_target():

@@ -10,9 +10,10 @@ from tamexp import ff, polyring, synth
 from tamexp.errors import DegreeOverflow, DimensionMismatch
 from tamexp.tame import (BiTransvection, CoordCycle, GroupParams,
                          PolyTransvection, Transvection, Word, apply_letter,
-                         apply_word, apply_word_arrays, parse_word,
-                         poly_transvection_letter, same_action, sample_coords,
-                         standard_generators, tau, word_to_endo)
+                         apply_word, apply_word_arrays, grid_coords,
+                         parse_word, poly_transvection_letter, same_action,
+                         sample_coords, standard_generators, tau,
+                         word_to_endo)
 
 from conftest import all_points
 
@@ -284,6 +285,24 @@ def test_same_action_agrees_with_the_point_action():
     assert same_action(u, v, as_coords(fixed), F5)
     assert not same_action(u, v, as_coords(fixed + [(0, 1, 0)]), F5)
     assert same_action(u + u.inverse(), v, as_coords(pts), F5)
+
+
+def test_grid_coords_position_is_code():
+    grid = grid_coords(5, 3)
+    codes = sum(a * 5**k for k, a in enumerate(grid))
+    assert np.array_equal(codes.ravel(), np.arange(5**3))
+    assert [a.shape for a in grid] == [(5,), (5, 1), (5, 1, 1)]
+
+
+def test_same_action_on_the_grid_broadcasts_untouched_coordinates():
+    grid = grid_coords(5, 3)
+    u = Word.of(Transvection(1, 2, 1, 1))
+    images = apply_word_arrays(u + u.inverse(), grid, F5)
+    # coordinate 1 now reads coordinate 2; the others keep their shapes
+    assert [a.shape for a in images] == [(5, 5), (5, 1), (5, 1, 1)]
+    assert same_action(Word(), u + u.inverse(), grid, F5)
+    assert not same_action(Word(), u, grid, F5)
+    assert not same_action(u, u.inverse(), grid, F5)
 
 
 # sha256 prefixes of the image texts of word_to_endo(alpha_word(i, j, m, 1))
