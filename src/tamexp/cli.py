@@ -200,17 +200,18 @@ def cmd_orbits(args):
         _emit("\n".join(lines) + "\n", args.out, fmt="csv")
     elif args.format == "dot":
         lines = ["graph schreier {"]
-        ctx = part.ctx
         words = [tame.Word.of(tame.tau(params, i, 1))
                  for i in range(1, params.n + 1)]
+        gens = orbits.word_code_perms(words, None, part.ctx, params.n)
         for oid, o in enumerate(part.orbits):
             if o.size > 2000 or o.size <= 1:
                 continue
-            codes = np.flatnonzero(part.labels == oid)
-            g = spectra.build_schreier(codes, words, ctx, params.n)
-            for v in range(g.nvertices):
-                for t in g.neighbors[v, ::2]:  # one direction per generator
+            restrict = orbits.restriction(np.flatnonzero(part.labels == oid),
+                                          part.ctx.q**params.n)
+            for v, row in enumerate(zip(*map(restrict, gens))):
+                for t in row:  # one edge per generator
                     lines.append(f'  "o{oid}_{v}" -- "o{oid}_{int(t)}";')
+        del gens  # q^n points per generator, not alive through the output
         lines.append("}")
         _emit("\n".join(lines) + "\n", args.out, fmt="csv")
     else:

@@ -76,30 +76,34 @@ def coords_to_codes(coords, q):
 def code_perms(maps, codes, q, n):
     """Positions in the distinct codes `codes` of F_q^n, in any order, of
     their images under each map on per-coordinate index arrays, as int32
-    arrays; codes None stands for all of F_q^n in code order.
-
-    Each map acts on the broadcast grid of tame.grid_coords, where an
-    image's position is its code, packed once per map.  An explicit code
-    set restricts that through one table of q^n positions; raises
-    NotClosed if an image is not in `codes`."""
+    arrays; codes None stands for all of F_q^n in code order.  Each map
+    acts on the broadcast grid of tame.grid_coords, where an image's
+    position is its code; an explicit code set takes its `restriction`."""
     if q**n >= 2**31:
         raise BudgetExceeded(f"grid of {q}^{n} points exceeds int32 positions")
     grid = grid_coords(q, n)
-    if codes is not None:
-        lookup = np.full(q**n, -1, dtype=np.int32)
-        lookup[codes] = np.arange(len(codes), dtype=np.int32)
+    restrict = (lambda pos: pos) if codes is None else restriction(codes, q**n)
     perms = []
     for f in maps:
         pos = np.zeros((q,) * n, dtype=np.int32)
         for k, a in enumerate(f(grid)):
             pos += a * q**k
-        pos = pos.ravel()
-        if codes is not None:
-            pos = lookup[pos[codes]]  # one map's grid array alive at a time
-            if (pos < 0).any():
-                raise NotClosed("a map sends a point outside the domain")
-        perms.append(pos)
+        perms.append(restrict(pos.ravel()))  # one map's grid array alive
     return perms
+
+
+def restriction(codes, size):
+    """The restriction of a map g on range(size) to the distinct codes
+    `codes`, in any order: the positions of g[codes] in `codes`, through
+    one table of `size` positions; NotClosed if an image is not there."""
+    lookup = np.full(size, -1, dtype=np.int32)
+    lookup[codes] = np.arange(len(codes), dtype=np.int32)
+    def restrict(g):
+        pos = lookup[g[codes]]
+        if (pos < 0).any():
+            raise NotClosed("a map sends a point outside the domain")
+        return pos
+    return restrict
 
 
 def word_code_perms(words, codes, ctx, n):

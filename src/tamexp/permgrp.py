@@ -514,9 +514,10 @@ def certify_alternating(chain):
     # <gens> for Schreier-Sims (which has already sifted the odd ones)
     if any(e and not chain.contains(g) for g, e in zip(chain.gens, even)):
         raise BoundViolated("a generator does not sift through its chain")
-    full = factorial(d)
-    # a 'cycles' chain proves Alt(d) <= G, so an odd generator makes it Sym(d)
     order = chain.order
+    # a 'cycles' chain proves Alt(d) <= G: its order d!/2 holds the one
+    # factorial, and an odd generator makes the group Sym(d)
+    full = 2 * order if chain.strategy == "cycles" else factorial(d)
     if order == full // 2 and not all(even):
         order = full
     verdict = ("Alt" if order == full // 2 else "Sym" if order == full

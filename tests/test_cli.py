@@ -78,6 +78,30 @@ def test_orbits_dot(tmp_path):
     assert '"o1_0" --' in text
 
 
+def test_orbits_dot_edges_match_the_scalar_action(tmp_path):
+    # vertex v of an orbit is its v-th smallest code, and generator i joins
+    # it to the vertex of tau_i(v); the orbits of 26 and 702 points are
+    # proper subsets of F_9^3
+    code, text = run(tmp_path, "orbits", "--p", "3", "--e", "1,1,2",
+                     "--ell", "2", "--format", "dot")
+    assert code == 0
+    params = tame.GroupParams(3, 3, (1, 1, 2))
+    part = orbits.orbit_partition(params, 2)
+    q, want = part.ctx.q, []
+    for oid, o in enumerate(part.orbits):
+        if o.size == 1:
+            continue
+        members = [int(c) for c in (part.labels == oid).nonzero()[0]]
+        vertex = {c: v for v, c in enumerate(members)}
+        for v, c in enumerate(members):
+            for i in range(1, 4):
+                img = tame.apply_word(tame.Word.of(tame.tau(params, i, 1)),
+                                      orbits.code_to_point(c, q, 3), part.ctx)
+                t = vertex[orbits.point_to_code(img, q)]
+                want.append(f'  "o{oid}_{v}" -- "o{oid}_{t}";')
+    assert text.splitlines()[1:-1] == want
+
+
 def test_gamma_classes_json(tmp_path):
     code, text = run(tmp_path, "gamma-classes", "--p", "3", "--e", "1,1,2",
                      "--ell", "2")

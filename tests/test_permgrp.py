@@ -184,8 +184,8 @@ def test_ladder_order_matches_sympy():
     (False, "Alt", math.factorial(9) // 2), (True, "Sym", math.factorial(9))])
 def test_cycles_certificate_takes_order_from_factorial(odd, verdict, order,
                                                         monkeypatch):
-    # a 'cycles' chain is Alt(d): its order is d!/2 from one factorial,
-    # with no product over the d - 2 levels
+    # a 'cycles' chain is Alt(d): its certificate takes one factorial and
+    # forms no product over the d - 2 levels
     gens = [pg.perm_from_cycles(9, [[0, 1, 2]]),
             pg.perm_from_cycles(9, [list(range(9))])]
     gens += [pg.perm_from_cycles(9, [[0, 1]])] * odd
@@ -193,7 +193,11 @@ def test_cycles_certificate_takes_order_from_factorial(odd, verdict, order,
     assert chain.strategy == "cycles"
     monkeypatch.setattr(pg, "prod", lambda sizes: pytest.fail(
         "the level product was formed"))
+    calls = []
+    monkeypatch.setattr(pg, "factorial",
+                        lambda d: calls.append(d) or math.factorial(d))
     cert = pg.certify_alternating(chain)
+    assert calls == [9]
     assert (cert.verdict, cert.order) == (verdict, order)
     assert cert.all_even == (not odd)
 
