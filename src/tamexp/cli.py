@@ -139,6 +139,7 @@ def cmd_certify_alt(args):
     ctx = ff.make_field(args.p, args.ell)
     if args.on_classes:
         params_ = params or tame.GroupParams(args.p, n, (1,) * (n - 1) + (2,))
+        _check_gamma_field(params_, args.ell)
         part = orbits.orbit_partition(params_, args.ell, budget=args.budget)
         spec = orbits.make_gamma_spec(params_, ctx)
         big = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
@@ -224,8 +225,19 @@ def cmd_orbits(args):
     return 0
 
 
+def _check_gamma_field(params, ell):
+    """Gamma-classes over F_{p^ell}, ell >= 2, need E >= 2: with every
+    e_i = 1 the generators are F_p-linear, so the Frobenius sends the orbit
+    of (alpha, 0, ..., 0) to that of (alpha^p, 0, ..., 0), another orbit
+    whenever alpha^(p-1) lies outside F_p."""
+    if params.E == 1 and ell > 1:
+        raise BadInput(f"Gamma-classes over F_{params.p}^{ell} need E >= 2: "
+                       "with every e_i = 1 the Frobenius moves orbits")
+
+
 def cmd_gamma_classes(args):
     params = _params(args)
+    _check_gamma_field(params, args.ell)
     part = orbits.orbit_partition(params, args.ell, budget=args.budget,
                                   seed=args.seed)
     spec = orbits.make_gamma_spec(params, part.ctx)
@@ -398,10 +410,9 @@ def cmd_verify_lemmas(args):
         for mu in mus:
             d = ctx.subfield_degree(mu)
             coeffs = [rng.randrange(p) for _ in range(d)]
-            nus.append(synth._field_poly_eval(ctx, coeffs, mu))
+            nus.append(ff.poly_eval(coeffs, mu, ctx))
         f = synth.interpolate(mus, nus, ctx)
-        if all(synth._field_poly_eval(ctx, f, mu) == nu
-               for mu, nu in zip(mus, nus)):
+        if all(ff.poly_eval(f, mu, ctx) == nu for mu, nu in zip(mus, nus)):
             interp_ok += 1
     ok = ok and interp_ok == args.trials
     gamma_checks = []

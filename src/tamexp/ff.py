@@ -12,14 +12,15 @@ exactly the prime subfield.  All context operations take and return
 indices, which keeps points hashable and lets bulk code work on numpy
 arrays of indices via the precomputed tables.
 
-Scalar operations cost one or two Python-list lookups when q <=
-TABLE_LIMIT.  On its first scalar call a context turns its numpy exp/log
+There are two kinds of field.  A prime field (l = 1) computes in Python
+integers mod p at every allowed size.  An extension field (l > 1) needs q
+<= TABLE_LIMIT: its scalar operations are one or two Python-list lookups,
+and above TABLE_LIMIT they raise FieldTooLarge, as the array kernels do.
+On its first scalar call an extension context turns its numpy exp/log
 tables into lists: exp (doubled, so a product needs no modulo), log, a
 Zech list zech[k] = log(1 + g^k) (Huber, IEEE Trans. Inf. Theory 36(4),
 1990), so that g^i + g^j = g^(i + zech[j - i]), and the subfield degree
-of every element.  Prime fields add in integer arithmetic mod p.  Above
-TABLE_LIMIT, addition runs digit by digit and multiplication on
-polynomials.  Nothing is built at import or by `make_field`.
+of every element.  Nothing is built at import or by `make_field`.
 
 Univariate polynomials over F_p appear in two roles (moduli and minimal
 polynomials); they are plain tuples of ints, low-to-high, with no trailing
@@ -155,10 +156,12 @@ def poly_powmod(base, e, mod, p):
     return result
 
 
-def poly_eval(f, x, p):
+def poly_eval(f, x, ctx):
+    """f(x) for a polynomial f over F_p and an element x of the field
+    ctx, by Horner's rule in ctx."""
     acc = 0
     for c in reversed(f):
-        acc = (acc * x + c) % p
+        acc = ctx.add(ctx.mul(acc, x), c)
     return acc
 
 
@@ -207,11 +210,12 @@ class FieldCtx:
 
     Obtain it from `make_field`: there is one context per field, and two
     contexts are equal only when they are the same object.  Elements are
-    integer indices (see module docstring).  Scalar operations work for any
-    allowed size; the numpy table accessors require q <= TABLE_LIMIT and
-    exist for bulk index arithmetic.  The lazily built tables, scalar lists
-    and subfield lists are idempotent caches, bounded by the field size,
-    that every caller of the field shares.
+    integer indices (see module docstring).  Scalar operations of a prime
+    field work for any allowed size; those of an extension field, and the
+    numpy table accessors for bulk index arithmetic, require q <=
+    TABLE_LIMIT.  The lazily built tables, scalar lists and subfield lists
+    are idempotent caches, bounded by the field size, that every caller of
+    the field shares.
     """
 
     def __init__(self, p, ell):
@@ -260,8 +264,8 @@ class FieldCtx:
     # -- scalar arithmetic on indices ---------------------------------------
 
     def _scalar_lists(self):
-        """(exp, log, zech, degree) as Python lists, for q <= TABLE_LIMIT,
-        built on the first scalar call from the numpy tables: exp doubled
+        """(exp, log, zech, degree) as Python lists, for an extension field,
+        built on its first scalar call from the numpy tables: exp doubled
         (length 2(q-1)), log (log[0] unused), zech[k] = log(1 + g^k) or -1
         where 1 + g^k = 0 (Zech logarithms), degree = subfield_degree_table.
         Then g^i + g^j = g^(i + zech[j - i]), where a negative j - i
@@ -279,46 +283,31 @@ class FieldCtx:
     def add(self, a, b):
         if self.ell == 1:
             return (a + b) % self.p
-        if self.q <= TABLE_LIMIT:
-            if a == 0 or b == 0:
-                return a or b
-            exp, log, zech, _ = self._lists or self._scalar_lists()
-            la = log[a]
-            z = zech[log[b] - la]
-            return 0 if z < 0 else exp[la + z]
-        p = self.p
-        out = 0
-        for pk in self._pp:
-            out += ((a % p + b % p) % p) * pk
-            a //= p
-            b //= p
-        return out
+        if a == 0 or b == 0:
+            return a or b
+        exp, log, zech, _ = self._lists or self._scalar_lists()
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z < 0 else exp[la + z]
 
     def neg(self, a):
         if self.ell == 1:
             return -a % self.p
-        if self.q <= TABLE_LIMIT:
-            if a == 0 or self.p == 2:
-                return a
-            exp, log, _, _ = self._lists or self._scalar_lists()
-            return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
-        p = self.p
-        out = 0
-        for pk in self._pp:
-            out += (-a % p) * pk
-            a //= p
-        return out
+        if a == 0 or self.p == 2:
+            return a
+        exp, log, _, _ = self._lists or self._scalar_lists()
+        return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if self.ell == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        if self.q <= TABLE_LIMIT:
-            exp, log, _, _ = self._lists or self._scalar_lists()
-            return exp[log[a] + log[b]]
-        return self._mul_slow(a, b)
+        exp, log, _, _ = self._lists or self._scalar_lists()
+        return exp[log[a] + log[b]]
 
     def _reduce(self, c):
         p, ell = self.p, self.ell
@@ -334,33 +323,20 @@ class FieldCtx:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.q <= TABLE_LIMIT:
-            exp, log, _, _ = self._lists or self._scalar_lists()
-            return exp[self.q - 1 - log[a]]
-        return self._inv_slow(a)
-
-    def _inv_slow(self, a):
-        # extended Euclid on polynomials, above TABLE_LIMIT
-        p = self.p
-        r0, r1 = self.modulus, poly_trim(self.coeffs(a))
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
-        # r0 is a unit constant
-        c = pow(r0[0], p - 2, p)
-        return self.element(poly_trim(x * c % p for x in s0))
+        if self.ell == 1:
+            return pow(a, -1, self.p)
+        exp, log, _, _ = self._lists or self._scalar_lists()
+        return exp[self.q - 1 - log[a]]
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
+        if self.ell == 1:
+            return pow(a, e, self.p)
         if a == 0:
             return 0 if e else 1
-        if self.q <= TABLE_LIMIT:
-            exp, log, _, _ = self._lists or self._scalar_lists()
-            return exp[log[a] * e % (self.q - 1)]
-        return self._pow_slow(a, e)
+        exp, log, _, _ = self._lists or self._scalar_lists()
+        return exp[log[a] * e % (self.q - 1)]
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -372,15 +348,16 @@ class FieldCtx:
         n = self.q - 1
         if self._log is not None:
             return n // gcd(int(self._log[a]), n)
-        # table-free while multiplicative_generator bootstraps the tables,
-        # and above TABLE_LIMIT
+        # table-free until the log table exists: while
+        # multiplicative_generator bootstraps it, and in a prime field
+        # whose scalar operations never build it
         for r in prime_factors(n):
             while n % r == 0 and self._pow_slow(a, n // r) == 1:
                 n //= r
         return n
 
     def _pow_slow(self, a, e):
-        # table-free: above TABLE_LIMIT, and while bootstrapping the tables
+        # table-free, for order before the log table exists
         result = 1
         while e:
             if e & 1:
@@ -396,12 +373,9 @@ class FieldCtx:
         raise BoundViolated("multiplicative group not cyclic")  # unreachable
 
     def subfield_degree(self, a):
-        if self.q <= TABLE_LIMIT:
-            return (self._lists or self._scalar_lists())[3][a]
-        for d in _divisors(self.ell):
-            if self.pow(a, self.p**d) == a:
-                return d
-        raise BoundViolated("element not fixed by full Frobenius power")
+        if self.ell == 1:
+            return 1
+        return (self._lists or self._scalar_lists())[3][a]
 
     def join_degree(self, elems):
         """Degree over F_p of the subfield generated by a set of elements."""

@@ -281,7 +281,12 @@ def compute_A0(point, params, ctx):
 
 
 def orbit_invariant(point, params, ctx, spec=None):
-    """Canonical (A_{phi,0}, A_{phi,1}) label; complete for p >= E.
+    """Canonical (A_{phi,0}, A_{phi,1}) label of the orbit of a point.
+
+    Distinct orbits had distinct labels on every case checked with
+    p > E >= 2.  The label is not complete in general: it fails at p = E
+    (over F_8^3 with e = (1, 1, 2), orbits of 63 and 441 points share one
+    label) and at E = 1.
 
     The degree-1 component is the A_{phi,0}-line through the (normalized)
     first coordinate; its label is the minimal element index among line
@@ -474,15 +479,27 @@ class _ProbeMachine:
     def _degN(self, a):
         return self.ctx.subfield_degree(self.ctx.pow(a, self.N))
 
-    def _move(self, state, target, source, nodes, values):
-        coeffs = interpolate(nodes, values, self.ctx)
+    def _set(self, state, target, source, wants):
+        """One move a_target += a_source^t P(a_source^N), t = t(target,
+        source), taking coordinate target of each point i in wants to
+        wants[i]: P interpolates the values (wants[i] - a_target) /
+        a_source^t at the nodes a_source^N of those points."""
+        ctx, N = self.ctx, self.N
+        t = self.params.tij(target, source)
+        nodes, values = [], []
+        for i, want in wants.items():
+            a = state[i][source - 1]
+            nodes.append(ctx.pow(a, N))
+            values.append(ctx.mul(ctx.sub(want, state[i][target - 1]),
+                                  ctx.inv(ctx.pow(a, t))))
+        coeffs = interpolate(nodes, values, ctx)
         letter = poly_transvection_letter(self.params, target, source, coeffs)
         for i in range(len(state)):
-            state[i] = apply_letter(letter, 1, state[i], self.ctx)
+            state[i] = apply_letter(letter, 1, state[i], ctx)
         self.word.append((letter, 1))
 
-    def _grow_first(self, s, state, pinned):
-        ctx, N, n = self.ctx, self.N, self.n
+    def _grow_first(self, s, state):
+        ctx, n = self.ctx, self.n
         guard = 0
         while self._degN(state[s][0]) < self.ell:
             guard += 1
@@ -501,10 +518,10 @@ class _ProbeMachine:
                     cand = ctx.add(psi[0], ctx.mul(lam, ak))
                     dc = self._degN(cand)
                     if dc > best:
-                        best, best_move = dc, (j, a, lam)
+                        best, best_move = dc, (j, cand)
             if best_move is not None:
-                j, a, lam = best_move
-                self._move(state, 1, j, [ctx.pow(a, N)], [lam])
+                j, cand = best_move
+                self._set(state, 1, j, {s: cand})
                 continue
             # strict growth of some other coordinate, sourced at coordinate 1
             found = False
@@ -515,10 +532,9 @@ class _ProbeMachine:
                 for lam in pool:
                     cand = ctx.add(psi[j - 1], ctx.mul(lam, src_pow))
                     if self._degN(cand) > d1:
-                        nodes = [ctx.pow(al, N) for al in pinned]
-                        nodes.append(ctx.pow(psi[0], N))
-                        values = [0] * len(pinned) + [lam]
-                        self._move(state, j, 1, nodes, values)
+                        wants = dict.fromkeys(range(s), 0)  # pinned: stay
+                        wants[s] = cand
+                        self._set(state, j, 1, wants)
                         found = True
                         break
                 if found:
@@ -555,7 +571,7 @@ class _ProbeMachine:
 
     def _stage(self, s, state, alphas, gammas):
         ctx, N, n = self.ctx, self.N, self.n
-        self._grow_first(s, state, alphas[:s])
+        self._grow_first(s, state)
         psi = state[s]
         key = minimal_polynomial(ctx, ctx.pow(psi[0], N))
         pinned_keys = [minimal_polynomial(ctx, ctx.pow(a, N)) for a in alphas[:s]]
@@ -589,12 +605,7 @@ class _ProbeMachine:
                 else:
                     betas.append(others[oi])
                     oi += 1
-            dj0 = self.params.tij(j0, 1)
-            nodes = [ctx.pow(al, N) for al in alphas[:s]]
-            values = [ctx.mul(ctx.sub(betas[i], state[i][j0 - 1]),
-                              ctx.inv(ctx.pow(alphas[i], dj0)))
-                      for i in range(s)]
-            self._move(state, j0, 1, nodes, values)
+            self._set(state, j0, 1, dict(enumerate(betas)))
             jstar = j0
         self._endgame(s, state, alphas, jstar)
         for i in range(s + 1):
@@ -603,33 +614,15 @@ class _ProbeMachine:
                 raise ProbeFailed(f"stage {s} did not pin point {i}")
 
     def _endgame(self, s, state, alphas, jstar):
-        ctx, N, n = self.ctx, self.N, self.n
-        live = s + 1
-        l = next(m for m in range(2, n + 1) if m != jstar)
-        # coordinate l := alpha_i, interpolating through coordinate jstar
-        v = [state[i][jstar - 1] for i in range(live)]
-        tl = self.params.tij(l, jstar)
-        nodes = [ctx.pow(x, N) for x in v]
-        values = [ctx.mul(ctx.sub(alphas[i], state[i][l - 1]),
-                          ctx.inv(ctx.pow(v[i], tl)))
-                  for i in range(live)]
-        self._move(state, l, jstar, nodes, values)
-        # coordinate 1 := alpha_i via source l
-        t1 = self.params.tij(1, l)
-        nodes = [ctx.pow(alphas[i], N) for i in range(live)]
-        values = [ctx.mul(ctx.sub(alphas[i], state[i][0]),
-                          ctx.inv(ctx.pow(alphas[i], t1)))
-                  for i in range(live)]
-        self._move(state, 1, l, nodes, values)
-        # zero the rest via source 1
-        for m in range(2, n + 1):
-            if all(state[i][m - 1] == 0 for i in range(live)):
-                continue
-            tm = self.params.tij(m, 1)
-            values = [ctx.mul(ctx.neg(state[i][m - 1]),
-                              ctx.inv(ctx.pow(alphas[i], tm)))
-                      for i in range(live)]
-            self._move(state, m, 1, nodes, values)
+        live = range(s + 1)
+        l = next(m for m in range(2, self.n + 1) if m != jstar)
+        # coordinate l := alpha_i through coordinate jstar, then coordinate
+        # 1 := alpha_i through l, then the rest := 0 through 1
+        self._set(state, l, jstar, {i: alphas[i] for i in live})
+        self._set(state, 1, l, {i: alphas[i] for i in live})
+        for m in range(2, self.n + 1):
+            if any(state[i][m - 1] for i in live):
+                self._set(state, m, 1, dict.fromkeys(live, 0))
 
     def run(self, points, alphas):
         state = list(points)

@@ -35,7 +35,7 @@ from .errors import (BadExponent, BoundViolated, BudgetExceeded,
                      ClashingMinimalPolynomials, FieldTooLarge, NotInvertible,
                      RankTooLarge, ValueOutsideSubfield)
 from .ff import (TABLE_LIMIT, _row_reduce, make_field, minimal_polynomial,
-                 poly_add, poly_mul, poly_trim, solve_mod_p)
+                 poly_add, poly_eval, poly_mul, poly_trim, solve_mod_p)
 from .tame import (BiTransvection, Transvection, Word, grid_coords,
                    letter_endo, poly_transvection_letter, same_action,
                    sample_coords, tau, word_to_endo)
@@ -145,38 +145,16 @@ def gamma_structure(c, p, budget=10**7):
     if order > budget:
         raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
 
-    def span_dim(vectors):
-        basis = []
-        for v in vectors:
-            v = list(v)
-            for b in basis:
-                lead = next((i for i, x in enumerate(b) if x), None)
-                if lead is not None and v[lead]:
-                    f = v[lead] * pow(b[lead], p - 2, p) % p
-                    v = [(x - f * y) % p for x, y in zip(v, b)]
-            if any(v):
-                basis.append(v)
-        return basis
-
-    # gamma_2 = span of (x+s)^v - x^v
-    gens = []
-    for v in range(c + 1):
-        mono = [0] * (c + 1)
-        mono[v] = 1
-        for s in range(1, p):
-            shifted = _shift_poly(tuple(mono), s, p)
-            gens.append(tuple((a - b) % p for a, b in zip(shifted, mono)))
+    # gamma_2 is spanned by the differences Q(x+s) - Q(x) over the
+    # monomials Q = x^v, and gamma_{k+1} by those over a basis of gamma_k;
+    # a basis is the rows above the pivots of the row-reduced differences
     series = [None]  # gamma_1 = G, marked by None
-    basis = span_dim(gens)
-    series.append(basis)
-    while series[-1]:
-        prev = series[-1]
-        nxt = []
-        for q in prev:
-            for s in range(1, p):
-                shifted = _shift_poly(tuple(q), s, p)
-                nxt.append(tuple((a - b) % p for a, b in zip(shifted, q)))
-        series.append(span_dim(nxt))
+    basis = [[int(u == v) for u in range(c + 1)] for v in range(c + 1)]
+    while basis:
+        diffs = [[(a - b) % p for a, b in zip(_shift_poly(tuple(q), s, p), q)]
+                 for q in basis for s in range(1, p)]
+        basis = diffs[:len(_row_reduce(diffs, c + 1, p))]
+        series.append(basis)
     # series = [G, gamma_2, ..., gamma_k = 0], nonzero up to the last term
     nilpotency_class = len(series) - 1
 
@@ -553,13 +531,6 @@ def interpolate(mus, nus, ctx):
     return _interpolate_rec(list(mus), list(nus), minpolys, ctx)
 
 
-def _field_poly_eval(ctx, f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
 @lru_cache(maxsize=1 << 12)
 def _power_basis_solve(ctx, mu):
     """(d, S) with d = [F_p(mu) : F_p] and S an ell x ell matrix over F_p
@@ -594,12 +565,12 @@ def _interpolate_rec(mus, nus, minpolys, ctx):
     fk = minpolys[-1]
     phi_targets = []
     for i in range(k - 1):
-        denom = _field_poly_eval(ctx, fk, mus[i])
+        denom = poly_eval(fk, mus[i], ctx)
         phi_targets.append(ctx.mul(nus[i], ctx.inv(denom)))
     phi = _interpolate_rec(mus[:-1], phi_targets, minpolys[:-1], ctx)
     denom = 1
     for i in range(k - 1):
-        denom = ctx.mul(denom, _field_poly_eval(ctx, minpolys[i], mus[-1]))
+        denom = ctx.mul(denom, poly_eval(minpolys[i], mus[-1], ctx))
     psi = _interpolate_rec([mus[-1]], [ctx.mul(nus[-1], ctx.inv(denom))],
                            [fk], ctx)
     prod_rest = (1,)
@@ -607,6 +578,6 @@ def _interpolate_rec(mus, nus, minpolys, ctx):
         prod_rest = poly_mul(prod_rest, minpolys[i], p)
     f = poly_add(poly_mul(fk, phi, p), poly_mul(prod_rest, psi, p), p)
     for mu, nu in zip(mus, nus):
-        if _field_poly_eval(ctx, f, mu) != nu:
+        if poly_eval(f, mu, ctx) != nu:
             raise BoundViolated("interpolation failed its evaluation check")
     return f

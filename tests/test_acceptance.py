@@ -96,7 +96,7 @@ def test_criterion_3_three_orbits(partition_5_3):
     params, part = partition_5_3
     sizes = sorted(o.size for o in part.orbits)
     assert sizes == [1, 124, 1953000]
-    # orbit <-> invariant bijection under p >= E
+    # distinct invariants, as on every case checked with p > E >= 2
     invs = [o.invariant for o in part.orbits]
     assert len(set(invs)) == 3
     _report("criterion 3", f"orbit sizes {sizes} with distinct invariants")

@@ -110,6 +110,13 @@ def test_gamma_classes_json(tmp_path):
     big = max(payload["orbits"], key=lambda o: o["orbit_size"])
     assert big["orbit_size"] == 3**6 - 3**3
     assert big["histogram"] == {"2": big["class_count"]}
+    # E = 1 is bad input only over an extension field: over F_3 the
+    # Frobenius is the identity, and every class is a single point
+    code, text = run(tmp_path, "gamma-classes", "--p", "3", "--e", "1,1,1")
+    assert code == 0
+    assert [(o["orbit_size"], o["histogram"])
+            for o in json.loads(text)["orbits"]] == [(1, {"1": 1}),
+                                                     (26, {"1": 26})]
 
 
 def test_class_action_perms_permute_classes_and_reject_leaving_words():
@@ -268,6 +275,11 @@ def test_certify_thm15_on_classes_reads_ell(tmp_path, capsys):
     "gap --threads 0",
     # the sweep covers the primes 3..p: at p = 2 it would check nothing
     "gap --p 2 --sweep",
+    # Gamma-classes with E = 1 over an extension field: the Frobenius
+    # moves orbits, so there are no classes to count
+    "gamma-classes --p 3 --e 1,1,1 --ell 2",
+    "gamma-classes --p 2 --e 1,1,1 --ell 3",
+    "certify-alt --p 3 --e 1,1,1 --ell 2 --on-classes",
     # fields beyond the exp/log tables: the checks cannot run
     "synth --p 65537 --e 1,1,2 --t 2",
     "synth --p 65537 --e 1,1,2 --poly 1",

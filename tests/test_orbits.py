@@ -61,6 +61,24 @@ def test_invariant_constant_on_orbits_and_separating():
     assert sum(o.size for o in part.orbits) == 9**3
 
 
+@pytest.mark.parametrize("p, e, ell, shared", [
+    (3, (1, 1, 2), 3, []),
+    (5, (1, 1, 2), 2, []),
+    (7, (1, 1, 3), 2, []),
+    (5, (2, 1, 1), 2, []),
+    # p = E = 2: the invariant is not complete
+    (2, (1, 1, 2), 3, [(OrbitInvariant(3, 2, False), [63, 441])]),
+])
+def test_orbit_invariants_distinct_for_p_above_E(p, e, ell, shared):
+    part = orbit_partition(GroupParams(p, 3, e), ell)
+    sizes = {}
+    for o in part.orbits:
+        sizes.setdefault(o.invariant, []).append(o.size)
+    assert [(inv, sorted(s)) for inv, s in sizes.items() if len(s) > 1] \
+        == shared
+    assert sum(o.size for o in part.orbits) == (p**ell)**3
+
+
 def test_frobenius_conjugate_points_share_d0():
     params = GroupParams(3, 3, (1, 1, 2))
     F9 = ff.make_field(3, 2)
