@@ -384,18 +384,28 @@ class FieldCtx:
     # -- numpy tables (q <= TABLE_LIMIT) -------------------------------------
 
     def _exp_log(self):
+        """exp[i] = g^i (doubled, length 2(q-1)) and log, its inverse on
+        the nonzero indices, for the first generator g.  exp is built by
+        doubling: exp[k:2k] = exp[:k] * g^k, where multiplying by the
+        constant g^k is an ell x ell matrix over F_p on base-p digits."""
         if self._exp is None:
             if self.q > TABLE_LIMIT:
                 raise FieldTooLarge("field too large for exp/log tables")
-            g = self.multiplicative_generator()
-            exp = np.empty(2 * (self.q - 1), dtype=np.int64)
-            x = 1
-            for i in range(self.q - 1):
-                exp[i] = x
-                x = self._mul_slow(x, g)
-            exp[self.q - 1:] = exp[: self.q - 1]
+            g, n, p = self.multiplicative_generator(), self.q - 1, self.p
+            pp = np.array(self._pp, dtype=np.int64)
+            # row i: the digits of g^k * x^i (x^i has index p^i), k = 1
+            mat = np.array([self.coeffs(self._mul_slow(g, pk))
+                            for pk in self._pp], dtype=np.int64)
+            exp = np.empty(2 * n, dtype=np.int64)
+            exp[0], k = 1, 1
+            while k < n:
+                m = min(k, n - k)
+                exp[k:k + m] = (exp[:m, None] // pp % p) @ mat % p @ pp
+                mat = mat @ mat % p  # g^k -> g^2k
+                k += m
+            exp[n:] = exp[:n]
             log = np.zeros(self.q, dtype=np.int64)
-            log[exp[: self.q - 1]] = np.arange(self.q - 1)
+            log[exp[:n]] = np.arange(n)
             self._exp, self._log = exp, log
         return self._exp, self._log
 

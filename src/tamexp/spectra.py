@@ -24,6 +24,11 @@ from .permgrp import inverse
 from .orbits import codes_to_coords  # noqa: F401
 
 MAX_ITER = 1000  # Lanczos steps (basis vectors) before NoConvergence
+RESIDUAL_TOL = 1e-10  # explicit residual ||Ax - theta x|| that stops Lanczos
+# The Lanczos estimate beta_k |s_k| and the explicit residual were seen to
+# differ by about 1e-16, so a step whose estimate, or a proven floor under
+# it, exceeds 10 x RESIDUAL_TOL cannot stop and skips the exact check.
+FLOOR_MARGIN = 10
 
 
 @dataclass
@@ -76,6 +81,7 @@ class GapResult:
     method: str
     residual: float
     iterations: int
+    eigensolves: int  # steps that ran the dense eigh of T_k
 
 
 def spectral_gap(graph, seed=0):
@@ -86,11 +92,22 @@ def spectral_gap(graph, seed=0):
     graph.  The constant vector is row 0 of the basis, so
     reorthogonalizing against the basis also deflates it.  Stops at the
     first step whose top Ritz pair (theta, x) has explicit residual
-    ||Ax - theta x|| <= 1e-10.
+    ||Ax - theta x|| <= RESIDUAL_TOL.
     A breakdown (beta = 0: the Krylov space is invariant and its Ritz
     values are exact) makes that residual vanish, so it stops at once:
     the complete graph at step 1, and a disconnected graph with
     lambda2 = 1, gap 0.
+
+    The check of a step is exact: eigh of the tridiagonal T_k, then x and
+    its explicit residual.  It only runs where it could pass.  Its Lanczos
+    estimate rho_k = beta_k |s_k| (s the top eigenvector of T_k, beta_k
+    the norm of the step's reorthogonalized w) equals the residual up to
+    rounding, so x is formed only when rho_k <= FLOOR_MARGIN *
+    RESIDUAL_TOL, and eigh itself is skipped while `_residual_floor`, a
+    lower bound on rho_k from the last eigh step, is above that.  No check
+    feeds the recurrence, so the stopping step and every printed value
+    are those of a check at every step.  Step MAX_ITER always checks
+    exactly, for the NoConvergence residual.
     """
     v = graph.nvertices
     basis = np.empty((2, v))  # grows by doubling as steps are taken
@@ -99,23 +116,74 @@ def spectral_gap(graph, seed=0):
     q -= basis[0] * (basis[0] @ q)
     basis[1] = q / np.linalg.norm(q)
     alphas, betas = [], []
+    anchor, eigensolves = None, 0
+    limit = FLOOR_MARGIN * RESIDUAL_TOL
     for k in range(1, MAX_ITER + 1):
         w = graph.matmat(basis[k])
         alphas.append(basis[k] @ w)
         for _ in range(2):  # twice is enough (Kahan; Parlett)
             w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        vals, vecs = np.linalg.eigh(t)
-        theta, x = float(vals[-1]), vecs[:, -1] @ basis[1:k + 1]
-        residual = float(np.linalg.norm(graph.matmat(x) - theta * x))
-        if residual <= 1e-10:
-            return GapResult(theta, 1.0 - theta, "lanczos", residual, k)
         betas.append(np.linalg.norm(w))
+        if k == MAX_ITER or _residual_floor(betas, anchor) <= limit:
+            t = np.diag(alphas) + np.diag(betas[:-1], 1) \
+                + np.diag(betas[:-1], -1)
+            vals, vecs = np.linalg.eigh(t)
+            eigensolves += 1
+            theta, rho = float(vals[-1]), betas[-1] * abs(vecs[-1, -1])
+            anchor = (k, rho, vals[-1] - vals[-2] if k > 1 else math.inf)
+            if rho <= limit or k == MAX_ITER:
+                x = vecs[:, -1] @ basis[1:k + 1]
+                residual = float(np.linalg.norm(graph.matmat(x) - theta * x))
+                if residual <= RESIDUAL_TOL:
+                    return GapResult(theta, 1.0 - theta, "lanczos", residual,
+                                     k, eigensolves)
         if k + 1 == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])
         basis[k + 1] = w / betas[-1]
-    raise NoConvergence(f"Lanczos did not reach residual 1e-10 in {MAX_ITER} "
-                        f"steps (residual {residual})")
+    raise NoConvergence(f"Lanczos did not reach residual {RESIDUAL_TOL} in "
+                        f"{MAX_ITER} steps (residual {residual})")
+
+
+def _residual_floor(betas, anchor):
+    """A lower bound on rho_k = beta_k |s_k| at step k = len(betas), from
+    the anchor (k0, rho0, g0) of an earlier step k0 = k - j.  With theta_1
+    > theta_2 >= ... the eigenvalues of T_k0 and z_m the last entry of its
+    m-th eigenvector, rho0 = beta_k0 |z_1| and g0 = theta_1 - theta_2
+    (inf when k0 = 1).  0 when there is no anchor or rho0 or g0 is 0.
+
+    It uses that the spectrum and the diagonal of every T lie in [-1, 1]
+    (T = Q^T A Q with orthonormal Q and ||A|| = 1) and that beta <= 1.
+    Let (theta, s), ||s|| = 1, be the top eigenpair of T = T_k.
+
+    - Tail.  Row k0 + i of (T - theta) s = 0 gives s_{k0+i-1} =
+      ((theta - alpha_{k0+i}) s_{k0+i} - beta_{k0+i} s_{k0+i+1}) /
+      beta_{k0+i-1}, with s_{k+1} = 0.  So |s_{k0+i}| <= c_i |s_k| for
+      c_j = 1, c_{j+1} = 0, c_{i-1} = (2 c_i + c_{i+1}) / beta_{k0+i-1}.
+    - Head.  Rows 1..k0 give u = (s_1..s_k0) = -beta_k0 s_{k0+1}
+      (T_k0 - theta)^-1 e_k0, so ||u||^2 = s_{k0+1}^2 sum_m beta_k0^2
+      z_m^2 / (theta - theta_m)^2.  By Cauchy interlacing theta >=
+      theta', the top eigenvalue of T_{k0+1}.  The secular equation of
+      that bordered matrix, theta' - alpha_{k0+1} = sum_m beta_k0^2 z_m^2
+      / (theta' - theta_m), has positive terms and a left side <= 2, so
+      theta' - theta_1 >= rho0^2 / 2.  The m = 1 term is then <= 4 / rho0^2, and
+      the rest, with theta - theta_m >= g0, sum to <= beta_k0^2 / g0^2.
+      So ||u||^2 <= c_1^2 s_k^2 M with M = 4 / rho0^2 + beta_k0^2 / g0^2.
+
+    1 = ||s||^2 <= s_k^2 (c_1^2 M + sum_{i<=j} c_i^2) then bounds |s_k|
+    from below, and beta_k |s_k| from below by the value returned.  A
+    breakdown (beta_k = 0) gives 0.
+    """
+    if anchor is None:
+        return 0.0
+    k0, rho0, g0 = anchor
+    if rho0 == 0 or g0 == 0:
+        return 0.0
+    c_next, c, total = 0.0, 1.0, 1.0  # c_{i+1}, c_i, sum of c_i^2 so far
+    for i in range(len(betas) - k0, 1, -1):
+        c_next, c = c, (2 * c + c_next) / betas[k0 + i - 2]
+        total += c * c
+    m = 4 / rho0**2 + betas[k0 - 1]**2 / g0**2
+    return betas[-1] / math.sqrt(c * c * m + total)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,44 @@ def test_order_table_path_matches_slow_path(p, ell):
     assert bare._log is None  # every bare order came from the slow path
 
 
+def _exp_by_loop(ctx):
+    # reference: the exp table by one scalar _mul_slow per element
+    g = ctx.multiplicative_generator()
+    exp, x = [], 1
+    for _ in range(ctx.q - 1):
+        exp.append(x)
+        x = ctx._mul_slow(x, g)
+    return exp
+
+
+def _check_exp_log(ctx, want):
+    exp, log = ctx._exp_log()
+    n = ctx.q - 1
+    assert exp.tolist() == want + want
+    assert log[exp[:n]].tolist() == list(range(n))
+
+
+def test_exp_table_doubling_matches_the_scalar_loop():
+    fields = [(p, ell) for p in range(2, 4097) if ff.is_prime(p)
+              for ell in range(1, 13) if p**ell <= 4096]
+    assert len(fields) == 604
+    for p, ell in fields:
+        ctx = ff.FieldCtx(p, ell)  # its own context: the cache stays small
+        _check_exp_log(ctx, _exp_by_loop(ctx))
+
+
+@pytest.mark.parametrize("p, ell", [(2, 16), (3, 10)])
+def test_exp_table_doubling_matches_galoistools(p, ell):
+    ctx = ff.make_field(p, ell)
+    oracle, g = _GfOracle(ctx), ctx.multiplicative_generator()
+    want, x = [], 1
+    for _ in range(ctx.q - 1):
+        want.append(x)
+        x = oracle.mul(x, g)
+    assert x == 1
+    _check_exp_log(ctx, want)
+
+
 def test_order_matches_sympy_on_a_prime_field():
     sympy = pytest.importorskip("sympy")
     F = ff.make_field(1009, 1)

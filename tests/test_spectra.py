@@ -5,6 +5,7 @@ import pytest
 
 from tamexp import ff, orbits, spectra, tame
 from tamexp.errors import BoundViolated, NoConvergence, NotClosed
+from tamexp.permgrp import inverse
 from tamexp.spectra import (AngleMatrix, KazhdanParams, angle_matrix_min_eig,
                             build_schreier, complete_graph, cycle_graph,
                             kazhdan_bound, spectral_gap)
@@ -79,13 +80,142 @@ def test_dense_vs_iterative_agreement():
     assert r.residual <= 1e-10
 
 
+def reference_gap(graph, seed=0, max_iter=spectra.MAX_ITER):
+    """The Lanczos loop with the exact check (eigh of T_k, x and its
+    explicit residual) at every step, as it was before the floor let steps
+    skip it: (lambda2, gap, residual, iterations)."""
+    v = graph.nvertices
+    basis = np.empty((2, v))
+    basis[0] = 1.0 / math.sqrt(v)
+    q = np.random.default_rng(seed).standard_normal(v)
+    q -= basis[0] * (basis[0] @ q)
+    basis[1] = q / np.linalg.norm(q)
+    alphas, betas = [], []
+    for k in range(1, max_iter + 1):
+        w = graph.matmat(basis[k])
+        alphas.append(basis[k] @ w)
+        for _ in range(2):
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        vals, vecs = np.linalg.eigh(t)
+        theta, x = float(vals[-1]), vecs[:, -1] @ basis[1:k + 1]
+        residual = float(np.linalg.norm(graph.matmat(x) - theta * x))
+        if residual <= 1e-10:
+            return theta, 1.0 - theta, residual, k
+        betas.append(np.linalg.norm(w))
+        if k + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[k + 1] = w / betas[-1]
+    raise NoConvergence(f"Lanczos did not reach residual 1e-10 in {max_iter} "
+                        f"steps (residual {residual})")
+
+
+def thm15_graph(variant, p):
+    n, words = thm15_words(variant)
+    return build_schreier(nonzero_codes(p, n), words, ff.make_field(p, 1), n)
+
+
+def permutation_graph(v, degree, seed):
+    """degree / 2 random permutations of v points and their inverses."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in range(degree // 2):
+        g = rng.permutation(v).astype(np.int32)
+        cols += [g, inverse(g)]
+    return spectra.SchreierGraph(v, degree, np.stack(cols, axis=1))
+
+
+def two_7_cycles():
+    c = cycle_graph(7).neighbors
+    return spectra.SchreierGraph(14, 2, np.concatenate([c, c + 7]))
+
+
+def identity_generator_graph():
+    return build_schreier(nonzero_codes(3, 3), [tame.Word()],
+                          ff.make_field(3, 1), 3)
+
+
+ORACLE_GRAPHS = {
+    "K_9": lambda: complete_graph(9),
+    "C_10": lambda: cycle_graph(10),
+    "two 7-cycles": two_7_cycles,
+    "identity generator": identity_generator_graph,
+    **{f"thm15 i p={p}": (lambda p=p: thm15_graph("i", p))
+       for p in (5, 7, 11, 13)},
+    "thm15 ii p=3": lambda: thm15_graph("ii", 3),
+    **{f"{d}-regular V={v}": (lambda v=v, d=d: permutation_graph(v, d, v))
+       for d, v in ((4, 50), (6, 50), (4, 317), (6, 841), (4, 1729),
+                    (6, 3000))},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_gap_matches_check_every_step(name):
+    graph = ORACLE_GRAPHS[name]()
+    for seed in range(4):
+        r = spectral_gap(graph, seed=seed)
+        got = (repr(r.lambda2), repr(r.gap), repr(r.residual), r.iterations)
+        want = reference_gap(graph, seed=seed)
+        assert got == (*map(repr, want[:3]), want[3]), (name, seed)
+        assert 1 <= r.eigensolves <= r.iterations
+
+
+def test_floor_skips_most_eigensolves():
+    r = spectral_gap(thm15_graph("i", 13), seed=0)
+    assert r.eigensolves < r.iterations / 2
+
+
 def test_step_cap_raises_no_convergence(monkeypatch):
-    F5 = ff.make_field(5, 1)
-    n, words = thm15_words("i")
-    g = build_schreier(nonzero_codes(5, 3), words, F5, 3)
+    g = thm15_graph("i", 5)
     monkeypatch.setattr(spectra, "MAX_ITER", 5)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as got:
         spectral_gap(g)
+    with pytest.raises(NoConvergence) as want:
+        reference_gap(g, max_iter=5)
+    assert str(got.value) == str(want.value)
+
+
+def lanczos_coefficients(graph, steps, seed):
+    """alphas and betas of `steps` Lanczos steps on the deflated normalized
+    adjacency, with no stopping test."""
+    v = graph.nvertices
+    basis = np.empty((steps + 2, v))
+    basis[0] = 1.0 / math.sqrt(v)
+    q = np.random.default_rng(seed).standard_normal(v)
+    q -= basis[0] * (basis[0] @ q)
+    basis[1] = q / np.linalg.norm(q)
+    alphas, betas = [], []
+    for k in range(1, steps + 1):
+        w = graph.matmat(basis[k])
+        alphas.append(basis[k] @ w)
+        for _ in range(2):
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        betas.append(np.linalg.norm(w))
+        basis[k + 1] = w / betas[-1]
+    return alphas, betas
+
+
+@pytest.mark.parametrize("v, degree", [(120, 4), (300, 6), (640, 4),
+                                       (1100, 6)])
+def test_residual_floor_bounds_the_lanczos_estimate(v, degree):
+    steps = 80
+    alphas, betas = lanczos_coefficients(permutation_graph(v, degree, v),
+                                         steps, seed=v)
+    eig = [np.linalg.eigh(np.diag(alphas[:k]) + np.diag(betas[:k - 1], 1)
+                          + np.diag(betas[:k - 1], -1))
+           for k in range(1, steps + 1)]
+    above = 0
+    for k0 in range(1, steps):
+        vals, vecs = eig[k0 - 1]
+        anchor = (k0, betas[k0 - 1] * abs(vecs[-1, -1]),
+                  vals[-1] - vals[-2] if k0 > 1 else math.inf)
+        for k in range(k0 + 1, min(k0 + 12, steps) + 1):
+            floor = spectra._residual_floor(betas[:k], anchor)
+            estimate = betas[k - 1] * abs(eig[k - 1][1][-1, -1])
+            assert floor <= estimate, (k0, k, floor, estimate)
+            above += floor > spectra.FLOOR_MARGIN * spectra.RESIDUAL_TOL
+    # the floor is not vacuous: it rules out convergence at most steps
+    assert above > steps * 12 / 2
 
 
 def test_angle_matrix_equal_alphas():
