@@ -51,8 +51,23 @@ def main():
                      lambda: permgrp.certify_alternating(
                          permgrp.build_chain(gens, seed=1)))
         require(cert.verdict == "Alt"
-                and cert.order == math.factorial(p**3 - 1) // 2,
+                and cert.order == str(math.factorial(p**3 - 1) // 2),
                 f"p={p}: verdict {cert.verdict}, not Alt({p**3 - 1})")
+
+    print("Sym(9) from (0 1 2), a 9-cycle and (0 1), ladder against dense:")
+    gens = [permgrp.perm_from_cycles(9, [[0, 1, 2]]),
+            permgrp.perm_from_cycles(9, [list(range(9))]),
+            permgrp.perm_from_cycles(9, [[0, 1]])]
+    chains = timed("both chains give Sym(9), order 362880",
+                   lambda: [permgrp.try_alt_ladder(gens, seed=2),
+                            permgrp.schreier_sims(gens)])
+    certs = [permgrp.certify_alternating(c) for c in chains]
+    degrees = [permgrp.transitivity_degree(c) for c in chains]
+    require([c.strategy for c in chains] == ["cycles", "dense"]
+            and [(c.verdict, c.order) for c in certs] == [("Sym", "362880")] * 2
+            and degrees[0] == degrees[1],
+            f"Sym(9): {[(c.strategy, c.verdict, c.order) for c in certs]}, "
+            f"transitivity degrees {degrees}")
 
     print("dense Schreier-Sims (SL_3(F_5) on F_5^3 minus 0):")
     sl3 = tame.GroupParams(5, 3, (1, 1, 1))
@@ -63,7 +78,7 @@ def main():
     chain = timed("order 372000, verdict Proper",
                   lambda: permgrp.build_chain(gens, seed=1))
     cert = permgrp.certify_alternating(chain)
-    require(chain.strategy == "dense" and cert.order == 372000
+    require(chain.strategy == "dense" and cert.order == "372000"
             and cert.verdict == "Proper",
             f"SL_3(F_5): {chain.strategy} chain, order {cert.order}, "
             f"verdict {cert.verdict}")

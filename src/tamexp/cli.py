@@ -57,46 +57,6 @@ def _header(seed, ctx=None):
     return head
 
 
-_STR_BITS = 2048  # at most 617 digits: under any int-to-str limit (>= 640)
-
-
-def _bigint_str(n):
-    """Decimal string of an arbitrary-precision order n >= 0.
-
-    Certificate orders like 78124!/2 have hundreds of thousands of digits,
-    where str() takes quadratic time and trips the int-to-str conversion
-    limit.  Above _STR_BITS the integer is split on bit boundaries, n =
-    hi * 2^h + lo, and the halves are recombined as exact decimals, whose
-    multiplication is subquadratic; below it, plain str() is faster.
-    """
-    if n.bit_length() <= _STR_BITS:
-        return str(n)
-    import decimal
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                          Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
-    pow2 = {}
-
-    def two_to(w):  # 2^w as a Decimal; the split widths repeat, so cache
-        d = pow2.get(w)
-        if d is None:
-            if w <= _STR_BITS:
-                d = decimal.Decimal(1 << w)
-            else:
-                d = ctx.multiply(two_to(w >> 1), two_to(w - (w >> 1)))
-            pow2[w] = d
-        return d
-
-    def convert(m, w):  # m < 2^w
-        if w <= _STR_BITS:
-            return decimal.Decimal(m)
-        h = w >> 1
-        hi, lo = m >> h, m & ((1 << h) - 1)
-        return ctx.add(ctx.multiply(convert(hi, w - h), two_to(h)),
-                       convert(lo, h))
-
-    return str(convert(n, n.bit_length()))
-
-
 def _params(args):
     return tame.GroupParams(args.p, len(args.e), args.e)
 
@@ -162,7 +122,7 @@ def cmd_certify_alt(args):
         "degree": cert.degree,
         "domain": domain_kind,
         "generators": [w.text() for w in words],
-        "order": _bigint_str(cert.order),
+        "order": cert.order,
         "verdict": cert.verdict,
         "all_even": cert.all_even,
         "strategy": cert.strategy,

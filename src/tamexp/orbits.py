@@ -251,14 +251,20 @@ class OrbitInvariant:
     zero_flag: bool
 
 
+def _first_coordinate_letter(point, params):
+    """The derived transvection a_1 += a_j^(t_1j) at the first nonzero
+    coordinate j of a point with a_1 = 0."""
+    j = next(i for i, a in enumerate(point) if a) + 1
+    return Transvection(1, j, params.tij(1, j), 1)
+
+
 def _normalize_first_coordinate(point, params, ctx):
     """A cheap G-move making coordinate 1 nonzero (point must be nonzero):
     one derived transvection a_1 += a_j^(t_1j)."""
     if point[0] != 0:
         return point
-    j = next(i for i, a in enumerate(point) if a)  # 0-based
-    let = Transvection(1, j + 1, params.tij(1, j + 1), 1)
-    return apply_letter(let, 1, point, ctx)
+    return apply_letter(_first_coordinate_letter(point, params), 1, point,
+                        ctx)
 
 
 def compute_A0(point, params, ctx):
@@ -462,9 +468,11 @@ class _ProbeMachine:
     minimal-polynomial collisions by a Gamma twist plus a fresh-value
     move, then pin all points simultaneously through three coordinates.
 
-    All moves are poly-transvection letters; moves sourced at coordinate 1
-    interpolate through the pinned targets' nodes with value 0, so pinned
-    points stay put; moves sourced elsewhere fix them automatically.
+    All moves are poly-transvection letters, but for the derived
+    transvection a_1 += a_j^(t_1j) that restarts the growth of a point
+    with a_1 = 0; moves sourced at coordinate 1 interpolate through the
+    pinned targets' nodes with value 0, so pinned points stay put; moves
+    sourced elsewhere fix them automatically.
     """
 
     def __init__(self, params, ctx, spec):
@@ -493,9 +501,13 @@ class _ProbeMachine:
             values.append(ctx.mul(ctx.sub(want, state[i][target - 1]),
                                   ctx.inv(ctx.pow(a, t))))
         coeffs = interpolate(nodes, values, ctx)
-        letter = poly_transvection_letter(self.params, target, source, coeffs)
+        self._apply(state, poly_transvection_letter(self.params, target,
+                                                    source, coeffs))
+
+    def _apply(self, state, letter):
+        """Move every point by letter and append it to the word."""
         for i in range(len(state)):
-            state[i] = apply_letter(letter, 1, state[i], ctx)
+            state[i] = apply_letter(letter, 1, state[i], self.ctx)
         self.word.append((letter, 1))
 
     def _grow_first(self, s, state):
@@ -506,8 +518,7 @@ class _ProbeMachine:
             if guard > 8 * self.ell * n:
                 raise ProbeFailed("field-growth loop made no progress")
             psi = state[s]
-            d1 = self._degN(psi[0])
-            best, best_move = d1, None
+            best, best_move = self._degN(psi[0]), None
             for j in range(2, n + 1):
                 a = psi[j - 1]
                 if a == 0:
@@ -523,24 +534,10 @@ class _ProbeMachine:
                 j, cand = best_move
                 self._set(state, 1, j, {s: cand})
                 continue
-            # strict growth of some other coordinate, sourced at coordinate 1
-            found = False
-            pool = ctx.subfield(d1)
-            for j in range(2, n + 1):
-                dj = self.params.tij(j, 1)
-                src_pow = ctx.pow(psi[0], dj)
-                for lam in pool:
-                    cand = ctx.add(psi[j - 1], ctx.mul(lam, src_pow))
-                    if self._degN(cand) > d1:
-                        wants = dict.fromkeys(range(s), 0)  # pinned: stay
-                        wants[s] = cand
-                        self._set(state, j, 1, wants)
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            if psi[0] != 0:
                 raise ProbeFailed("no enlargement move available")
+            # a_1 := a_j^(t_1j); pinned points have a_j = 0 and stay put
+            self._apply(state, _first_coordinate_letter(psi, self.params))
 
     def _twist_to(self, s, state, gammas, target_first):
         """The first Gamma twist, in increasing (a, b), sending the first

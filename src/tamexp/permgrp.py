@@ -18,30 +18,34 @@ Two chain strategies share the StabChain interface:
   skipped.  Fine for groups whose chain is small (moderate order, or
   small degree).
 
-* 'cycles' is the chain of Alt(d) for giant alternating groups, taken
+* 'cycles' is the chain of Alt(d) or Sym(d) for giant groups, taken
   once Alt(d) <= G is proved.  A random element powers to a 3-cycle
   t = (a, b, c) in G, checked as a permutation.  A Schreier tree from a
   carries t to a conjugate T_x = (x, ., .) in G for every point x; if
   their supports form one connected hypergraph, the T_x generate Alt(d)
   (3-cycles on a connected support generate the alternating group on
   its union: Dixon-Mortimer, Permutation Groups, 1996, section 3.3).
-  The chain has base t followed by the other points in increasing
-  order, and level k's orbit is {b_k, ..., b_{d-1}}, so its order is
-  d!/2 on the nose.  Sifting undoes g(b_k) = y at level k by a 3-cycle
-  (b_k, y, z) of the level set, O(d) per element.  If every input
-  generator is even, |G| <= d!/2, which pins |G| = Alt(d) exactly.
+  G is then Alt(d) if every generator is even and Sym(d) otherwise, so
+  the chain is G's: base t followed by the other points in increasing
+  order, level k's orbit {b_k, ..., b_{d-1}}, and orbit sizes d, ..., 3
+  for Alt(d) or d, ..., 2 for Sym(d).  It holds g iff G is Sym(d) or g
+  is even, so a sift is one parity pass.
   Alt(d) is primitive, so an intransitive group, or one whose minimal
   block system joining points 0 and 1 is proper (`_minimal_block`), gets
   no chain before any random element is drawn; so do several
   components.  build_chain then falls back to 'dense'.  Randomness only
   searches for t; the certificate is exact.
+
+Either way the chain is complete, so a certificate reads its verdict and
+its order from the orbit sizes alone.
 """
 
 from __future__ import annotations
 
+import decimal
 import random
 from dataclasses import dataclass, field
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -52,6 +56,7 @@ MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators consi
 LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
 RATTLE_EXTRA = 5  # identity slots of the rattle beside the generators
 RATTLE_SCRAMBLE = 40  # rattle stirs before the first sample, plus 4 per generator
+PRODUCT_RUN = 32  # factors multiplied as ints before the decimal product tree
 
 
 def identity_perm(n):
@@ -242,10 +247,6 @@ class StabChain:
 
     @property
     def order(self):
-        # a 'cycles' chain is Alt(d): one factorial, not a product over its
-        # d - 2 levels, which costs O(d^2) digit operations
-        if self.strategy == "cycles":
-            return factorial(self.degree) // 2
         return prod(self.orbit_sizes)
 
     def sift(self, g):
@@ -253,26 +254,11 @@ class StabChain:
         (identity iff membership was established by the chain)."""
         if self.strategy == "dense":
             return _sift_dense(self.levels, g)
-        return self._sift_cycles(g)
-
-    def _sift_cycles(self, g):
-        # at level k, g <- g * (b_k, y, z)^-1 with y = g(b_k) and z the
-        # last base point other than y; the earlier base points are fixed,
-        # so y and z lie in the level set
-        base = self.base
-        glist = g.tolist()
-        ginv = [0] * self.degree
-        for x, y in enumerate(glist):
-            ginv[y] = x
-        for bk in base[:-2]:
-            y = glist[bk]
-            if y == bk:
-                continue
-            z = base[-1] if y != base[-1] else base[-2]
-            xb, xy, xz = ginv[bk], ginv[y], ginv[z]
-            glist[xy], glist[xz], glist[xb] = bk, y, z
-            ginv[bk], ginv[y], ginv[z] = xy, xz, xb
-        return np.array(glist, dtype=np.int64)
+        # Sym(d) holds every g, Alt(d) the even ones; an odd g left over
+        # from Alt(d)'s levels is the transposition of the last two points
+        if self.orbit_sizes[-1] == 2 or parity(g) == "even":
+            return identity_perm(self.degree)
+        return perm_from_cycles(self.degree, [self.base[-2:]])
 
     def contains(self, g):
         return is_identity(self.sift(g))
@@ -453,8 +439,8 @@ def _conjugate_triples(gens, triple):
 
 def try_alt_ladder(gens, seed=0):
     """Prove Alt(d) <= <gens> by a 3-cycle closure and return the chain of
-    Alt(d), or None if the proof does not go through (the group is then
-    presumably not a giant).
+    <gens>: Alt(d) if every generator is even, else Sym(d).  None if the
+    proof does not go through (the group is then presumably not a giant).
 
     Alt(d) is primitive for d >= 3, so an intransitive group, or one whose
     minimal block system joining points 0 and 1 is proper, is no giant
@@ -484,10 +470,11 @@ def try_alt_ladder(gens, seed=0):
     T = _conjugate_triples(gens, triple)
     if components([T[1], T[2]]).any():
         return None  # several components
+    smallest = 3 if all(parity(g) == "even" for g in gens) else 2
     return StabChain(degree=degree, gens=gens,
                      base=list(triple) + np.setdiff1d(np.arange(degree),
                                                       triple).tolist(),
-                     orbit_sizes=list(range(degree, 2, -1)),
+                     orbit_sizes=list(range(degree, smallest - 1, -1)),
                      strategy="cycles")
 
 
@@ -498,31 +485,44 @@ def try_alt_ladder(gens, seed=0):
 @dataclass
 class AltCertificate:
     degree: int
-    order: int
+    order: str  # exact decimal
     all_even: bool
     verdict: str  # "Alt" | "Sym" | "Proper"
     strategy: str
 
 
+def _decimal_product(factors):
+    """Exact decimal string of prod(factors): int products over runs of
+    PRODUCT_RUN factors, then a balanced tree of exact decimal products.
+    libmpdec multiplies huge operands by number-theoretic transforms,
+    and a decimal's str() is linear, where str() of an int is quadratic
+    and trips the int-to-str digit limit."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact])
+    level = [decimal.Decimal(prod(factors[i:i + PRODUCT_RUN]))
+             for i in range(0, len(factors), PRODUCT_RUN)]
+    while len(level) > 1:
+        level = ([ctx.multiply(a, b) for a, b in zip(level[::2], level[1::2])]
+                 + level[len(level) & ~1:])
+    return str(level[0]) if level else "1"
+
+
 def certify_alternating(chain):
-    """Verdict Alt iff the group order is d!/2 and all generators are even;
-    Sym iff it is d!; otherwise Proper.  Raises BoundViolated when an even
-    generator does not sift through the chain."""
+    """Verdict Sym iff the orbit sizes are d, ..., 2, Alt iff they are
+    d, ..., 3, otherwise Proper; exact for a complete chain, since a
+    point stabilizer in Alt(m) is transitive on the other points while
+    m >= 3.  The order is the product of the orbit sizes.
+
+    Nothing is sifted here: schreier_sims has sifted every level
+    generator of a dense chain (BoundViolated otherwise), and a 'cycles'
+    chain is <gens> by construction."""
     d = chain.degree
-    even = [parity(g) == "even" for g in chain.gens]
-    # every even generator lies in the chain's group: Alt(d) for 'cycles',
-    # <gens> for Schreier-Sims (which has already sifted the odd ones)
-    if any(e and not chain.contains(g) for g, e in zip(chain.gens, even)):
-        raise BoundViolated("a generator does not sift through its chain")
-    order = chain.order
-    # a 'cycles' chain proves Alt(d) <= G: its order d!/2 holds the one
-    # factorial, and an odd generator makes the group Sym(d)
-    full = 2 * order if chain.strategy == "cycles" else factorial(d)
-    if order == full // 2 and not all(even):
-        order = full
-    verdict = ("Alt" if order == full // 2 else "Sym" if order == full
-               else "Proper")
-    return AltCertificate(d, order, all(even), verdict, chain.strategy)
+    sizes = chain.orbit_sizes
+    verdict = ("Sym" if sizes == list(range(d, 1, -1))
+               else "Alt" if sizes == list(range(d, 2, -1)) else "Proper")
+    return AltCertificate(d, _decimal_product(sizes),
+                          all(parity(g) == "even" for g in chain.gens),
+                          verdict, chain.strategy)
 
 
 def transitivity_degree(chain):

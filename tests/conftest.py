@@ -1,4 +1,7 @@
-"""Shared helpers: point domains and the Theorem 1.5 generator words."""
+"""Shared helpers: point domains, the Theorem 1.5 generator words and
+unlimited decimal strings."""
+
+import sys
 
 import numpy as np
 
@@ -22,3 +25,15 @@ def thm15_words(variant):
 def all_points(q, n):
     from itertools import product
     return list(product(range(q), repeat=n))
+
+
+def str_unlimited(n):
+    """str(n) with the int-to-str digit limit lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(before)

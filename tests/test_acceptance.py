@@ -13,7 +13,7 @@ import pytest
 from tamexp import ff, orbits, permgrp as pg, spectra, synth, tame
 from tamexp.cli import main as cli_main
 
-from conftest import nonzero_codes, thm15_words
+from conftest import nonzero_codes, str_unlimited, thm15_words
 
 
 def _report(name, detail):
@@ -61,7 +61,7 @@ def test_criterion_1_alt_certification(thm15i_chains, tmp_path):
     for p, chain in thm15i_chains.items():
         cert = pg.certify_alternating(chain)
         assert cert.verdict == "Alt"
-        assert cert.order == math.factorial(p**3 - 1) // 2
+        assert cert.order == str(math.factorial(p**3 - 1) // 2)
     _report("criterion 1",
             f"certify-alt: Alt(26) from standard generators; Alt(d) for "
             f"d={orders} with exact orders d!/2")
@@ -76,7 +76,7 @@ def test_criterion_2_degree4_case():
     chain = pg.build_chain([rho, gamma], seed=11)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"
-    assert cert.order == math.factorial(2186) // 2
+    assert cert.order == str_unlimited(math.factorial(2186) // 2)
     # tau = commutator of gamma with its rho-conjugate: adds x3 to x1
     w_rho, w_gamma = words
     h = w_rho + w_gamma + w_rho.inverse()

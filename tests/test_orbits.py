@@ -538,3 +538,42 @@ def test_transitivity_probe_higher_grading():
     assert spec.lam_order == 3  # the cube roots of unity act
     rep = transitivity_probe(params, 2, 3, 25, seed=8)
     assert rep.successes == 25
+
+
+def _probe_machine(params, ell):
+    ctx = ff.make_field(params.p, ell)
+    return orbits._ProbeMachine(params, ctx, make_gamma_spec(params, ctx))
+
+
+def test_first_coordinate_growth_from_zero_is_exhaustive():
+    # every big-orbit point of F_49^3 with x1 = 0: no first move can grow
+    # some of them, e.g. (0, 1, 7), and the letter a1 += a_j^(t_1j) lets
+    # them go on; the returned word reaches the grown state
+    params = GroupParams(7, 3, (1, 1, 3))
+    machine = _probe_machine(params, 2)
+    ctx = machine.ctx
+    grown = 0
+    for x2 in range(ctx.q):
+        for x3 in range(ctx.q):
+            pt = (0, x2, x3)
+            if pt == (0, 0, 0) or compute_A0(pt, params, ctx)[0] != 2:
+                continue
+            state = [pt]
+            machine.word = []
+            machine._grow_first(0, state)
+            assert machine._degN(state[0][0]) == 2, pt
+            assert apply_word(Word(machine.word), pt, ctx) == state[0], pt
+            grown += 1
+    assert grown == 48**2
+
+
+def test_probe_machine_runs_from_a_point_no_first_move_grows():
+    params = GroupParams(7, 3, (1, 1, 3))
+    machine = _probe_machine(params, 2)
+    pt = (0, 1, 7)
+    assert compute_A0(pt, params, machine.ctx)[0] == 2
+    alphas = machine._fresh_generators(1, ())
+    word, gammas = machine.run([pt], alphas)
+    img = orbits._gamma_twists(pt, machine.spec)[gammas[0]]
+    assert apply_word(word, img, machine.ctx) == (alphas[0], 0, 0)
+    assert word.letters[0] == (Transvection(1, 2, params.tij(1, 2), 1), 1)

@@ -12,7 +12,7 @@ from tamexp import ff, permgrp as pg, tame
 from tamexp.errors import BoundViolated, BudgetExceeded
 from tamexp.orbits import word_code_perms
 
-from conftest import nonzero_codes, thm15_words
+from conftest import nonzero_codes, str_unlimited, thm15_words
 
 
 def test_perm_basics():
@@ -132,6 +132,105 @@ def test_ladder_matches_dense_on_alt9():
     assert not ladder.contains(pg.perm_from_cycles(9, [[0, 1]]))
 
 
+def test_ladder_matches_dense_on_sym9():
+    # an odd generator makes the group Sym(9), and the ladder's chain says so
+    gens = [pg.perm_from_cycles(9, [[0, 1, 2]]),
+            pg.perm_from_cycles(9, [list(range(9))]),
+            pg.perm_from_cycles(9, [[0, 1]])]
+    dense = pg.schreier_sims(gens)
+    ladder = pg.try_alt_ladder(gens, seed=2)
+    assert ladder.strategy == "cycles"
+    assert ladder.order == dense.order == math.prod(ladder.orbit_sizes) \
+        == math.prod(dense.orbit_sizes) == math.factorial(9)
+    assert pg.transitivity_degree(ladder) == pg.transitivity_degree(dense) == 8
+    for chain in (ladder, dense):
+        assert all(chain.contains(g) for g in gens)
+        cert = pg.certify_alternating(chain)
+        assert (cert.verdict, cert.order) == ("Sym", "362880")
+
+
+def _decimal_product_cases():
+    rng = random.Random(7)
+    run = pg.PRODUCT_RUN
+    cases = [[], [1], [7], [823542], list(range(9, 2, -1))]
+    for length in (run - 1, run, run + 1, 2 * run, 2 * run + 1, 3 * run,
+                   4 * run - 1, 4 * run):
+        cases.append([rng.randint(2, 10**6) for _ in range(length)])
+    for _ in range(40):
+        cases.append([rng.randint(1, 2**rng.randint(1, 40))
+                      for _ in range(rng.randint(0, 9 * run))])
+    cases.append(list(range(4912, 2, -1)))
+    return cases
+
+
+def test_decimal_product_matches_str_of_prod():
+    for factors in _decimal_product_cases():
+        assert pg._decimal_product(factors) == str_unlimited(
+            math.prod(factors)), len(factors)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str limit before Python 3.11")
+def test_decimal_product_under_the_smallest_digit_limit():
+    expected = [str_unlimited(math.prod(f)) for f in _decimal_product_cases()]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least nonzero limit allowed
+    try:
+        got = [pg._decimal_product(f) for f in _decimal_product_cases()]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert got == expected
+    assert max(map(len, got)) > 640
+
+
+def _sift_cycles(base, g):
+    """The level-by-level sift through the chain of Alt(d) on `base`: at
+    level k, g <- g * (b_k, y, z)^-1 with y = g(b_k) and z the last base
+    point other than y."""
+    glist = g.tolist()
+    ginv = [0] * len(glist)
+    for x, y in enumerate(glist):
+        ginv[y] = x
+    for bk in base[:-2]:
+        y = glist[bk]
+        if y == bk:
+            continue
+        z = base[-1] if y != base[-1] else base[-2]
+        xb, xy, xz = ginv[bk], ginv[y], ginv[z]
+        glist[xy], glist[xz], glist[xb] = bk, y, z
+        ginv[bk], ginv[y], ginv[z] = xy, xz, xb
+    return np.array(glist, dtype=np.int64)
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["alt", "sym"])
+def test_cycles_residue_matches_the_level_sift(odd):
+    d = 13
+    gens = [pg.perm_from_cycles(d, [[0, 1, 2]]),
+            pg.perm_from_cycles(d, [list(range(d))])]
+    gens += [pg.perm_from_cycles(d, [[0, 1]])] * odd
+    chain = pg.try_alt_ladder(gens, seed=3)
+    assert chain.strategy == "cycles"
+    assert chain.orbit_sizes[-1] == (2 if odd else 3)
+    last_two = pg.perm_from_cycles(d, [chain.base[-2:]])
+    rng = np.random.default_rng(5)
+    parities = set()
+    for _ in range(200):
+        g = rng.permutation(d)
+        parities.add(pg.parity(g))
+        want = _sift_cycles(chain.base, g)
+        got = chain.sift(g)
+        if odd:
+            # Sym(d)'s last level holds the transposition the Alt levels
+            # leave over
+            assert pg.is_identity(got)
+            assert pg.is_identity(want) or np.array_equal(want, last_two)
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert chain.contains(g) == (odd or pg.parity(g) == "even")
+    assert parities == {"even", "odd"}
+
+
 def test_certify_thm15i_p3():
     F3 = ff.make_field(3, 1)
     n, words = thm15_words("i")
@@ -140,7 +239,7 @@ def test_certify_thm15i_p3():
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"
-    assert cert.order == math.factorial(26) // 2
+    assert cert.order == str(math.factorial(26) // 2)
     assert pg.transitivity_degree(chain) == 24  # Alt(d) is (d-2)-transitive
 
 
@@ -152,7 +251,7 @@ def test_certify_proper_sl3():
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Proper"
-    assert cert.order == 5616  # |SL_3(F_3)|
+    assert cert.order == "5616"  # |SL_3(F_3)|
     assert pg.transitivity_degree(chain) == 1
 
 
@@ -181,23 +280,26 @@ def test_ladder_order_matches_sympy():
 
 
 @pytest.mark.parametrize("odd, verdict, order", [
-    (False, "Alt", math.factorial(9) // 2), (True, "Sym", math.factorial(9))])
+    (False, "Alt", str(math.factorial(9) // 2)),
+    (True, "Sym", str(math.factorial(9)))])
 def test_cycles_certificate_takes_order_from_factorial(odd, verdict, order,
                                                         monkeypatch):
-    # a 'cycles' chain is Alt(d): its certificate takes one factorial and
-    # forms no product over the d - 2 levels
+    # the certificate forms no integer d! or d!/2: it never reads the
+    # chain's integer order, and ints multiply only short runs of orbit
+    # sizes before the decimal product tree
     gens = [pg.perm_from_cycles(9, [[0, 1, 2]]),
             pg.perm_from_cycles(9, [list(range(9))])]
     gens += [pg.perm_from_cycles(9, [[0, 1]])] * odd
     chain = pg.try_alt_ladder(gens, seed=2)
-    assert chain.strategy == "cycles"
-    monkeypatch.setattr(pg, "prod", lambda sizes: pytest.fail(
-        "the level product was formed"))
-    calls = []
-    monkeypatch.setattr(pg, "factorial",
-                        lambda d: calls.append(d) or math.factorial(d))
+    assert chain.strategy == "cycles" and not hasattr(pg, "factorial")
+    monkeypatch.setattr(pg.StabChain, "order", property(
+        lambda self: pytest.fail("the integer order was formed")))
+    runs = []
+    monkeypatch.setattr(pg, "prod",
+                        lambda sizes: runs.append(len(sizes)) or math.prod(sizes))
+    monkeypatch.setattr(pg, "PRODUCT_RUN", 3)
     cert = pg.certify_alternating(chain)
-    assert calls == [9]
+    assert runs == [3, 3, 1 + odd]
     assert (cert.verdict, cert.order) == (verdict, order)
     assert cert.all_even == (not odd)
 
@@ -208,7 +310,7 @@ def test_certify_sym_with_odd_generator():
     chain = pg.build_chain(gens, seed=4)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Sym"
-    assert cert.order == math.factorial(7)
+    assert cert.order == str(math.factorial(7))
     assert not cert.all_even
 
 
@@ -437,7 +539,8 @@ def test_giant_rattle_stream_is_pinned(variant, p, degree, base):
     gens = word_code_perms(words, nonzero_codes(p, n), ff.make_field(p, 1), n)
     chain = pg.build_chain(gens, seed=0)
     assert chain.strategy == "cycles" and chain.base[:3] == base
-    assert pg.certify_alternating(chain).order == math.factorial(degree) // 2
+    assert pg.certify_alternating(chain).order == str_unlimited(
+        math.factorial(degree) // 2)
 
 
 def _random_generators(rng):
@@ -471,7 +574,12 @@ def test_certified_orders_match_sympy_on_random_groups():
         gens = _random_generators(rng)
         chain = pg.build_chain(gens, seed=trial)
         strategies.add(chain.strategy)
-        assert pg.certify_alternating(chain).order == _sympy_order(gens)
+        cert = pg.certify_alternating(chain)
+        order, d = _sympy_order(gens), len(gens[0])
+        assert cert.order == str(order)
+        assert cert.verdict == {math.factorial(d): "Sym",
+                                math.factorial(d) // 2: "Alt"}.get(order,
+                                                                   "Proper")
     assert strategies == {"dense", "cycles"}
 
 
@@ -485,7 +593,7 @@ def test_certify_thm15ii_p5_alt78124():
     assert cert.degree == 78124
     assert cert.verdict == "Alt"
     assert chain.strategy == "cycles"
-    assert cert.order == math.factorial(78124) // 2
+    assert cert.order == str_unlimited(math.factorial(78124) // 2)
 
 
 # Each snippet breaks one soundness check of a certificate.  The check must
@@ -501,11 +609,6 @@ BROKEN_CHECKS = {
         "    sorted(set(range(7)) - set(hit[0]))[:3]), hit[1])  # fixed by g^m\n"
         "pg.try_alt_ladder([pg.perm_from_cycles(7, [[0, 1, 2]]),\n"
         "                   pg.perm_from_cycles(7, [list(range(7))])])\n"),
-    "certify-sift": (
-        "chain = pg.build_chain([pg.perm_from_cycles(7, [[0, 1, 2]]),\n"
-        "                        pg.perm_from_cycles(7, [list(range(7))])])\n"
-        "chain.sift = lambda g: pg.perm_from_cycles(7, [[0, 1, 2]])\n"
-        "pg.certify_alternating(chain)\n"),
 }
 
 
