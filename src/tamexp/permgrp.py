@@ -10,13 +10,16 @@ Two chain strategies share the StabChain interface:
 
 * 'dense' is a deterministic Schreier-Sims, verified by checking every
   Schreier generator.  A level keeps its inverse coset representatives
-  w_y = u_y^-1 as one int32 (orbit x d) array, so a sift step is one
-  gather.  u_y g w_{g(y)} sifts to the identity iff g w_{g(y)}, gathered
-  through the deeper rows its sift picks, is the stored row w_y; the
-  picks come from the tree images u_y(b_j), so no row is inverted, and a
-  Schreier-tree edge (u_{g(y)} = u_y g) gives the identity and is
-  skipped.  Fine for groups whose chain is small (moderate order, or
-  small degree).
+  w_y = u_y^-1 as one (orbit x d) array, uint16 up to degree 65536 and
+  int32 above, so a sift step is one gather.  u_y g w_{g(y)} sifts to
+  the identity iff g w_{g(y)}, gathered through the deeper rows its sift
+  picks, is the stored row w_y; the picks come from the tree images
+  u_y(b_j), so no row is inverted, and a Schreier-tree edge
+  (u_{g(y)} = u_y g) gives the identity and is skipped.  A new
+  generator at depth j drops the rows of levels 0..j, and verification,
+  deepest level first, rebuilds a dropped level once, when it reaches it.
+  Fine for groups whose chain is small (moderate order, or small
+  degree).
 
 * 'cycles' is the chain of Alt(d) or Sym(d) for giant groups, taken
   once Alt(d) <= G is proved.  A random element powers to a 3-cycle
@@ -183,24 +186,29 @@ def _schreier_tree(root, moves):
 def _inverse_transversal(point, gens):
     """(index, inv, tree) for the orbit of point: inv[index[y]] is u_y^-1,
     where u_y, the word along the Schreier tree path to y, maps point to y.
-    inv is one int32 row per orbit point in BFS order; index is -1 off
-    the orbit.  tree is one (parent rows, moves) pair per BFS layer: the
-    layer's points take the next rows in order, each reached from its
-    parent by gens[move]."""
+    inv is one row per orbit point in BFS order, uint16 up to degree 65536
+    and int32 above; index is -1 off the orbit.  tree is one (parent rows,
+    moves) pair per BFS layer: the layer's points take the next rows in
+    order, each reached from its parent by gens[move].  Each row is
+    gathered from its parent's in place, so nothing layer-sized is
+    allocated beside inv."""
     d = len(gens[0])
     layers = _schreier_tree(point, gens)
     orbit = np.concatenate([[point]] + [kids for kids, _, _ in layers])
     index = np.full(d, -1)
     index[orbit] = np.arange(len(orbit))
-    inv = np.empty((len(orbit), d), dtype=np.int32)
+    inv = np.empty((len(orbit), d),
+                   dtype=np.uint16 if d <= 1 << 16 else np.int32)
     inv[0] = np.arange(d)
     ginvs = [inverse(g) for g in gens]
-    for kids, parents, move in layers:
-        for m, ginv in enumerate(ginvs):
-            sel = move == m
+    tree = [(index[parents], move) for _, parents, move in layers]
+    row = 1
+    for parents, move in tree:
+        for parent, m in zip(parents.tolist(), move.tolist()):
             # u_kid = u_parent g, so u_kid^-1 = g^-1 u_parent^-1
-            inv[index[kids[sel]]] = inv[index[parents[sel]]][:, ginv]
-    return index, inv, [(index[parents], move) for _, parents, move in layers]
+            inv[parent].take(ginvs[m], out=inv[row])
+            row += 1
+    return index, inv, tree
 
 
 def _tree_images(tree, gens, points):
@@ -222,7 +230,8 @@ class _DenseLevel:
     point: int
     gens: list
     index: np.ndarray = None  # point -> row of inv, -1 off the orbit
-    inv: np.ndarray = None  # int32 inverse coset representatives, one per row
+    inv: np.ndarray = None  # inverse coset representatives, one per row:
+    # uint16 up to degree 65536, int32 above; None while dropped
     tree: list = None  # (parent rows, moves) per BFS layer, as built
 
 
@@ -275,7 +284,9 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
     orbit runs over all generators of levels >= k.  Level k is verified by
     sifting all its Schreier generators through the deeper levels, deepest
     levels first, so on return the chain is complete and the product of
-    orbit sizes is the exact group order.  max_sifts caps the Schreier
+    orbit sizes is the exact group order.  A level's rows are built when
+    its verification starts; the deeper levels it sifts through are
+    verified, hence built, already.  max_sifts caps the Schreier
     generators considered, tree edges included (BudgetExceeded).
     """
     gens = [np.asarray(g, dtype=np.int64) for g in gens]
@@ -292,16 +303,25 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
 
     def add_gen(g):
         """Add a non-identity g at its depth j, the new last level
-        (based at the first point g moves) if g fixes the base; returns j."""
+        (based at the first point g moves) if g fixes the base; returns j.
+        Levels 0..j gain a generator, so their rows are dropped until
+        verification reaches them (`built`)."""
         j = depth_of(g)
         if j == len(levels):
             levels.append(_DenseLevel(int(np.argmax(g != np.arange(degree))),
                                       []))
         levels[j].gens.append(g)
-        for k, lv in enumerate(levels[:j + 1]):
+        for lv in levels[:j + 1]:
+            lv.index = lv.inv = lv.tree = None
+        return j
+
+    def built(k):
+        """Level k with its rows, built from gens_at(k) if dropped."""
+        lv = levels[k]
+        if lv.inv is None:
             lv.index, lv.inv, lv.tree = _inverse_transversal(lv.point,
                                                               gens_at(k))
-        return j
+        return lv
 
     def unsifted_schreier_gen(k):
         # With w_y = u_y^-1 the stored row of y and W the product of the
@@ -309,7 +329,7 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
         # iff t W = w_y for t = g w_{g(y)}; the sift reads s(b_j) =
         # t(u_y(b_j)) at level j, so no u_y is ever formed
         nonlocal sift_count
-        lv = levels[k]
+        lv = built(k)
         level_gens = gens_at(k)
         deeper = levels[k + 1:]
         images = _tree_images(lv.tree, level_gens,
@@ -332,7 +352,8 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
                         break
                     t = dl.inv[row].take(t)
                 else:
-                    # both int32 and contiguous: equal arrays, equal bytes
+                    # one row dtype per degree (uint16 up to 65536, else
+                    # int32), both contiguous: equal arrays, equal bytes
                     if t.tobytes() == w_y.tobytes():
                         continue
                 return _sift_dense(levels,
@@ -515,14 +536,17 @@ def certify_alternating(chain):
 
     Nothing is sifted here: schreier_sims has sifted every level
     generator of a dense chain (BoundViolated otherwise), and a 'cycles'
-    chain is <gens> by construction."""
+    chain is <gens> by construction.  Parity is read only for Proper:
+    otherwise G is Alt(d), whose generators are all even, or Sym(d),
+    which needs an odd one once d >= 2."""
     d = chain.degree
     sizes = chain.orbit_sizes
     verdict = ("Sym" if sizes == list(range(d, 1, -1))
                else "Alt" if sizes == list(range(d, 2, -1)) else "Proper")
-    return AltCertificate(d, _decimal_product(sizes),
-                          all(parity(g) == "even" for g in chain.gens),
-                          verdict, chain.strategy)
+    all_even = (all(parity(g) == "even" for g in chain.gens)
+                if verdict == "Proper" else verdict == "Alt" or d < 2)
+    return AltCertificate(d, _decimal_product(sizes), all_even, verdict,
+                          chain.strategy)
 
 
 def transitivity_degree(chain):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,72 @@ def test_schreier_sims_budget():
             pg.perm_from_cycles(40, [list(range(1, 40))])]
     with pytest.raises(BudgetExceeded):
         pg.schreier_sims(gens, max_sifts=10)
+
+
+@pytest.mark.parametrize("degree, dtype", [(4, np.uint16),
+                                           (65536, np.uint16),
+                                           (65537, np.int32)])
+def test_transversal_rows_widen_past_degree_65536(degree, dtype):
+    # Alt(4) on points 0..3, the other points fixed: the same chain at
+    # every degree, with rows as narrow as the degree allows
+    gens = [pg.perm_from_cycles(degree, [[0, 1, 2]]),
+            pg.perm_from_cycles(degree, [[1, 2, 3]])]
+    small = pg.schreier_sims([g[:4] for g in gens])
+    chain = pg.schreier_sims(gens)
+    assert (chain.base, chain.orbit_sizes, chain.order) == (
+        small.base, small.orbit_sizes, 12)
+    for lv, want in zip(chain.levels, small.levels):
+        assert lv.inv.dtype == dtype
+        assert np.array_equal(lv.inv[:, :4], want.inv)
+        assert (lv.inv[:, 4:] == np.arange(4, degree)).all()
+    assert chain.contains(gens[0]) and not chain.contains(
+        pg.perm_from_cycles(degree, [[0, 1]]))
+
+
+def test_schreier_sims_memory_and_rebuilds_on_sl3_f13(monkeypatch):
+    # the rows take 2 bytes a point, a level is rebuilt only when its
+    # verification starts, and no layer-sized temporary sits beside them
+    gens = _sl3_on_vectors(13)
+    builds = []
+    transversal = pg._inverse_transversal
+    monkeypatch.setattr(pg, "_inverse_transversal", lambda point, gens: (
+        builds.append(point) or transversal(point, gens)))
+    tracemalloc.start()
+    try:
+        chain = pg.schreier_sims(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.order == 13**3 * (13**2 - 1) * (13**3 - 1)
+    assert peak <= 1.25 * sum(chain.orbit_sizes) * chain.degree * 2
+    assert len(builds) <= 7
+
+
+@pytest.mark.parametrize("group, verdict, all_even", [
+    ("alt26", "Alt", True), ("sym7", "Sym", False), ("sl3-f3", "Proper", True)])
+def test_certificate_reads_parity_only_for_proper(group, verdict, all_even,
+                                                  monkeypatch):
+    # the ladder reads each generator's parity to choose Alt(d) or Sym(d);
+    # the certificate reads it again only when the verdict leaves it open
+    if group == "alt26":
+        n, words = thm15_words("i")
+        gens = word_code_perms(words, nonzero_codes(3, n), ff.make_field(3, 1),
+                               n)
+    elif group == "sym7":
+        gens = [pg.perm_from_cycles(7, [[0, 1]]),
+                pg.perm_from_cycles(7, [list(range(7))])]
+    else:
+        gens = _sl3_on_vectors(3)
+    parity = pg.parity
+    calls = []
+    monkeypatch.setattr(pg, "parity", lambda g: calls.append(g) or parity(g))
+    chain = pg.build_chain(gens, seed=1)
+    in_ladder = len(calls)
+    cert = pg.certify_alternating(chain)
+    assert (cert.verdict, cert.all_even) == (verdict, all_even)
+    assert all_even == all(parity(g) == "even" for g in gens)
+    assert len(calls) - in_ladder == (len(gens) if verdict == "Proper" else 0)
+    assert len(calls) <= len(gens)
 
 
 def test_ladder_strong_generators_sift():
