@@ -18,8 +18,9 @@ from math import isqrt
 import numpy as np
 
 from . import __version__, ff, orbits, permgrp, spectra, synth, tame
-from .errors import (BoundViolated, BudgetExceeded, FieldTooLarge,
-                     NotClosed, ProbeFailed, TamexpError)
+from .errors import (BoundViolated, BudgetExceeded, DegreeZero,
+                     FieldTooLarge, NonPrime, NotClosed, ProbeFailed,
+                     TamexpError)
 
 SCHEMA = 1
 
@@ -108,9 +109,7 @@ def cmd_certify_alt(args):
         domain_kind = "gamma-classes of the largest orbit"
     else:
         domain_size = ctx.q**n - 1
-        if domain_size > 10**5:  # checked before the codes are allocated
-            raise BudgetExceeded(f"domain of {domain_size} points exceeds 1e5")
-        if domain_size > args.budget:
+        if domain_size > args.budget:  # before the codes are allocated
             raise BudgetExceeded(f"domain of {domain_size} points exceeds "
                                  f"the budget {args.budget}")
         perms = orbits.word_code_perms(words, _nonzero_codes(ctx.q, n), ctx, n)
@@ -519,7 +518,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (BadInput, FieldTooLarge) as exc:
+    # NonPrime and DegreeZero: FieldCtx's limits on the p and ell given
+    except (BadInput, FieldTooLarge, NonPrime, DegreeZero) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 3
     # MemoryError and RecursionError: backstops for work too big or too deep

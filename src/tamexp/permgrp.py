@@ -493,8 +493,8 @@ def try_alt_ladder(gens, seed=0):
         return None  # several components
     smallest = 3 if all(parity(g) == "even" for g in gens) else 2
     return StabChain(degree=degree, gens=gens,
-                     base=list(triple) + np.setdiff1d(np.arange(degree),
-                                                      triple).tolist(),
+                     base=list(triple) + np.delete(np.arange(degree),
+                                                   sorted(triple)).tolist(),
                      orbit_sizes=list(range(degree, smallest - 1, -1)),
                      strategy="cycles")
 

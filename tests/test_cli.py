@@ -284,6 +284,11 @@ def test_certify_thm15_on_classes_reads_ell(tmp_path, capsys):
     "synth --p 65537 --e 1,1,2 --poly 1",
     "synth --p 3 --e 1,1,2 --t 70001",
     "verify-lemmas --qmax 80000",
+    # FieldCtx's limits: p below 2^31 and p^ell at most 2^40
+    "orbits --p 2 --e 1,1,2 --ell 41",
+    "gamma-classes --p 3 --e 1,1,2 --ell 30",
+    "certify-alt --p 3 --e 1,1,2 --ell 26 --on-classes",
+    "kazhdan --p 2147483659",
     # options the subcommand does not read
     "gap --k 2",
     "gap --method dense",
@@ -304,7 +309,20 @@ def test_domain_cap_is_checked_before_allocation(tmp_path, capsys):
     code, out = run(tmp_path, "certify-alt", "--p", "65537", "--e", "1,1,1")
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
-        "budget exceeded: domain of 281487861809152 points exceeds 1e5\n")
+        "budget exceeded: domain of 281487861809152 points exceeds the "
+        "budget 10000000\n")
+
+
+def test_certify_alt_domain_has_no_cap_below_the_budget(tmp_path, capsys):
+    # the degree-6 triple on F_47^3 minus 0: 103822 points, above 10^5
+    code, text = run(tmp_path, "certify-alt", "--thm15", "i", "--p", "47")
+    payload = json.loads(text)
+    assert (code, payload["verdict"], payload["degree"]) == (0, "Alt", 103822)
+    code, out = run(tmp_path, "certify-alt", "--thm15", "i", "--p", "47",
+                    "--budget", "103821")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "budget exceeded: domain of 103822 points exceeds the budget 103821\n")
 
 
 def test_certify_alt_budget_bounds_the_domain(tmp_path, capsys):
@@ -321,21 +339,37 @@ def test_certify_alt_budget_bounds_the_domain(tmp_path, capsys):
     assert run(tmp_path, *argv, "--budget", "25") == (2, "")
 
 
-@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
-def test_gap_domain_cap_is_checked_before_allocation(flags, tmp_path):
-    # the 65537^3 - 1 codes would take 2 PiB; a subprocess, so that -O is
-    # in force and a traceback would show on stderr
+def run_module(flags, out, *argv):
+    """Run the CLI in a subprocess, so that -O is in force and a traceback
+    would show on stderr."""
     src = os.path.dirname(os.path.dirname(ff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "out.csv"
-    res = subprocess.run(
-        [sys.executable, *flags, "-m", "tamexp.cli", "gap", "--thm15", "i",
-         "--p", "65537", "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "tamexp.cli", *argv, "--out", str(out)],
         capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_gap_domain_cap_is_checked_before_allocation(flags, tmp_path):
+    # the 65537^3 - 1 codes would take 2 PiB
+    out = tmp_path / "out.csv"
+    res = run_module(flags, out, "gap", "--thm15", "i", "--p", "65537")
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == ("budget exceeded: domain of 281487861809152 points "
                           "exceeds int32 positions\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_headline_budget_is_checked_before_allocation(flags, tmp_path):
+    # Alt(7^7 - 1) acts on 823542 points, one above this budget
+    out = tmp_path / "out.json"
+    res = run_module(flags, out, "certify-alt", "--thm15", "ii", "--p", "7",
+                     "--budget", "823541")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == ("budget exceeded: domain of 823542 points exceeds "
+                          "the budget 823541\n")
     assert not out.exists()
 
 

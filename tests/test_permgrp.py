@@ -606,6 +606,7 @@ def test_giant_rattle_stream_is_pinned(variant, p, degree, base):
     gens = word_code_perms(words, nonzero_codes(p, n), ff.make_field(p, 1), n)
     chain = pg.build_chain(gens, seed=0)
     assert chain.strategy == "cycles" and chain.base[:3] == base
+    assert chain.base[3:] == sorted(set(range(degree)) - set(base))
     assert pg.certify_alternating(chain).order == str_unlimited(
         math.factorial(degree) // 2)
 
