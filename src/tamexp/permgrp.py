@@ -4,7 +4,9 @@ alternating-group certification.
 Permutations are numpy integer arrays mapping index -> image; products
 apply left to right (compose(a, b)[x] = b[a[x]]), matching word
 application.  One vectorised pass (`cycle_lengths`) gives every cycle
-type, and one layered BFS Schreier tree (`_schreier_tree`) every orbit.
+type, and one layered BFS Schreier tree (`_schreier_tree`, on the BFS
+`orbits.bfs_layers` that also gives `orbits.closure`) every orbit; the
+transitivity check is one closure.
 
 Two chain strategies share the StabChain interface:
 
@@ -53,7 +55,7 @@ from math import lcm, prod
 import numpy as np
 
 from .errors import BoundViolated, BudgetExceeded
-from .orbits import components
+from .orbits import bfs_layers, closure, components
 
 MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators considered
 LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
@@ -162,25 +164,13 @@ def _schreier_tree(root, moves):
     """Layered BFS Schreier tree of root under the permutations `moves`:
     one (children, parents, move index) triple of arrays per layer, with
     child = moves[move][parent].  Within a layer the moves act in turn on
-    the whole frontier, and the first move to reach a point keeps it."""
+    the whole frontier, and the first move to reach a point keeps it
+    (`orbits.bfs_layers`)."""
     seen = np.zeros(len(moves[0]), dtype=bool)
-    seen[root] = True
-    frontier = np.array([root])
-    layers = []
-    while True:
-        kids, parents, index = [], [], []
-        for m, h in enumerate(moves):
-            img = h[frontier]
-            new = ~seen[img]
-            seen[img[new]] = True
-            kids.append(img[new])
-            parents.append(frontier[new])
-            index.append(np.full(len(kids[-1]), m))
-        frontier = np.concatenate(kids)
-        if not frontier.size:
-            return layers
-        layers.append((frontier, np.concatenate(parents),
-                       np.concatenate(index)))
+    return [(kids, np.concatenate([frontier[new] for new in reached]),
+             np.repeat(np.arange(len(moves)),
+                       [np.count_nonzero(new) for new in reached]))
+            for frontier, reached, kids in bfs_layers(root, moves, seen)]
 
 
 def _inverse_transversal(point, gens):
@@ -474,7 +464,7 @@ def try_alt_ladder(gens, seed=0):
     degree = len(gens[0])
     if degree < 5:
         return None
-    if components(gens).any() or _minimal_block(gens, 0, 1).any():
+    if not closure(0, gens).all() or _minimal_block(gens, 0, 1).any():
         return None  # intransitive or imprimitive
     rattle = Rattle(gens, random.Random(seed))
     for _ in range(LADDER_CYCLE_TRIES):

@@ -297,7 +297,10 @@ def _networkx_roots(maps, size):
     return roots
 
 
-@pytest.mark.parametrize("p, ell, e", [(3, 2, (1, 1, 2)), (7, 1, (1, 1, 3))])
+# (3, 2, (1, 1, 1)) has 6 orbits, and the closure of the last code (26
+# points) misses the majority orbit of 624, so it takes the fallback
+@pytest.mark.parametrize("p, ell, e", [(3, 2, (1, 1, 2)), (7, 1, (1, 1, 3)),
+                                      (3, 2, (1, 1, 1))])
 def test_orbit_partition_matches_networkx(p, ell, e):
     params = GroupParams(p, 3, e)
     part = orbit_partition(params, ell)
@@ -312,6 +315,39 @@ def test_orbit_partition_matches_networkx(p, ell, e):
     assert [o.size for o in part.orbits] == \
         [int((roots == r).sum()) for r in reps]
 
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_sizes_e1_closed_form(p):
+    # SL_3(F_p) on F_{p^2}^3 = F_p^3 + t F_p^3: the origin; the points c w
+    # with w in F_p^3 minus 0, one orbit of p^3 - 1 per c in F_{p^2}^* / F_p^*
+    # (p + 1 of them); and the points x + t y with x, y independent, one
+    # orbit of (p^3 - 1)(p^3 - p)
+    part = orbit_partition(GroupParams(p, 3, (1, 1, 1)), 2)
+    sizes = sorted(o.size for o in part.orbits)
+    assert sizes == [1] + [p**3 - 1] * (p + 1) + [(p**3 - 1) * (p**3 - p)]
+
+
+def _necklaces(p, ell):
+    """(1/ell) sum over k | ell of mu(ell/k) p^(3k): the points of
+    F_{p^ell}^3 in no proper subfield cube, counted per Frobenius class."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import mobius
+    return int(sum(mobius(ell // k) * p**(3 * k)
+                   for k in sympy.divisors(ell))) // ell
+
+
+@pytest.mark.parametrize("p, ell, count", [(3, 2, 351), (3, 3, 6552),
+                                           (3, 4, 132678), (5, 2, 7750),
+                                           (5, 3, 651000)])
+def test_largest_orbit_classes_are_necklaces(p, ell, count):
+    # the oracle is independent of the orbit code: a closed formula
+    assert _necklaces(p, ell) == count
+    params = GroupParams(p, 3, (1, 1, 2))
+    part = orbit_partition(params, ell)
+    big = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
+    rep = gamma_classes(part.labels, make_gamma_spec(params, part.ctx))
+    assert rep.orbits[big].class_count == count
 
 def test_word_code_perm_matches_scalar_action():
     # e = (1, 1, 3) over F_9: lambda = 2 has order 2, so m_lambda moves points
@@ -484,6 +520,68 @@ def test_components_of_shuffled_paths():
     for path in (order[:2000], order[2000:3000]):
         succ[path[:-1]] = path[1:]
     assert np.array_equal(components([succ]), _networkx_roots([succ], 3001))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_closure_of_permutations_is_the_orbit(n, count, seed):
+    rng = np.random.default_rng(seed)
+    maps = [rng.permutation(n) for _ in range(count)]
+    roots = components(maps)
+    for root in {0, n - 1, int(rng.integers(n))}:
+        assert np.array_equal(orbits.closure(root, maps),
+                              roots == roots[root])
+    assert np.array_equal(orbits._orbit_roots(maps), roots)
+
+
+def _components_sizes(monkeypatch):
+    """Record the number of points of each components call in orbits."""
+    sizes = []
+    def recording(maps):
+        sizes.append(len(maps[0]))
+        return components(maps)
+    monkeypatch.setattr(orbits, "components", recording)
+    return sizes
+
+
+def test_orbit_roots_seed_in_a_singleton(monkeypatch):
+    # the last point is fixed: its closure is itself, so every point
+    # goes through components
+    rng = np.random.default_rng(5)
+    g = np.append(rng.permutation(99), 99)
+    sizes = _components_sizes(monkeypatch)
+    assert np.array_equal(orbits.closure(99, [g]), np.arange(100) == 99)
+    assert np.array_equal(orbits._orbit_roots([g]), components([g]))
+    assert sizes[0] == 100
+
+
+def test_orbit_roots_two_halves_take_the_fallback(monkeypatch):
+    # two orbits of 50 points each: the seed's is no majority
+    rng = np.random.default_rng(6)
+    g = np.empty(100, dtype=np.int64)
+    shuffled = rng.permutation(100)
+    a, b = shuffled[:50], shuffled[50:]
+    g[a] = np.roll(a, 1)
+    g[b] = np.roll(b, 1)
+    sizes = _components_sizes(monkeypatch)
+    roots = orbits._orbit_roots([g])
+    assert sizes == [100]
+    assert np.array_equal(roots, _networkx_roots([g], 100))
+    assert sorted(set(roots.tolist())) == sorted([a.min(), b.min()])
+
+
+def test_orbit_roots_majority_goes_around_components(monkeypatch):
+    # 51 of 100 points in the seed's orbit: components sees the other 49
+    rng = np.random.default_rng(8)
+    low = rng.permutation(99)
+    big = np.append(low[:50], 99)
+    g = np.arange(100)
+    g[big] = np.roll(big, 1)
+    g[low[50:]] = np.roll(low[50:], 3)
+    sizes = _components_sizes(monkeypatch)
+    assert np.array_equal(orbits._orbit_roots([g]),
+                          _networkx_roots([g], 100))
+    assert sizes == [49]
 
 
 def test_check_large_orbit():
