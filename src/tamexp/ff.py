@@ -40,6 +40,7 @@ from .errors import BoundViolated, DegreeZero, FieldTooLarge, NonPrime
 PRIME_LIMIT = 1 << 31
 ORDER_LIMIT = 1 << 40  # keeps point indices of F_q^n in 64-bit range
 TABLE_LIMIT = 1 << 16  # no exp/log tables above this field size
+LEMMA_BLOCK = 1 << 16  # most elements in one 2-D block of a lemma check
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -628,6 +629,13 @@ class CountLemmaReport:
     holds: bool
 
 
+def _row_blocks(nrows, width):
+    """Consecutive row slices of a nrows x width check, each of at most
+    LEMMA_BLOCK elements (at least one row)."""
+    step = max(1, LEMMA_BLOCK // width)
+    return [slice(i, i + step) for i in range(0, nrows, step)]
+
+
 def verify_count_lemma(ctx, N):
     if not (1 <= N < ctx.p):
         raise ValueError("need p > N >= 1")
@@ -637,10 +645,15 @@ def verify_count_lemma(ctx, N):
     min_count = q  # over F_p every alpha counts: F_p(anything) = F_p
     if ctx.ell > 1:
         exp, log = ctx._exp_log()
+        # full[i]: g^i generates F_q, over the doubled exp, so that the
+        # index log(alpha^N) + log(gamma) needs no reduction mod q - 1
+        full = deg[exp] == ctx.ell
         logs = log[powN[1:]]  # alpha != 0 handled apart; alpha = 0 always fails
-        for gamma in range(1, q):
-            t = exp[(logs + log[gamma]) % (q - 1)]
-            min_count = min(min_count, int(np.count_nonzero(deg[t] == ctx.ell)))
+        # log(gamma) runs over 0..q-2 as gamma runs over the nonzero elements
+        shifts = np.arange(q - 1)
+        for rows in _row_blocks(q - 1, q - 1):
+            counts = np.count_nonzero(full[shifts[rows, None] + logs], axis=1)
+            min_count = min(min_count, int(counts.min()))
     worst = Fraction(min_count, q)
     bound = Fraction(ctx.p - N, ctx.p)
     holds = worst >= bound
@@ -673,47 +686,56 @@ def verify_enlarge_lemma(ctx, N):
     if not (1 <= N < ctx.p):
         raise ValueError("need p > N >= 1")
     p, q, ell = ctx.p, ctx.q, ctx.ell
+    exp, log = ctx._exp_log()
     deg = ctx.subfield_degree_table()
-    powN, powN1 = ctx.pow_table(N), ctx.pow_table(N - 1)
-    deg_N = deg[powN]  # deg(x^N) for x = 0..q-1
+    powN1 = ctx.pow_table(N - 1)
+    deg_N = deg[ctx.pow_table(N)]  # deg(x^N) for x = 0..q-1
     betas = np.arange(q, dtype=np.int64)
-    triples = 0
     part_ii = 0
-    for alpha in range(1, q):
-        d_a = int(deg_N[alpha])
-        triples += N * q
-        if d_a == ell:
-            # F_p(alpha^N) = F_q settles every (beta, k) without a search.
-            # Part (i): the witness lambda = (alpha - beta) * alpha^(-k) lies
-            # in F_q, and (beta + lambda * alpha^k)^N = alpha^N has degree
-            # ell.  Part (ii): every degree divides ell, so its hypothesis
-            # join > d_a cannot hold.
-            continue
-        # d_a is a proper divisor of ell: search the at most sqrt(q) lambda
-        lam_pool = ctx.subfield(d_a)
-        for k in range(N):
-            ak = ctx.pow(alpha, k)
-            # part (i): exists lambda with deg((beta + lambda*alpha^k)^N) >= d_a
-            pending = np.ones(q, dtype=bool)
-            # part (ii) hypothesis per beta
-            akbN1 = ctx.mul_arrays(np.full(q, ak, dtype=np.int64), powN1)
+    first = None  # (alpha, k, part, beta) of the first failure
+    # An alpha with F_p(alpha^N) = F_q settles every (beta, k) without a
+    # search.  Part (i): the witness lambda = (alpha - beta) * alpha^(-k)
+    # lies in F_q, and (beta + lambda * alpha^k)^N = alpha^N has degree
+    # ell.  Part (ii): every degree divides ell, so its hypothesis
+    # join > d_a cannot hold.  So only the proper divisors d_a of ell are
+    # searched, one row per (alpha, k) and one column per beta.
+    for d_a in _divisors(ell)[:-1]:
+        alphas = np.flatnonzero(deg_N[1:] == d_a) + 1
+        row_alpha = np.repeat(alphas, N)  # alpha-major
+        row_k = np.tile(np.arange(N), len(alphas))
+        lam_pool = ctx.subfield(d_a)  # the at most sqrt(q) lambda
+        for rows in _row_blocks(len(row_alpha), q):
+            alpha, k = row_alpha[rows], row_k[rows]
+            ak = exp[log[alpha] * k % (q - 1)]
+            # part (ii) hypothesis per (row, beta)
+            akbN1 = ctx.mul_arrays(ak[:, None], powN1)
             join = np.lcm(d_a, np.lcm(deg_N, deg[akbN1]))
-            hyp = join > d_a
-            part_ii += int(np.count_nonzero(hyp))
-            strict_pending = hyp.copy()
+            strict_pending = join > d_a
+            part_ii += int(np.count_nonzero(strict_pending))
+            # part (i): exists lambda with deg((beta + lambda*alpha^k)^N) >= d_a
+            pending = np.ones((len(ak), q), dtype=bool)
+            live = np.arange(len(ak))
             for lam in lam_pool:
-                if not pending.any() and not strict_pending.any():
+                live = live[pending[live].any(axis=1)
+                            | strict_pending[live].any(axis=1)]
+                if not live.size:
                     break
-                shifted = ctx.add_arrays(betas, np.full(q, ctx.mul(lam, ak), dtype=np.int64))
-                dN = deg[powN[shifted]]
-                pending &= ~(dN >= d_a)
-                strict_pending &= ~(dN > d_a)
-            if pending.any():
-                b = int(np.flatnonzero(pending)[0])
-                raise BoundViolated(
-                    f"enlarge lemma (i) failed at q={q}, N={N}, alpha={alpha}, beta={b}, k={k}")
-            if strict_pending.any():
-                b = int(np.flatnonzero(strict_pending)[0])
-                raise BoundViolated(
-                    f"enlarge lemma (ii) failed at q={q}, N={N}, alpha={alpha}, beta={b}, k={k}")
-    return EnlargeLemmaReport(p, ell, N, triples, part_ii, True)
+                lam_ak = ctx.mul_arrays(lam, ak[live])
+                dN = deg_N[ctx.add_arrays(betas, lam_ak[:, None])]
+                pending[live] &= dN < d_a
+                strict_pending[live] &= dN <= d_a
+            failed = np.flatnonzero(pending.any(axis=1)
+                                    | strict_pending.any(axis=1))
+            if failed.size:
+                i = failed[0]
+                part, bad = (("i", pending[i]) if pending[i].any()
+                             else ("ii", strict_pending[i]))
+                fail = (int(alpha[i]), int(k[i]), part,
+                        int(np.flatnonzero(bad)[0]))
+                first = min(first or fail, fail)
+                break  # later blocks of this d_a hold larger alphas
+    if first is not None:
+        alpha, k, part, b = first
+        raise BoundViolated(
+            f"enlarge lemma ({part}) failed at q={q}, N={N}, alpha={alpha}, beta={b}, k={k}")
+    return EnlargeLemmaReport(p, ell, N, (q - 1) * N * q, part_ii, True)

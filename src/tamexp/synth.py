@@ -25,11 +25,12 @@ seeded points plus a symbolic check ("sampled").
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
+
+import numpy as np
 
 from .errors import (BadExponent, BoundViolated, BudgetExceeded,
                      ClashingMinimalPolynomials, FieldTooLarge, NotInvertible,
@@ -134,13 +135,32 @@ class GammaStructureReport:
     generated_by_X0_Y: bool
 
 
-def gamma_structure(c, p, budget=10**7):
-    """Brute-force structure of Gamma_{c,F_p}.
+def _shift_codes(c, p, dtype):
+    """Code of Q(x + 1) for every polynomial code Q = sum_v Q_v p^v, v <= c.
+    Digit u of the image is the binomial digit sum sum_{v >= u} C(v, u) Q_v
+    mod p; each sum is taken on the broadcast grid of the digits it reads,
+    so only the result has p^(c+1) entries."""
+    digits = [d.astype(dtype) for d in grid_coords(p, c + 1)]
+    out = 0
+    for u in range(c + 1):
+        s = sum(comb(v, u) % p * digits[v] for v in range(u, c + 1))
+        out = out + s % p * p**u
+    return out.ravel()
 
-    The lower central series lives in the abelian polynomial part, where
-    subgroups are F_p-subspaces, so each term is a span of explicit
-    shift-difference vectors.
+
+def gamma_structure(c, p, budget=10**7):
+    """Structure of Gamma_{c,F_p}, exhaustively on element codes.
+
+    The element (Q, b) has code Q + p^(c+1) b, with the polynomial code
+    Q = sum_v Q_v p^v.  Right multiplication by X_0(1) = (x^c, 0) adds
+    one to digit c, and by y(1) = (0, 1) sends (Q, b) to (Q(x+1), b+1):
+    two permutations of the codes, whose closure from the identity is
+    the subgroup they generate.  The lower central series lives in the
+    abelian polynomial part, where subgroups are F_p-subspaces, so each
+    term is a span of explicit shift-difference vectors.
     """
+    from .orbits import closure  # orbits imports this module
+
     order = p ** (c + 2)
     if order > budget:
         raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
@@ -158,36 +178,21 @@ def gamma_structure(c, p, budget=10**7):
     # series = [G, gamma_2, ..., gamma_k = 0], nonzero up to the last term
     nilpotency_class = len(series) - 1
 
-    # center by scan: (Q, b) commutes with all (x^v, 0) and with y(1)
-    center = []
-    for poly in itertools.product(range(p), repeat=c + 1):
-        if _shift_poly(poly, 1, p) != poly:
-            continue
-        center.append((poly, 0))
-        if c == 0:
-            for b in range(1, p):
-                center.append((poly, b))
-    center_order = len(center)
-    xc = {tuple([r] + [0] * c) for r in range(p)}
-    center_is_Xc = {pt for pt, b in center if b == 0} == xc and all(
-        b == 0 for _, b in center) if c >= 1 else (center_order == p * p)
+    m = p ** (c + 1)  # polynomial codes
+    dtype = np.int32 if order <= np.iinfo(np.int32).max else np.int64
+    shift = _shift_codes(c, p, dtype)
+    # the center: (Q, 0) with Q(x + 1) = Q, and for c = 0 every (Q, b)
+    fixed = np.flatnonzero(shift == np.arange(m, dtype=dtype))
+    center_order = len(fixed) * (p if c == 0 else 1)
+    # X_c = the constants r x^0, whose codes are 0..p-1
+    center_is_Xc = (np.array_equal(fixed, np.arange(p)) if c >= 1
+                    else center_order == p * p)
 
-    # closure of <X_0(1), y(1)>
-    g1 = p_elem(c, p, 0, 1)
-    g2 = y_elem(c, p, 1)
-    gens4 = [g1, g2, gamma_inv(g1), gamma_inv(g2)]
-    seen = {gamma_identity(c, p)}
-    frontier = [gamma_identity(c, p)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens4:
-                y = gamma_op(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    generated = len(seen) == order
+    step = np.roll(np.arange(p, dtype=dtype), -1)  # digit d -> d + 1 mod p
+    top = (step[:, None] * p**c + np.arange(p**c, dtype=dtype)).ravel()
+    x0 = (np.arange(p, dtype=dtype)[:, None] * m + top).ravel()
+    y1 = (step[:, None] * m + shift).ravel()
+    generated = int(np.count_nonzero(closure(0, [x0, y1]))) == order
 
     report = GammaStructureReport(c, p, order, nilpotency_class,
                                   center_order, center_is_Xc, generated)

@@ -7,6 +7,7 @@ Derived expectations are computed by independent oracles inside the test
 import math
 import random
 
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -370,6 +371,96 @@ def test_enlarge_lemma_short_lambda_pool_raises(p, ell, N, part, monkeypatch):
     monkeypatch.setattr(ff.FieldCtx, "subfield", lambda self, d: (0,))
     with pytest.raises(BoundViolated, match=rf"\({part}\) failed"):
         ff.verify_enlarge_lemma(ff.make_field(p, ell), N)
+
+
+def scalar_enlarge_lemma(ctx, N):
+    """Reference: the per-alpha loop the batched check replaced, kept for
+    its failure messages.  It raises on the first failing (alpha, k) in
+    alpha-major order, part (i) before part (ii), at the first beta."""
+    q, ell = ctx.q, ctx.ell
+    deg = ctx.subfield_degree_table()
+    powN, powN1 = ctx.pow_table(N), ctx.pow_table(N - 1)
+    deg_N = deg[powN]
+    betas = np.arange(q, dtype=np.int64)
+    for alpha in range(1, q):
+        d_a = int(deg_N[alpha])
+        if d_a == ell:
+            continue
+        lam_pool = ctx.subfield(d_a)
+        for k in range(N):
+            ak = ctx.pow(alpha, k)
+            pending = np.ones(q, dtype=bool)
+            akbN1 = ctx.mul_arrays(np.full(q, ak, dtype=np.int64), powN1)
+            join = np.lcm(d_a, np.lcm(deg_N, deg[akbN1]))
+            strict_pending = join > d_a
+            for lam in lam_pool:
+                if not pending.any() and not strict_pending.any():
+                    break
+                shifted = ctx.add_arrays(
+                    betas, np.full(q, ctx.mul(lam, ak), dtype=np.int64))
+                dN = deg[powN[shifted]]
+                pending &= ~(dN >= d_a)
+                strict_pending &= ~(dN > d_a)
+            if pending.any():
+                b = int(np.flatnonzero(pending)[0])
+                raise BoundViolated(
+                    f"enlarge lemma (i) failed at q={q}, N={N}, alpha={alpha}, beta={b}, k={k}")
+            if strict_pending.any():
+                b = int(np.flatnonzero(strict_pending)[0])
+                raise BoundViolated(
+                    f"enlarge lemma (ii) failed at q={q}, N={N}, alpha={alpha}, beta={b}, k={k}")
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("p, ell, N", [
+    (2, 4, 1), (3, 2, 2), (2, 6, 1), (3, 4, 1), (3, 4, 2), (5, 2, 3),
+    (5, 4, 1), (7, 3, 3)])
+def test_enlarge_lemma_failure_message_matches_scalar_loop(p, ell, N, block,
+                                                           monkeypatch):
+    # F_16 and F_64 fail first at an alpha of degree above 1, after the
+    # degree-1 alphas passed
+    monkeypatch.setattr(ff.FieldCtx, "subfield", lambda self, d: (0,))
+    if block is not None:
+        monkeypatch.setattr(ff, "LEMMA_BLOCK", block)
+    ctx = ff.make_field(p, ell)
+    with pytest.raises(BoundViolated) as want:
+        scalar_enlarge_lemma(ctx, N)
+    with pytest.raises(BoundViolated) as got:
+        ff.verify_enlarge_lemma(ctx, N)
+    assert str(got.value) == str(want.value)
+
+
+def brute_force_count(ctx, N):
+    """Oracle: the worst proportion, over nonzero gamma, of the alpha in
+    F_q with F_p(alpha^N * gamma) = F_q, in scalar arithmetic."""
+    q, ell = ctx.q, ctx.ell
+    counts = [sum(ctx.subfield_degree(ctx.mul(ctx.pow(alpha, N), gamma)) == ell
+                  for alpha in range(q)) for gamma in range(1, q)]
+    return Fraction(min(counts), q)
+
+
+@pytest.mark.parametrize("p, ell, N", [
+    (p, ell, N) for p, ell in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+                               (7, 2)]
+    for N in range(1, min(p - 1, 4) + 1)])
+def test_count_lemma_matches_brute_force(p, ell, N):
+    ctx = ff.make_field(p, ell)
+    r = ff.verify_count_lemma(ctx, N)
+    assert r.worst_proportion == brute_force_count(ctx, N)
+    assert r.bound == Fraction(p - N, p) and r.holds
+
+
+@pytest.mark.parametrize("p, ell", [(3, 4), (5, 3)])
+def test_lemma_blocks_of_one_row_give_equal_reports(p, ell, monkeypatch):
+    ctx = ff.make_field(p, ell)
+    Ns = range(1, min(p - 1, 4) + 1)
+    want = [(ff.verify_count_lemma(ctx, N), ff.verify_enlarge_lemma(ctx, N))
+            for N in Ns]
+    monkeypatch.setattr(ff, "LEMMA_BLOCK", 1)
+    assert ff._row_blocks(5, ctx.q) == [slice(i, i + 1) for i in range(5)]
+    got = [(ff.verify_count_lemma(ctx, N), ff.verify_enlarge_lemma(ctx, N))
+           for N in Ns]
+    assert got == want
 
 
 def test_serialize_round_trip_line():

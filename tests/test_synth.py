@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -10,9 +12,10 @@ from tamexp import ff, synth
 from tamexp.errors import (BadExponent, BudgetExceeded,
                            ClashingMinimalPolynomials, NotInvertible,
                            ValueOutsideSubfield)
-from tamexp.synth import (GammaElem, gamma_comm, gamma_identity, gamma_inv,
-                          gamma_op, gamma_structure, interpolate, p_elem,
-                          verify_gamma_commutator_formula, y_elem)
+from tamexp.synth import (GammaElem, GammaStructureReport, gamma_comm,
+                          gamma_identity, gamma_inv, gamma_op, gamma_structure,
+                          interpolate, p_elem, verify_gamma_commutator_formula,
+                          y_elem)
 from tamexp.tame import GroupParams, Transvection, Word, apply_word
 
 from conftest import all_points
@@ -57,8 +60,121 @@ def test_gamma_structure_values():
     assert (r.order, r.nilpotency_class) == (9, 1)
     r = gamma_structure(3, 5)
     assert r.nilpotency_class == 4
-    with pytest.raises(BudgetExceeded):
-        gamma_structure(6, 31)
+    # the budget is checked before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            gamma_structure(6, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+# -- oracles: Gamma_{c,F_p} as sets of GammaElem, through gamma_op ----------
+
+
+def _right_closure(gens, seen, frontier):
+    """Grow seen by everything right multiplication by gens reaches from
+    frontier; returns seen."""
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = gamma_op(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def oracle_generated(c, p):
+    """<X_0(1), y(1)> = Gamma, by a BFS under both generators and their
+    inverses."""
+    g1, g2 = p_elem(c, p, 0, 1), y_elem(c, p, 1)
+    ident = gamma_identity(c, p)
+    seen = _right_closure([g1, g2, gamma_inv(g1), gamma_inv(g2)], {ident},
+                          [ident])
+    return len(seen) == p ** (c + 2)
+
+
+def oracle_center(c, p):
+    """(center order, center = X_c) by a scan: (Q, b) commutes with every
+    (x^v, 0) and with y(1)."""
+    center = []
+    for poly in itertools.product(range(p), repeat=c + 1):
+        if synth._shift_poly(poly, 1, p) != poly:
+            continue
+        center.append((poly, 0))
+        if c == 0:
+            for b in range(1, p):
+                center.append((poly, b))
+    xc = {tuple([r] + [0] * c) for r in range(p)}
+    if c == 0:
+        return len(center), len(center) == p * p
+    return len(center), ({pt for pt, b in center if b == 0} == xc
+                         and all(b == 0 for _, b in center))
+
+
+def oracle_class(c, p):
+    """Nilpotency class from commutators: with gamma_k = <X>, gamma_{k+1}
+    = [gamma_k, G] is the normal closure of the [x, s], x in X, s in a
+    generating set S of G (Robinson, A Course in the Theory of Groups,
+    5.1.7).  A normal closure is grown one generator at a time, queueing
+    the S-conjugates of each generator it takes."""
+    ident = gamma_identity(c, p)
+    S = [p_elem(c, p, v, 1) for v in range(c + 1)] + [y_elem(c, p, 1)]
+    X, k = S, 1
+    while True:
+        queue = [gamma_comm(x, s) for x in X for s in S]
+        gens, H = [], {ident}
+        while queue:
+            x = queue.pop()
+            if x in H:
+                continue
+            gens.append(x)
+            _right_closure(gens, H, list(H))
+            queue.extend(gamma_op(gamma_op(gamma_inv(s), x), s) for s in S)
+        if len(H) == 1:
+            return k
+        X, k = gens, k + 1
+
+
+GAMMA_CASES = [(c, p) for p in (2, 3, 5, 7) for c in range(15)
+               if p ** (c + 2) <= 10**5]
+
+
+@pytest.mark.parametrize("c, p", GAMMA_CASES)
+def test_gamma_structure_matches_oracles(c, p):
+    # p <= c included: there <X_0(1), y(1)> is proper and the center
+    # exceeds X_c, e.g. (3, 3) and (9, 3)
+    center_order, center_is_Xc = oracle_center(c, p)
+    want = GammaStructureReport(c, p, p ** (c + 2), oracle_class(c, p),
+                                center_order, center_is_Xc,
+                                oracle_generated(c, p))
+    assert gamma_structure(c, p) == want
+
+
+def test_gamma_small_p_is_not_generated_and_center_exceeds_xc():
+    assert (3, 3) in GAMMA_CASES
+    for c, p, center_order in [(3, 3, 9), (9, 3, 81)]:
+        r = gamma_structure(c, p)
+        assert (r.nilpotency_class, r.center_order) == (3, center_order)
+        assert not r.center_is_Xc and not r.generated_by_X0_Y
+
+
+def test_gamma_structure_memory_bound():
+    gamma_structure(2, 5)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        r = gamma_structure(5, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.order, r.nilpotency_class, r.center_order) == (7**7, 6, 7)
+    assert r.center_is_Xc and r.generated_by_X0_Y
+    assert peak <= 24 * r.order
 
 
 def test_embedding_is_homomorphism():
