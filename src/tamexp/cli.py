@@ -75,12 +75,8 @@ def _thm15_words(variant):
 
 
 def _nonzero_codes(q, n):
-    """Codes of the q^n - 1 nonzero points of F_q^n.  Raises BudgetExceeded
-    before allocating when their positions would not fit int32, the rule
-    of the orbits.code_perms grid."""
-    if q**n - 1 >= 2**31:
-        raise BudgetExceeded(f"domain of {q**n - 1} points exceeds int32 "
-                             "positions")
+    """Codes of the q^n - 1 nonzero points of F_q^n, under the int32 rule."""
+    orbits.check_int32(q**n - 1, "domain")
     return np.arange(1, q**n, dtype=np.int64)
 
 
@@ -395,8 +391,6 @@ def cmd_verify_lemmas(args):
     })
     _emit(payload, args.out)
     return 0 if ok else 1
-
-
 
 
 # -- options ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -594,14 +595,17 @@ def generated_subfield_degree(ctx, a):
 def minimal_polynomial(ctx, a):
     """Monic minimal polynomial of a over F_p, as a low-to-high tuple.
 
-    Computed as the product of (y - conj) over the Frobenius orbit; the
-    result always has prime-field coefficients.
+    The product of (y - conj) over the Frobenius orbit, once per orbit of
+    each field; its coefficients are checked to lie in the prime field.
     """
     conjugates = [a]
-    x = ctx.frobenius(a)
-    while x != a:
+    while (x := ctx.frobenius(conjugates[-1])) != a:
         conjugates.append(x)
-        x = ctx.frobenius(x)
+    return _orbit_polynomial(ctx, tuple(sorted(conjugates)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _orbit_polynomial(ctx, conjugates):
     # product of (y - c) with coefficients in the big field
     coeffs = [1]  # monic, low-to-high in y with field-element entries
     for c in conjugates:
@@ -610,10 +614,8 @@ def minimal_polynomial(ctx, a):
             nxt[i + 1] = ctx.add(nxt[i + 1], t)
             nxt[i] = ctx.sub(nxt[i], ctx.mul(c, t))
         coeffs = nxt
-    for t in coeffs:
-        if t >= ctx.p:
-            raise BoundViolated(
-                "minimal polynomial has non-prime-field coefficient")
+    if max(coeffs) >= ctx.p:
+        raise BoundViolated("minimal polynomial has non-prime-field coefficient")
     return poly_trim(coeffs)
 
 

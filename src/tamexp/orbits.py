@@ -82,14 +82,19 @@ def coords_to_codes(coords, q):
 # maps on point codes and their connected components
 
 
+def check_int32(count, what):
+    """The int32 rule: no domain of 2^31 or more points (BudgetExceeded)."""
+    if count >= 2**31:
+        raise BudgetExceeded(f"{what} of {count} points exceeds int32 positions")
+
+
 def code_perms(maps, codes, q, n):
     """Positions in the distinct codes `codes` of F_q^n, in any order, of
     their images under each map on per-coordinate index arrays, as int32
     arrays; codes None stands for all of F_q^n in code order.  Each map
     acts on the broadcast grid of tame.grid_coords, where an image's
     position is its code; an explicit code set takes its `restriction`."""
-    if q**n >= 2**31:
-        raise BudgetExceeded(f"grid of {q}^{n} points exceeds int32 positions")
+    check_int32(q**n, "grid")
     grid = grid_coords(q, n)
     restrict = (lambda pos: pos) if codes is None else restriction(codes, q**n)
     perms = []

@@ -1,12 +1,12 @@
 """Permutation-group engine: stabilizer chains, exact orders, parity, and
 alternating-group certification.
 
-Permutations are numpy integer arrays mapping index -> image; products
-apply left to right (compose(a, b)[x] = b[a[x]]), matching word
-application.  One vectorised pass (`cycle_lengths`) gives every cycle
-type, and one layered BFS Schreier tree (`_schreier_tree`, on the BFS
-`orbits.bfs_layers` that also gives `orbits.closure`) every orbit; the
-transitivity check is one closure.
+Permutations are int32 arrays (the rule of `orbits.check_int32`) mapping
+index -> image; products apply left to right (compose(a, b)[x] =
+b[a[x]]), matching word application.  One vectorised pass
+(`cycle_lengths`) gives every cycle type, and one layered BFS Schreier
+tree (`_schreier_tree`, on the BFS `orbits.bfs_layers` that also gives
+`orbits.closure`) every orbit; the transitivity check is one closure.
 
 Two chain strategies share the StabChain interface:
 
@@ -65,12 +65,12 @@ PRODUCT_RUN = 32  # factors multiplied as ints before the decimal product tree
 
 
 def identity_perm(n):
-    return np.arange(n, dtype=np.int64)
+    return np.arange(n, dtype=np.int32)
 
 
 def compose(a, b):
     """Apply a first, then b."""
-    return b[a]
+    return b.take(a)  # faster than b[a] on an int32 a
 
 
 def inverse(a):
@@ -84,13 +84,10 @@ def is_identity(a):
 
 
 def perm_from_cycles(n, cycles):
-    p = list(range(n))
+    p = identity_perm(n)
     for cyc in cycles:
-        for x, y in zip(cyc, cyc[1:]):
-            p[x] = y
-        if cyc:
-            p[cyc[-1]] = cyc[0]
-    return np.array(p, dtype=np.int64)
+        p[np.asarray(cyc, dtype=np.int32)] = np.roll(cyc, -1)
+    return p
 
 
 def cycle_lengths(p):
@@ -102,13 +99,13 @@ def cycle_lengths(p):
     is the least point of its cycle (the windows from x in steps of 2^k
     cover the cycle), after O(log of the longest cycle) rounds.
     """
-    label = np.arange(len(p))
-    jump = np.asarray(p)
+    label = identity_perm(len(p))
+    jump = np.asarray(p, dtype=np.int32)
     while True:
-        nxt = np.minimum(label, label[jump])
+        nxt = np.minimum(label, label.take(jump))
         if np.array_equal(nxt, label):
             break
-        label, jump = nxt, jump[jump]
+        label, jump = nxt, jump.take(jump)
     sizes = np.bincount(label, minlength=len(p))
     reps = np.flatnonzero(sizes > 1)
     return list(zip(sizes[reps].tolist(), reps.tolist()))
@@ -185,11 +182,11 @@ def _inverse_transversal(point, gens):
     d = len(gens[0])
     layers = _schreier_tree(point, gens)
     orbit = np.concatenate([[point]] + [kids for kids, _, _ in layers])
-    index = np.full(d, -1)
+    index = np.full(d, -1, dtype=np.int32)
     index[orbit] = np.arange(len(orbit))
     inv = np.empty((len(orbit), d),
                    dtype=np.uint16 if d <= 1 << 16 else np.int32)
-    inv[0] = np.arange(d)
+    inv[0] = identity_perm(d)
     ginvs = [inverse(g) for g in gens]
     tree = [(index[parents], move) for _, parents, move in layers]
     row = 1
@@ -279,7 +276,7 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
     verified, hence built, already.  max_sifts caps the Schreier
     generators considered, tree edges included (BudgetExceeded).
     """
-    gens = [np.asarray(g, dtype=np.int64) for g in gens]
+    gens = [np.asarray(g, dtype=np.int32) for g in gens]
     degree = len(gens[0])
     levels = []
     sift_count = 0
@@ -295,12 +292,13 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
         """Add a non-identity g at its depth j, the new last level
         (based at the first point g moves) if g fixes the base; returns j.
         Levels 0..j gain a generator, so their rows are dropped until
-        verification reaches them (`built`)."""
+        verification reaches them (`built`).  g is stored as int32: a
+        residue comes in its row dtype."""
         j = depth_of(g)
         if j == len(levels):
-            levels.append(_DenseLevel(int(np.argmax(g != np.arange(degree))),
-                                      []))
-        levels[j].gens.append(g)
+            moved = int(np.argmax(g != identity_perm(degree)))
+            levels.append(_DenseLevel(moved, []))
+        levels[j].gens.append(g.astype(np.int32, copy=False))
         for lv in levels[:j + 1]:
             lv.index = lv.inv = lv.tree = None
         return j
@@ -377,8 +375,8 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
 
 def _one_three_cycle(g):
     """Whether g has one 3-cycle: exactly 3 x with g^3(x) = x != g(x)."""
-    pts = np.arange(len(g))
-    return np.count_nonzero((g[g[g]] == pts) & (g != pts)) == 3
+    pts = identity_perm(len(g))
+    return np.count_nonzero((g.take(g.take(g)) == pts) & (g != pts)) == 3
 
 
 def _extract_three_cycle(g):
@@ -418,13 +416,13 @@ def _minimal_block(gens, a, b):
     merge, so this ends, at the finest partition with a and b in one
     block that every generator maps block to block (Atkinson, Math. Comp.
     29, 1975).  It is proper iff some label is nonzero."""
-    labels = np.arange(len(gens[0]))
+    labels = identity_perm(len(gens[0]))
     labels[max(a, b)] = min(a, b)
     while True:
         maps = [labels]
         for g in gens:
             img = np.empty_like(labels)
-            img[g] = g[labels]
+            img[g] = g.take(labels)
             maps.append(img)
         nxt = components(maps)
         if np.array_equal(nxt, labels):
@@ -438,7 +436,7 @@ def _conjugate_triples(gens, triple):
     t = (a, b, c) = triple.  The group is transitive, so the tree reaches
     every point (else BoundViolated)."""
     moves = np.array(gens + [inverse(g) for g in gens])
-    T = np.full((3, moves.shape[1]), -1, dtype=np.int64)
+    T = np.full((3, moves.shape[1]), -1, dtype=np.int32)
     T[:, triple[0]] = triple
     for kids, parents, move in _schreier_tree(triple[0], moves):
         T[:, kids] = moves[move, T[:, parents]]  # conjugate by the move
@@ -460,7 +458,7 @@ def try_alt_ladder(gens, seed=0):
     of t along a Schreier tree give a 3-cycle at every point, and one
     connected component of their supports proves the claim.
     """
-    gens = [np.asarray(g, dtype=np.int64) for g in gens]
+    gens = [np.asarray(g, dtype=np.int32) for g in gens]
     degree = len(gens[0])
     if degree < 5:
         return None
@@ -483,7 +481,7 @@ def try_alt_ladder(gens, seed=0):
         return None  # several components
     smallest = 3 if all(parity(g) == "even" for g in gens) else 2
     return StabChain(degree=degree, gens=gens,
-                     base=list(triple) + np.delete(np.arange(degree),
+                     base=list(triple) + np.delete(identity_perm(degree),
                                                    sorted(triple)).tolist(),
                      orbit_sizes=list(range(degree, smallest - 1, -1)),
                      strategy="cycles")

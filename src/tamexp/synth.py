@@ -135,12 +135,12 @@ class GammaStructureReport:
     generated_by_X0_Y: bool
 
 
-def _shift_codes(c, p, dtype):
+def _shift_codes(c, p):
     """Code of Q(x + 1) for every polynomial code Q = sum_v Q_v p^v, v <= c.
     Digit u of the image is the binomial digit sum sum_{v >= u} C(v, u) Q_v
     mod p; each sum is taken on the broadcast grid of the digits it reads,
     so only the result has p^(c+1) entries."""
-    digits = [d.astype(dtype) for d in grid_coords(p, c + 1)]
+    digits = [d.astype(np.int32) for d in grid_coords(p, c + 1)]
     out = 0
     for u in range(c + 1):
         s = sum(comb(v, u) % p * digits[v] for v in range(u, c + 1))
@@ -159,11 +159,12 @@ def gamma_structure(c, p, budget=10**7):
     abelian polynomial part, where subgroups are F_p-subspaces, so each
     term is a span of explicit shift-difference vectors.
     """
-    from .orbits import closure  # orbits imports this module
+    from .orbits import check_int32, closure  # orbits imports this module
 
     order = p ** (c + 2)
     if order > budget:
         raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
+    check_int32(order, "element-code domain")
 
     # gamma_2 is spanned by the differences Q(x+s) - Q(x) over the
     # monomials Q = x^v, and gamma_{k+1} by those over a basis of gamma_k;
@@ -179,18 +180,17 @@ def gamma_structure(c, p, budget=10**7):
     nilpotency_class = len(series) - 1
 
     m = p ** (c + 1)  # polynomial codes
-    dtype = np.int32 if order <= np.iinfo(np.int32).max else np.int64
-    shift = _shift_codes(c, p, dtype)
+    shift = _shift_codes(c, p)
     # the center: (Q, 0) with Q(x + 1) = Q, and for c = 0 every (Q, b)
-    fixed = np.flatnonzero(shift == np.arange(m, dtype=dtype))
+    fixed = np.flatnonzero(shift == np.arange(m, dtype=np.int32))
     center_order = len(fixed) * (p if c == 0 else 1)
     # X_c = the constants r x^0, whose codes are 0..p-1
     center_is_Xc = (np.array_equal(fixed, np.arange(p)) if c >= 1
                     else center_order == p * p)
 
-    step = np.roll(np.arange(p, dtype=dtype), -1)  # digit d -> d + 1 mod p
-    top = (step[:, None] * p**c + np.arange(p**c, dtype=dtype)).ravel()
-    x0 = (np.arange(p, dtype=dtype)[:, None] * m + top).ravel()
+    step = np.roll(np.arange(p, dtype=np.int32), -1)  # digit d -> d + 1 mod p
+    top = (step[:, None] * p**c + np.arange(p**c, dtype=np.int32)).ravel()
+    x0 = (np.arange(p, dtype=np.int32)[:, None] * m + top).ravel()
     y1 = (step[:, None] * m + shift).ravel()
     generated = int(np.count_nonzero(closure(0, [x0, y1]))) == order
 

@@ -373,6 +373,19 @@ def test_headline_budget_is_checked_before_allocation(flags, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_gamma_group_int32_rule_is_checked_before_allocation(flags, tmp_path):
+    # |Gamma_{18,F_3}| = 3^20 passes the budget but not the int32 rule; one
+    # int64 code map of that order would take 28 GB
+    out = tmp_path / "out.json"
+    res = run_module(flags, out, "gamma-group", "--c", "18", "--p", "3",
+                     "--budget", "10000000000")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == ("budget exceeded: element-code domain of "
+                          "3486784401 points exceeds int32 positions\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", [BoundViolated, ProbeFailed])
 def test_internal_invariant_failure_exit_code(error, tmp_path, monkeypatch,
                                               capsys):

@@ -168,6 +168,17 @@ def test_minimal_polynomial_broken_frobenius_raises(monkeypatch):
         ff.minimal_polynomial(F9, F9.element((0, 1)))
 
 
+def test_minimal_polynomial_cache_hides_no_corrupted_frobenius(monkeypatch):
+    # the product is cached per Frobenius orbit, and the orbit is walked on
+    # every call: a result cached before the corruption is not reused
+    F9 = ff.make_field(3, 2)
+    t = F9.element((0, 1))
+    assert ff.minimal_polynomial(F9, F9.frobenius(t)) == (1, 0, 1)
+    monkeypatch.setattr(F9, "frobenius", lambda a: a)
+    with pytest.raises(BoundViolated):
+        ff.minimal_polynomial(F9, t)
+
+
 def test_minimal_polynomial_properties():
     F125 = ff.make_field(5, 3)
     for a in range(125):

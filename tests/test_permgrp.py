@@ -201,7 +201,7 @@ def _sift_cycles(base, g):
         xb, xy, xz = ginv[bk], ginv[y], ginv[z]
         glist[xy], glist[xz], glist[xb] = bk, y, z
         ginv[bk], ginv[y], ginv[z] = xy, xz, xb
-    return np.array(glist, dtype=np.int64)
+    return np.array(glist, dtype=np.int32)
 
 
 @pytest.mark.parametrize("odd", [False, True], ids=["alt", "sym"])
@@ -338,7 +338,7 @@ def _reference_schreier_sims(gens):
     """The plain loop: sift every Schreier generator u_y g u_{g(y)}^-1 as
     a permutation, forming each u_y by inverting its stored row.  Returns
     (base, orbit sizes, strong generators per level, generators sifted)."""
-    gens = [np.asarray(g, dtype=np.int64) for g in gens]
+    gens = [np.asarray(g, dtype=np.int32) for g in gens]
     levels, sifted = [], 0
 
     def gens_at(k):
@@ -350,7 +350,7 @@ def _reference_schreier_sims(gens):
         if j == len(levels):
             moved = np.flatnonzero(g != np.arange(len(g)))
             levels.append(pg._DenseLevel(int(moved[0]), []))
-        levels[j].gens.append(g)
+        levels[j].gens.append(np.asarray(g, dtype=np.int32))
         for k, lv in enumerate(levels[:j + 1]):
             lv.index, lv.inv, _ = pg._inverse_transversal(lv.point, gens_at(k))
         return j
@@ -452,6 +452,51 @@ def test_transversal_rows_widen_past_degree_65536(degree, dtype):
         assert (lv.inv[:, 4:] == np.arange(4, degree)).all()
     assert chain.contains(gens[0]) and not chain.contains(
         pg.perm_from_cycles(degree, [[0, 1]]))
+
+
+def test_permutations_are_int32_in_both_chain_strategies():
+    # SL_3(F_5) on vectors: a dense chain whose sifts add residues, which
+    # leave the uint16 rows in the row dtype; Alt(13): the 3-cycle closure
+    gens = [g.astype(np.int64) for g in _sl3_on_vectors(5)]
+    dense = pg.schreier_sims(gens)
+    level_gens = [g for lv in dense.levels for g in lv.gens]
+    assert len(level_gens) > len(gens)  # residues among them
+    assert dense.levels[0].inv.dtype == np.uint16
+    d = 13
+    cycles = pg.try_alt_ladder([pg.perm_from_cycles(d, [[0, 1, 2]]).astype(
+        np.int64), np.roll(np.arange(d), -1)], seed=3)
+    assert cycles.strategy == "cycles"
+    odd = pg.perm_from_cycles(d, [[0, 1]])
+    perms = level_gens + dense.gens + cycles.gens + [odd, cycles.sift(odd)]
+    assert all(g.dtype == np.int32 for g in perms)
+
+
+def test_rattle_and_ladder_work_in_int32():
+    labels = pg._minimal_block(_IMPRIMITIVE, 0, 1)
+    assert labels.dtype == np.int32 and labels.tolist() == [0, 0, 0, 3, 3, 3]
+    gens = _sl3_on_vectors(5)
+    rattle = pg.Rattle(gens, random.Random(0))
+    assert rattle.sample().dtype == np.int32
+    assert all(s.dtype == np.int32 for s in rattle.slots + [rattle.accu])
+    T = pg._conjugate_triples(gens, (0, 1, 2))
+    assert T.dtype == np.int32 and (T >= 0).all()
+
+
+def test_rattle_memory_at_degree_one_million():
+    # nine int32 slots (five identities, three generators, the accumulator)
+    # plus the stirring temporaries stay below what the nine slots alone
+    # would take in int64
+    d = 10**6
+    rng = np.random.default_rng(0)
+    gens = [rng.permutation(d).astype(np.int32) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        sample = pg.Rattle(gens, random.Random(0)).sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.dtype == np.int32
+    assert peak < (pg.RATTLE_EXTRA + len(gens) + 1) * 8 * d
 
 
 def test_schreier_sims_memory_and_rebuilds_on_sl3_f13(monkeypatch):
