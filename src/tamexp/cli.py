@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from math import isqrt
 
 import numpy as np
@@ -40,15 +42,14 @@ def _pool_map(fn, tasks, workers):
 
 
 def _emit(payload, out, fmt="json"):
-    if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = payload
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """JSON goes out as json.dumps(payload, indent=2) + "\n", written
+    while it is encoded: the whole text never exists as one string."""
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            fh.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+            fh.write("\n")
+        else:
+            fh.write(payload)
 
 
 def _header(seed, ctx=None):
@@ -122,7 +123,7 @@ def cmd_certify_alt(args):
         "all_even": cert.all_even,
         "strategy": cert.strategy,
         "transitivity_degree": permgrp.transitivity_degree(chain),
-        "base": [int(b) for b in chain.base],
+        "base": chain.base.tolist(),
     })
     _emit(payload, args.out)
     return 0 if cert.verdict == "Alt" else 1
@@ -256,13 +257,9 @@ def cmd_gap(args):
         else [args.p]
     tasks = [(p, args.thm15, args.seed) for p in primes]
     results = _pool_map(_gap_row, tasks, args.threads)
-    rows = ["p,V,degree,lambda2,gap,method,residual"]
-    ok = True
-    for gap, row in results:
-        ok = ok and gap > 0
-        rows.append(row)
+    rows = ["p,V,degree,lambda2,gap,method,residual"] + [r for _, r in results]
     _emit("\n".join(rows) + "\n", args.out, fmt="csv")
-    return 0 if ok else 1
+    return 0 if all(gap > 0 for gap, _ in results) else 1
 
 
 def cmd_kazhdan(args):
@@ -300,15 +297,8 @@ def _lemma_fields(qmax):
     """The extension fields F_{p^ell}, ell >= 2, of order at most qmax.
     Both lemmas are vacuous over a prime field, where every element
     generates F_p, so prime fields are left to the unit tests."""
-    out = []
-    for p in range(2, isqrt(qmax) + 1):
-        if not ff.is_prime(p):
-            continue
-        ell = 2
-        while p**ell <= qmax:
-            out.append((p, ell))
-            ell += 1
-    return out
+    return [(p, ell) for p in range(2, isqrt(qmax) + 1) if ff.is_prime(p)
+            for ell in range(2, qmax.bit_length()) if p**ell <= qmax]
 
 
 def _lemma_field_worker(task):
@@ -341,11 +331,8 @@ def cmd_verify_lemmas(args):
                             "field tables")
     tasks = [(p, ell, args.nmax) for p, ell in fields]
     field_results = _pool_map(_lemma_field_worker, tasks, args.threads)
-    checks = []
-    ok = True
-    for good, out in field_results:
-        ok = ok and good
-        checks.extend(out)
+    ok = all(good for good, _ in field_results)
+    checks = [check for _, out in field_results for check in out]
     rng = _random.Random(args.seed)
     fields = _lemma_fields(125)
     interp_ok = 0
@@ -424,6 +411,12 @@ def _ints(text):
     return tuple(_int(x) for x in text.split(","))
 
 
+def _out_path(text):
+    if os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"cannot create {text!r}")
+    return text
+
+
 def _exponents(text):
     e = _ints(text)
     if len(e) < 3 or min(e) < 1:
@@ -464,7 +457,7 @@ OPTIONS = {
                     help="worker processes; numpy may run several threads "
                          "in each"),
     "seed": dict(type=_int, default=0, help="seed of every random choice"),
-    "out": dict(default=None, help="output file, stdout if not given"),
+    "out": dict(type=_out_path, help="output file, stdout if not given"),
 }
 
 # name, help, handler, the options its handler reads (plus --seed, --out)
@@ -524,7 +517,8 @@ def main(argv=None):
     except (BoundViolated, ProbeFailed) as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return 4
-    except (TamexpError, ValueError) as exc:
+    # OSError: the output file could not be written
+    except (TamexpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -236,14 +236,14 @@ def _sift_dense(levels, g, start=0):
 class StabChain:
     degree: int
     gens: list
-    base: list
-    orbit_sizes: list
+    base: np.ndarray  # int32 points
+    orbit_sizes: np.ndarray  # int64, one per level
     strategy: str
     levels: list = field(default_factory=list, repr=False)  # dense
 
     @property
     def order(self):
-        return prod(self.orbit_sizes)
+        return prod(map(int, self.orbit_sizes))
 
     def sift(self, g):
         """Reduce g through the chain; returns the residue permutation
@@ -360,8 +360,8 @@ def schreier_sims(gens, max_sifts=MAX_SIFTS):
         k = k - 1 if residue is None else add_gen(residue)
 
     chain = StabChain(degree=degree, gens=gens,
-                      base=[lv.point for lv in levels],
-                      orbit_sizes=[len(lv.inv) for lv in levels],
+                      base=np.int32([lv.point for lv in levels]),
+                      orbit_sizes=np.int64([len(lv.inv) for lv in levels]),
                       strategy="dense", levels=levels)
     if not all(chain.contains(g) for g in gens_at(0)):
         raise BoundViolated("a level generator does not sift through its "
@@ -480,10 +480,10 @@ def try_alt_ladder(gens, seed=0):
     if components([T[1], T[2]]).any():
         return None  # several components
     smallest = 3 if all(parity(g) == "even" for g in gens) else 2
+    rest = np.delete(identity_perm(degree), sorted(triple))
     return StabChain(degree=degree, gens=gens,
-                     base=list(triple) + np.delete(identity_perm(degree),
-                                                   sorted(triple)).tolist(),
-                     orbit_sizes=list(range(degree, smallest - 1, -1)),
+                     base=np.concatenate([triple, rest], dtype=np.int32),
+                     orbit_sizes=np.arange(degree, smallest - 1, -1),
                      strategy="cycles")
 
 
@@ -501,14 +501,15 @@ class AltCertificate:
 
 
 def _decimal_product(factors):
-    """Exact decimal string of prod(factors): int products over runs of
+    """Exact decimal string of prod(factors), for any sequence of ints
+    (an int64 product would overflow silently): int products over runs of
     PRODUCT_RUN factors, then a balanced tree of exact decimal products.
     libmpdec multiplies huge operands by number-theoretic transforms,
     and a decimal's str() is linear, where str() of an int is quadratic
     and trips the int-to-str digit limit."""
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           traps=[decimal.Inexact])
-    level = [decimal.Decimal(prod(factors[i:i + PRODUCT_RUN]))
+    level = [decimal.Decimal(prod(list(map(int, factors[i:i + PRODUCT_RUN]))))
              for i in range(0, len(factors), PRODUCT_RUN)]
     while len(level) > 1:
         level = ([ctx.multiply(a, b) for a, b in zip(level[::2], level[1::2])]
@@ -517,8 +518,9 @@ def _decimal_product(factors):
 
 
 def certify_alternating(chain):
-    """Verdict Sym iff the orbit sizes are d, ..., 2, Alt iff they are
-    d, ..., 3, otherwise Proper; exact for a complete chain, since a
+    """Verdict Sym iff the transitivity degree t is the chain length and
+    d - 1 (orbit sizes d, ..., 2), Alt iff it is the length and d - 2
+    (d, ..., 3), otherwise Proper; exact for a complete chain, since a
     point stabilizer in Alt(m) is transitive on the other points while
     m >= 3.  The order is the product of the orbit sizes.
 
@@ -527,23 +529,22 @@ def certify_alternating(chain):
     chain is <gens> by construction.  Parity is read only for Proper:
     otherwise G is Alt(d), whose generators are all even, or Sym(d),
     which needs an odd one once d >= 2."""
-    d = chain.degree
-    sizes = chain.orbit_sizes
-    verdict = ("Sym" if sizes == list(range(d, 1, -1))
-               else "Alt" if sizes == list(range(d, 2, -1)) else "Proper")
+    d, n = chain.degree, len(chain.orbit_sizes)
+    t = transitivity_degree(chain)
+    verdict = ("Sym" if t == n == d - 1 else "Alt" if t == n == d - 2
+               else "Proper")
     all_even = (all(parity(g) == "even" for g in chain.gens)
                 if verdict == "Proper" else verdict == "Alt" or d < 2)
-    return AltCertificate(d, _decimal_product(sizes), all_even, verdict,
-                          chain.strategy)
+    return AltCertificate(d, _decimal_product(chain.orbit_sizes), all_even,
+                          verdict, chain.strategy)
 
 
 def transitivity_degree(chain):
-    """Largest t with successive level orbits of sizes d, d-1, ..., d-t+1."""
-    sizes = chain.orbit_sizes
-    t = 0
-    while t < len(sizes) and sizes[t] == chain.degree - t:
-        t += 1
-    return t
+    """Largest t with successive level orbits of sizes d, d-1, ..., d-t+1:
+    the leading run of full orbits."""
+    d, sizes = chain.degree, chain.orbit_sizes
+    full = sizes == np.arange(d, d - len(sizes), -1)
+    return int(np.logical_and.accumulate(full).sum())
 
 
 def build_chain(gens, seed=0):

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from tamexp import ff, orbits, permgrp, synth, tame
-from tamexp.cli import _class_action_perms, main
+from tamexp.cli import _class_action_perms, _emit, main
 from tamexp.errors import BoundViolated, NotClosed, ProbeFailed
+
+from conftest import nonzero_codes, thm15_words
 
 
 def run(tmp_path, *argv):
@@ -339,15 +342,44 @@ def test_certify_alt_budget_bounds_the_domain(tmp_path, capsys):
     assert run(tmp_path, *argv, "--budget", "25") == (2, "")
 
 
-def run_module(flags, out, *argv):
+def run_module(flags, out, *argv, module="tamexp.cli"):
     """Run the CLI in a subprocess, so that -O is in force and a traceback
-    would show on stderr."""
+    would show on stderr; out None writes to stdout."""
     src = os.path.dirname(os.path.dirname(ff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "tamexp.cli", *argv, "--out", str(out)],
-        capture_output=True, text=True, env=env)
+    argv += ("--out", str(out)) if out is not None else ()
+    return subprocess.run([sys.executable, *flags, "-m", module, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_package_runs_as_a_module():
+    got = run_module((), None, "kazhdan", "--p", "11", module="tamexp")
+    want = run_module((), None, "kazhdan", "--p", "11")
+    assert (got.returncode, got.stderr) == (want.returncode, want.stderr) \
+        == (0, "")
+    assert got.stdout == want.stdout and got.stdout.startswith("{")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_bad_input(flags, where, tmp_path):
+    # checked when parsed, before any work and before any file is made
+    out = tmp_path / "missing" / "x.json" if where != "directory" else tmp_path
+    res = run_module(flags, out, "kazhdan", "--p", "11")
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == (f"bad input: argument --out: cannot create "
+                          f"{str(out)!r}\n")
+    assert [f.name for f in tmp_path.iterdir()] == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_failed_write_is_one_error_line(flags):
+    # /dev/full accepts the open and fails the write with ENOSPC
+    res = run_module(flags, "/dev/full", "kazhdan", "--p", "11")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "error: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
@@ -460,3 +492,75 @@ def test_big_order_leaves_int_str_limit_alone(tmp_path):
         sys.set_int_max_str_digits(before)
     assert code == 0
     assert json.loads(text)["order"] == expected
+
+
+def _certificate(gens):
+    """The certify-alt payload fields that come from the chain of gens."""
+    chain = permgrp.build_chain(gens, seed=0)
+    cert = permgrp.certify_alternating(chain)
+    return {"degree": cert.degree, "order": cert.order,
+            "verdict": cert.verdict, "all_even": cert.all_even,
+            "strategy": cert.strategy,
+            "transitivity_degree": permgrp.transitivity_degree(chain),
+            "base": chain.base.tolist()}
+
+
+def _thm15_i_p5():
+    n, words = thm15_words("i")
+    return orbits.word_code_perms(words, nonzero_codes(5, n),
+                                  ff.make_field(5, 1), n)
+
+
+def _sl3_f5():
+    params = tame.GroupParams(5, 3, (1, 1, 1))
+    words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
+    return orbits.word_code_perms(words, nonzero_codes(5, 3),
+                                  ff.make_field(5, 1), 3)
+
+
+@pytest.mark.parametrize("group, strategy, verdict, base_len", [
+    (_thm15_i_p5, "cycles", "Alt", 124),
+    (_sl3_f5, "dense", "Proper", 3),
+    (lambda: [permgrp.perm_from_cycles(9, [[0, 1, 2]]),
+              permgrp.perm_from_cycles(9, [list(range(9))]),
+              permgrp.perm_from_cycles(9, [[0, 1]])], "cycles", "Sym", 9),
+    (lambda: [permgrp.identity_perm(5)], "dense", "Proper", 0)],
+    ids=["thm15-i-p5", "sl3-f5", "sym9", "trivial"])
+def test_streamed_certificate_equals_json_dumps(group, strategy, verdict,
+                                                base_len, tmp_path, capsys):
+    payload = _certificate(group())
+    assert (payload["strategy"], payload["verdict"],
+            len(payload["base"])) == (strategy, verdict, base_len)
+    want = json.dumps(payload, indent=2) + "\n"
+    out = tmp_path / "cert.json"
+    _emit(payload, str(out))
+    _emit(payload, None)
+    assert out.read_text() == capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+def test_string_formats_are_written_as_given(fmt, tmp_path, capsys):
+    argv = ["orbits", "--p", "3", "--e", "1,1,2", "--ell", "2",
+            "--format", fmt]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_text() == text and text.endswith("\n")
+    _emit(text, None, fmt=fmt)
+    assert capsys.readouterr().out == text
+
+
+def test_emit_memory_with_a_base_of_one_million(tmp_path):
+    # json.dumps would hold every chunk of the text and then their join,
+    # about 60 MB here; streamed, only a chunk at a time is alive
+    d = 10**6
+    payload = {"order": "1" * 1000, "base": list(range(d))}
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        _emit(payload, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * d
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"

@@ -395,7 +395,7 @@ _IMPRIMITIVE = [pg.perm_from_cycles(6, [[0, 1, 2]]),
 def _assert_same_chain(gens):
     base, sizes, strong, sifted = _reference_schreier_sims(gens)
     chain = pg.schreier_sims(gens)
-    assert chain.base == base and chain.orbit_sizes == sizes
+    assert chain.base.tolist() == base and chain.orbit_sizes.tolist() == sizes
     assert len(chain.levels) == len(strong)
     for lv, want in zip(chain.levels, strong):
         assert len(lv.gens) == len(want)
@@ -444,8 +444,8 @@ def test_transversal_rows_widen_past_degree_65536(degree, dtype):
             pg.perm_from_cycles(degree, [[1, 2, 3]])]
     small = pg.schreier_sims([g[:4] for g in gens])
     chain = pg.schreier_sims(gens)
-    assert (chain.base, chain.orbit_sizes, chain.order) == (
-        small.base, small.orbit_sizes, 12)
+    assert (chain.base.tolist(), chain.orbit_sizes.tolist(), chain.order) == (
+        small.base.tolist(), small.orbit_sizes.tolist(), 12)
     for lv, want in zip(chain.levels, small.levels):
         assert lv.inv.dtype == dtype
         assert np.array_equal(lv.inv[:, :4], want.inv)
@@ -543,6 +543,60 @@ def test_certificate_reads_parity_only_for_proper(group, verdict, all_even,
     assert all_even == all(parity(g) == "even" for g in gens)
     assert len(calls) - in_ladder == (len(gens) if verdict == "Proper" else 0)
     assert len(calls) <= len(gens)
+
+
+def _list_verdict(chain):
+    """The verdict and transitivity degree as read from lists: two list
+    comparisons and a Python loop over the orbit sizes."""
+    d, sizes = chain.degree, chain.orbit_sizes.tolist()
+    verdict = ("Sym" if sizes == list(range(d, 1, -1))
+               else "Alt" if sizes == list(range(d, 2, -1)) else "Proper")
+    t = 0
+    while t < len(sizes) and sizes[t] == d - t:
+        t += 1
+    return verdict, t
+
+
+@pytest.mark.parametrize("gens, verdict", [
+    ([pg.perm_from_cycles(4, [[0, 1, 2]]),
+      pg.perm_from_cycles(4, [[1, 2, 3]])], "Alt"),
+    (_sl3_on_vectors(3), "Proper"),
+    ([pg.perm_from_cycles(9, [[0, 1, 2]]),
+      pg.perm_from_cycles(9, [list(range(9))]),
+      pg.perm_from_cycles(9, [[0, 1]])], "Sym"),
+    ([pg.identity_perm(1)], "Sym"),
+    ([pg.identity_perm(2)], "Alt")],
+    ids=["alt4", "sl3-f3", "sym9", "trivial-1", "trivial-2"])
+def test_verdict_rule_agrees_with_the_list_comparison(gens, verdict):
+    # Sym iff the transitivity degree is the chain length and d - 1, Alt
+    # iff it is the length and d - 2; the trivial group on one point is
+    # Sym(1), on two points Alt(2)
+    chain = pg.schreier_sims(gens)
+    assert chain.strategy == "dense"
+    got = (pg.certify_alternating(chain).verdict, pg.transitivity_degree(chain))
+    assert got == _list_verdict(chain) and got[0] == verdict
+
+
+def test_verdict_memory_at_degree_one_million(monkeypatch):
+    # a synthetic Alt(10^6) 'cycles' chain: the verdict and transitivity
+    # degree take a few arrays of d entries, where two lists of d Python
+    # ints (36 MB each) would exceed the bound.  The decimal product of
+    # the orbit sizes is stubbed: it is the same either way, and takes
+    # seconds at this degree
+    d = 10**6
+    chain = pg.StabChain(degree=d, gens=[pg.identity_perm(d)],
+                         base=pg.identity_perm(d),
+                         orbit_sizes=np.arange(d, 2, -1), strategy="cycles")
+    monkeypatch.setattr(pg, "_decimal_product", lambda factors: "0")
+    tracemalloc.start()
+    try:
+        cert = pg.certify_alternating(chain)
+        t = pg.transitivity_degree(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.verdict, t) == ("Alt", d - 2)
+    assert peak < 20 * d
 
 
 def test_ladder_strong_generators_sift():
@@ -650,8 +704,8 @@ def test_giant_rattle_stream_is_pinned(variant, p, degree, base):
     n, words = thm15_words(variant)
     gens = word_code_perms(words, nonzero_codes(p, n), ff.make_field(p, 1), n)
     chain = pg.build_chain(gens, seed=0)
-    assert chain.strategy == "cycles" and chain.base[:3] == base
-    assert chain.base[3:] == sorted(set(range(degree)) - set(base))
+    assert chain.strategy == "cycles" and chain.base[:3].tolist() == base
+    assert chain.base[3:].tolist() == sorted(set(range(degree)) - set(base))
     assert pg.certify_alternating(chain).order == str_unlimited(
         math.factorial(degree) // 2)
 
