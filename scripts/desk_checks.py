@@ -195,7 +195,7 @@ def main():
     require(all(c and e for c, e in held), f"lemma results {held}")
 
     print("Kazhdan bound:")
-    rep = spectra.kazhdan_bound(spectra.KazhdanParams(11, 3, (1, 1, 2)))
+    rep = spectra.kazhdan_bound(tame.GroupParams(11, 3, (1, 1, 2)))
     print(f"    kappa(G, S) >= {rep.bound:.12f}  (M = {rep.M:.6f})")
 
     print("Schreier gap of the degree-6 triple on F_13^3 minus 0:")

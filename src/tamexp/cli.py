@@ -132,8 +132,9 @@ def cmd_certify_alt(args):
 def _class_action_perms(labels, oid, words, ctx, n, spec):
     """Permutations induced on the Gamma-classes of the orbit numbered
     oid in `labels`, its classes numbered in order of their smallest
-    code; raises NotClosed if a word moves a point out of the orbit."""
-    roots = orbits.gamma_classes(labels, spec).roots
+    code; raises NotClosed if a word moves a point out of the orbit or a
+    Gamma-class meets it and another orbit."""
+    roots = orbits.gamma_roots(labels, spec, oid)
     inside = labels == oid
     is_rep = inside & (roots == np.arange(roots.size))
     class_id = np.cumsum(is_rep, dtype=np.int32) - 1
@@ -263,11 +264,11 @@ def cmd_gap(args):
 
 
 def cmd_kazhdan(args):
-    kp = spectra.KazhdanParams(args.p, len(args.e), args.e)
-    rep = spectra.kazhdan_bound(kp)
+    params = _params(args)
+    rep = spectra.kazhdan_bound(params)
     payload = _header(args.seed, ff.make_field(args.p, 1))
     payload.update({
-        "p": kp.p, "n": kp.n, "e": list(kp.e),
+        "p": params.p, "n": params.n, "e": list(params.e),
         "M": rep.M,
         "applicable": rep.applicable,
         "bound": None if not rep.applicable else rep.bound,

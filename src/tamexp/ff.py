@@ -553,25 +553,6 @@ def _row_reduce(m, ncols, p):
     return pivots
 
 
-def solve_mod_p(rows, rhs, p):
-    """Solve A x = b over F_p by Gaussian elimination.
-
-    rows is a list of equal-length lists (the matrix A), rhs the right-hand
-    side.  Returns one solution as a list, or None if inconsistent.  Free
-    variables are set to 0.
-    """
-    m = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    ncols = len(m[0]) - 1
-    pivots = _row_reduce(m, ncols, p)
-    for r in range(len(pivots), len(m)):
-        if m[r][-1] % p:
-            return None
-    x = [0] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][-1] % p
-    return x
-
-
 _FIELDS = {}  # (p, ell) -> the one FieldCtx of that field
 
 

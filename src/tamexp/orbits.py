@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -234,13 +234,11 @@ class GammaSpec:
 
 
 def make_gamma_spec(params, ctx):
-    E = params.E
-    root_order = gcd(E - 1, ctx.q - 1) if E >= 2 else 1
+    root_order = gcd(params.N, ctx.q - 1) if params.N >= 1 else 1
     lam = 1
     if root_order > 1:
         lam = min(a for a in range(1, ctx.q) if ctx.order(a) == root_order)
-    d = [prod(params.e[i:]) for i in range(params.n)]
-    scales = tuple(ctx.pow(lam, di) for di in d)
+    scales = tuple(ctx.pow(lam, di) for di in params.d)
     spec = GammaSpec(ctx, params, lam, root_order, scales)
     coords = sample_coords(random.Random(0), ctx.q, params.n, GAMMA_CHECK_POINTS)
     for which in ("mlambda", "frobenius"):
@@ -324,15 +322,12 @@ def compute_A0(point, params, ctx):
     if all(a == 0 for a in point):
         return 1, True
     point = _normalize_first_coordinate(point, params, ctx)
-    E = params.E
-    if E == 1:
+    if params.N == 0:
         return ctx.join_degree([a for a in point if a]), False
-    one = point[0]
-    gens = [ctx.pow(one, E - 1)]
-    inv1 = ctx.inv(one)
-    for i in range(2, params.n + 1):
-        di = prod(params.e[i - 1:])
-        gens.append(ctx.mul(ctx.pow(inv1, di), point[i - 1]))
+    inv1 = ctx.inv(point[0])
+    gens = [ctx.pow(point[0], params.N)]
+    gens += [ctx.mul(ctx.pow(inv1, di), a)
+             for di, a in zip(params.d[1:], point[1:])]
     return ctx.join_degree(gens), False
 
 
@@ -354,7 +349,7 @@ def orbit_invariant(point, params, ctx, spec=None):
     if zero:
         return OrbitInvariant(1, 0, True)
     pt = _normalize_first_coordinate(point, params, ctx)
-    N = params.E - 1
+    N = params.N
     line = [ctx.mul(s, pt[0]) for s in ctx.subfield(d0)[1:]]  # s != 0
     valid = [b for b in line
              if ctx.subfield_degree(ctx.pow(b, N) if N >= 1 else b) == d0]
@@ -453,20 +448,37 @@ class GammaClassReport:
     roots: np.ndarray = field(repr=False)  # code -> smallest code of its class
 
 
-def gamma_classes(labels, spec):
-    """Gamma-classes of every orbit of F_q^n in one pass: the components
-    of the grid under the Frobenius and m_lambda code maps, each class
-    rooted at its smallest code, with per-orbit counts and class-size
-    histograms from bincounts.  labels[code] is the orbit id of each point
-    (as in OrbitPartition.labels); raises BoundViolated if a class meets
-    two orbits, that is if an orbit is not Gamma-invariant."""
+def gamma_roots(labels, spec, oid=None):
+    """Each code's Gamma-class, as its smallest code: the components of
+    the grid under the Frobenius and m_lambda code maps.  labels[code] is
+    the orbit id of each point (as in OrbitPartition.labels).  Raises
+    NotClosed, naming both orbits, if a class meets two orbits, that is
+    if an orbit is not Gamma-invariant; with oid, only a class meeting
+    orbit oid counts.  Gamma commutes with the generators, but it may
+    still map one orbit onto another (over F_25^3 with e = (1, 1, 4))."""
     maps = code_perms([partial(_gamma_coords, which, spec=spec)
                        for which in ("frobenius", "mlambda")],
                       None, spec.ctx.q, spec.params.n)
     roots = components(maps)
     del maps
-    if not np.array_equal(labels[roots], labels):
-        raise BoundViolated("orbit is not Gamma-invariant")
+    bad = labels[roots] != labels
+    if oid is not None:
+        bad &= (labels == oid) | (labels[roots] == oid)
+    if bad.any():
+        code = int(np.argmax(bad))
+        a, b = sorted((int(labels[roots[code]]), int(labels[code])))
+        sizes = np.bincount(labels)
+        raise NotClosed(f"orbit is not Gamma-invariant: one Gamma-class "
+                        f"meets orbit {a} ({sizes[a]} points) and orbit "
+                        f"{b} ({sizes[b]} points)")
+    return roots
+
+
+def gamma_classes(labels, spec):
+    """Gamma-classes of every orbit of F_q^n in one pass (gamma_roots,
+    which raises NotClosed if an orbit is not Gamma-invariant), with
+    per-orbit counts and class-size histograms from bincounts."""
+    roots = gamma_roots(labels, spec)
     reps, ids = component_ids(roots)
     sizes = np.bincount(ids)
     orbit_sizes = np.bincount(labels)
@@ -496,7 +508,7 @@ def check_large_orbit(params, ell, budget=10**7):
     q, n = ctx.q, params.n
     if q**n > budget:
         raise BudgetExceeded("orbit beyond exhaustive budget")
-    N = params.E - 1
+    N = params.N
     start = None
     for a in range(1, q):
         if ctx.subfield_degree(ctx.pow(a, N) if N >= 1 else a) == ell:
@@ -506,7 +518,7 @@ def check_large_orbit(params, ell, budget=10**7):
         raise BoundViolated("no field generator among (E-1)-st powers")
     size = int(np.count_nonzero(closure(start, _generator_maps(params, ctx))))
     # exact integer bound: p^(ln) - (E-1)^n p^((l-1)n)
-    bound = params.p ** (ell * n) - (params.E - 1) ** n * params.p ** ((ell - 1) * n)
+    bound = params.p ** (ell * n) - N ** n * params.p ** ((ell - 1) * n)
     # at ell = 2 the bound is attained exactly (e.g. q = 49, E = 2: every
     # point outside F_p^n already generates F_q), so the check is >=
     holds = size >= bound
@@ -550,7 +562,7 @@ class _ProbeMachine:
         self.params = params
         self.ctx = ctx
         self.spec = spec
-        self.N = params.E - 1
+        self.N = params.N
         self.n = params.n
         self.ell = ctx.ell
         self.word = []

@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials over a field context, polynomial
-endomorphisms of F_p[x_1,...,x_n], and the Z/(E-1)Z grading.
+endomorphisms of F_p[x_1,...,x_n], and degrees under the Z/(E-1)Z grading
+that tame.GroupParams states.
 
 A MultiPoly stores a dict mapping exponent vectors (tuples of length n) to
 nonzero field-element indices; no product, sum or substitution may exceed
@@ -12,8 +13,6 @@ bounded degree.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -236,50 +235,20 @@ def evaluate(f, point):
     return f.evaluate(point)
 
 
-@dataclass(frozen=True)
-class GradingSpec:
-    """Z/(E-1)Z grading with deg(x_i) = e_i * e_{i+1} * ... * e_n mod (E-1).
-
-    N = 1 yields the trivial grading (every degree is 0), and we extend the
-    same convention to N = 0 (all exponents e_i equal to 1).
-    """
-    e: tuple
-    E: int = field(init=False)
-    N: int = field(init=False)
-    deg: tuple = field(init=False)
-
-    def __post_init__(self):
-        e = tuple(self.e)
-        if not e or any(x < 1 for x in e):
-            raise ValueError("exponent vector entries must be positive")
-        object.__setattr__(self, "e", e)
-        E = 1
-        for x in e:
-            E *= x
-        object.__setattr__(self, "E", E)
-        N = E - 1
-        object.__setattr__(self, "N", N)
-        deg = []
-        for i in range(len(e)):
-            d = 1
-            for x in e[i:]:
-                d *= x
-            deg.append(d % N if N >= 1 else 0)
-        object.__setattr__(self, "deg", tuple(deg))
-
-
-def grading_degree(mono, spec):
-    """Grading degree of an exponent vector, a residue mod N."""
-    if spec.N < 1:
+def grading_degree(mono, params):
+    """Grading degree of an exponent vector, a residue mod N, under the
+    Z/N grading of a tame.GroupParams."""
+    if params.N < 1:
         return 0
-    return sum(a * d for a, d in zip(mono, spec.deg)) % spec.N
+    return sum(a * d for a, d in zip(mono, params.deg)) % params.N
 
 
-def is_graded(endo, spec):
-    """True iff every monomial of images[i] has the grading degree of x_{i+1}."""
+def is_graded(endo, params):
+    """True iff every monomial of images[i] has the grading degree of
+    x_{i+1} under the grading of a tame.GroupParams."""
     for i, f in enumerate(endo.images):
-        want = spec.deg[i]
+        want = params.deg[i]
         for expv in f.terms:
-            if grading_degree(expv, spec) != want:
+            if grading_degree(expv, params) != want:
                 return False
     return True

@@ -259,19 +259,6 @@ def angle_matrix_min_eig(am):
 
 
 @dataclass
-class KazhdanParams:
-    p: int
-    n: int
-    e: tuple
-
-    @property
-    def M(self):
-        return max(math.sqrt(self.e[i] / self.p)
-                   + math.sqrt(self.e[(i + 1) % self.n] / self.p)
-                   for i in range(self.n))
-
-
-@dataclass
 class KazhdanReport:
     M: float
     bound: float  # nan when not applicable
@@ -280,9 +267,12 @@ class KazhdanReport:
 
 
 def kazhdan_bound(params):
-    """sqrt((1 - M)/n) with M = max_i sqrt(e_i/p) + sqrt(e_{i+1}/p)."""
-    M = params.M
-    sufficient = params.p > 4 * max(params.e)
+    """sqrt((1 - M)/n) with M = max_i sqrt(e_i/p) + sqrt(e_{i+1}/p), for
+    the tame.GroupParams `params`."""
+    p, n, e = params.p, params.n, params.e
+    M = max(math.sqrt(e[i] / p) + math.sqrt(e[(i + 1) % n] / p)
+            for i in range(n))
+    sufficient = p > 4 * max(e)
     if M >= 1.0:
         return KazhdanReport(M, float("nan"), False, sufficient)
-    return KazhdanReport(M, math.sqrt((1.0 - M) / params.n), True, sufficient)
+    return KazhdanReport(M, math.sqrt((1.0 - M) / n), True, sufficient)

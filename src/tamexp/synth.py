@@ -36,7 +36,7 @@ from .errors import (BadExponent, BoundViolated, BudgetExceeded,
                      ClashingMinimalPolynomials, FieldTooLarge, NotInvertible,
                      RankTooLarge, ValueOutsideSubfield)
 from .ff import (TABLE_LIMIT, _row_reduce, make_field, minimal_polynomial,
-                 poly_add, poly_eval, poly_mul, poly_trim, solve_mod_p)
+                 poly_add, poly_eval, poly_mul, poly_trim)
 from .tame import (BiTransvection, Transvection, Word, grid_coords,
                    letter_endo, poly_transvection_letter, same_action,
                    sample_coords, tau, word_to_endo)
@@ -230,22 +230,18 @@ class GammaWordEmbedding:
         self._pre = {t: y_family(t % p) for t in range(1, c + 1)}
         self._post = {t: y_family((-t) % p) for t in range(1, c + 1)}
         self._y = y_family
-
-    def _node_matrix(self):
-        # column t = coefficients of (x+t)^c
-        return [[comb(self.c, u) * pow(t, self.c - u, self.p) % self.p
-                 for t in range(self.c + 1)] for u in range(self.c + 1)]
-
-    def _solve(self, target):
-        v = solve_mod_p(self._node_matrix(), target, self.p)
-        if v is None:
+        # [M | I], column t of M the coefficients of (x+t)^c, reduced once
+        # to [I | M^-1]
+        m = [[comb(c, u) * pow(t, c - u, p) % p for t in range(c + 1)]
+             + [int(u == v) for v in range(c + 1)] for u in range(c + 1)]
+        if len(_row_reduce(m, c + 1, p)) <= c:
             raise NotInvertible("interpolation nodes degenerate")
-        return v
+        self._inverse = [row[c + 1:] for row in m]
 
     def poly_word(self, poly):
         """Word for the element (poly, 0)."""
-        key = tuple(poly)
-        v = self._solve(list(key))
+        v = [sum(a * b for a, b in zip(row, poly)) % self.p
+             for row in self._inverse]
         out = Word()
         for t in range(self.c + 1):
             coeff = v[t]
@@ -454,11 +450,11 @@ def synth_transvection(i, j, t, r, params, budget=10**6, synthesizer=None):
     """
     params_tij = params.tij(i, j)
     synth = synthesizer or TransvectionSynthesizer(params, budget)
-    E = params.E
-    if t < params_tij or (t - params_tij) % (E - 1) != 0:
+    N = params.N
+    if t < params_tij or (t - params_tij) % N != 0:
         raise BadExponent(
-            f"t={t} violates t = t_ij + m(E-1) with t_ij={params_tij}, E-1={E - 1}")
-    m = (t - params_tij) // (E - 1)
+            f"t={t} violates t = t_ij + m(E-1) with t_ij={params_tij}, E-1={N}")
+    m = (t - params_tij) // N
     letter = Transvection(i, j, t, r % params.p)
     ctx = _grid_ctx(params, letter)
     word = synth.alpha_word(i, j, m, r % params.p)
@@ -495,8 +491,7 @@ def elementary_abelian_witness(params, rank):
     if max(params.e) < 2:
         raise BadExponent("need max e_i > 1")
     synth = TransvectionSynthesizer(params)
-    E = params.E
-    tmax = params.tij(1, 2) + (rank - 1) * (E - 1)
+    tmax = params.tij(1, 2) + (rank - 1) * params.N
     m = 1
     while params.p**m - 1 <= tmax:
         m += 1

@@ -22,7 +22,7 @@ the letters act by the explicit additive formulas.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .ff import is_prime
-from .polyring import GradingSpec, MultiPoly, PolyEndo
+from .polyring import MultiPoly, PolyEndo
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,15 @@ def parse_word(text, params=None):
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Parameters p, n, (e_1, ..., e_n) of a tame transvection group."""
+    """Parameters p, n, (e_1, ..., e_n) of a tame transvection group, and
+    what follows from e: E = e_1...e_n, N = E - 1, the scale exponents
+    d_i = e_i * e_{i+1} * ... * e_n of the Gamma action, and the
+    Z/N grading deg(x_i) = d_i mod N (all 0 when N <= 1)."""
     p: int
     n: int
     e: tuple
+    d: tuple = field(init=False, repr=False, compare=False)
+    deg: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "e", tuple(self.e))
@@ -196,25 +201,26 @@ class GroupParams:
             raise ValueError("need n positive exponents")
         if not is_prime(self.p):
             raise ValueError("p must be prime")
+        object.__setattr__(self, "d",
+                           tuple(prod(self.e[i:]) for i in range(self.n)))
+        N = self.N
+        object.__setattr__(self, "deg",
+                           tuple(x % N if N > 1 else 0 for x in self.d))
 
     @property
     def E(self):
-        return prod(self.e)
+        return self.d[0]
 
     @property
-    def grading(self):
-        return GradingSpec(self.e)
+    def N(self):
+        return self.E - 1
 
     def tij(self, i, j):
-        """t_{i,j} = e_i * e_{i+1} * ... * e_{j-1}, indices cyclic, i != j."""
+        """t_{i,j} = e_i * e_{i+1} * ... * e_{j-1}, indices cyclic, i != j:
+        d_i / d_j for i < j and d_i * E / d_j for i > j."""
         if i == j:
             raise ValueError("t_{i,j} needs i != j")
-        t = 1
-        k = i
-        while k != j:
-            t *= self.e[k - 1]
-            k = k % self.n + 1
-        return t
+        return self.d[i - 1] * (self.E if i > j else 1) // self.d[j - 1]
 
 
 def tau(params, i, r=1):
@@ -235,7 +241,7 @@ def standard_generators(params, all_r=False):
 
 def poly_transvection_letter(params, i, j, coeffs):
     return PolyTransvection(i, j, tuple(c % params.p for c in coeffs),
-                            params.tij(i, j), params.E - 1)
+                            params.tij(i, j), params.N)
 
 
 # ---------------------------------------------------------------------------

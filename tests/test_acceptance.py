@@ -235,7 +235,7 @@ def test_criterion_8_matrix_criterion():
 
 def test_criterion_9_kazhdan_bound():
     import mpmath as mp
-    rep = spectra.kazhdan_bound(spectra.KazhdanParams(11, 3, (1, 1, 2)))
+    rep = spectra.kazhdan_bound(tame.GroupParams(11, 3, (1, 1, 2)))
     mp.mp.dps = 50
     M50 = mp.sqrt(mp.mpf(1) / 11) + mp.sqrt(mp.mpf(2) / 11)
     bound50 = mp.sqrt((1 - M50) / 3)
@@ -249,8 +249,8 @@ def test_criterion_9_kazhdan_bound():
         for a in range(1, 13):
             for b in range(1, 13):
                 if p > 4 * max(a, b):
-                    kp = spectra.KazhdanParams(p, 3, (a, b, min(a, b)))
-                    assert kp.M < 1
+                    kp = tame.GroupParams(p, 3, (a, b, min(a, b)))
+                    assert spectra.kazhdan_bound(kp).M < 1
                     assert spectra.kazhdan_bound(kp).applicable
                     pairs += 1
     _report("criterion 9", f"bound(11; 1,1,2) = {rep.bound!r} matches the "

@@ -247,6 +247,34 @@ def test_certify_on_classes(tmp_path):
     assert payload["degree"] == (3**6 - 3**3) // 2  # Alt(351)
 
 
+@pytest.mark.parametrize("argv, orbits_met", [
+    ("gamma-classes --p 5 --e 1,1,4 --ell 2",
+     "orbit 1 (124 points) and orbit 3 (124 points)"),
+    ("gamma-classes --p 7 --e 1,1,5 --ell 2",
+     "orbit 1 (342 points) and orbit 2 (342 points)"),
+])
+def test_gamma_joining_two_orbits_is_an_error(argv, orbits_met, tmp_path,
+                                              capsys):
+    # Frobenius and m_lambda commute with the generators here, but one
+    # Gamma-class meets two orbits: a property of the input, not a bug
+    code, text = run(tmp_path, *argv.split())
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: orbit is not Gamma-invariant: one Gamma-class meets "
+        f"{orbits_met}\n")
+
+
+def test_certify_on_classes_needs_only_its_orbit_invariant(tmp_path, capsys):
+    # over F_25^3 with e = (1,1,4) two 124-point orbits are joined by Gamma,
+    # but the largest orbit is Gamma-invariant, and its classes are acted on
+    code, text = run(tmp_path, "certify-alt", "--p", "5", "--e", "1,1,4",
+                     "--ell", "2", "--on-classes")
+    assert code == 0 and capsys.readouterr().err == ""
+    payload = json.loads(text)
+    assert (payload["verdict"], payload["degree"]) == ("Alt", 2542)
+    assert payload["strategy"] == "cycles"
+
+
 def test_certify_thm15_on_classes_reads_ell(tmp_path, capsys):
     # the Theorem 15 triple acts on the same 351 classes of F_9^3
     code, text = run(tmp_path, "certify-alt", "--thm15", "i", "--p", "3",

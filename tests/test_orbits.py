@@ -13,7 +13,8 @@ from tamexp.errors import BoundViolated, BudgetExceeded, NotClosed
 from tamexp.orbits import (OrbitInvariant, check_large_orbit, code_perms,
                            code_to_point, component_ids, components,
                            compute_A0, gamma_apply, gamma_class_of,
-                           gamma_classes, make_gamma_spec, orbit_invariant,
+                           gamma_classes, gamma_roots, make_gamma_spec,
+                           orbit_invariant,
                            orbit_partition, point_to_code, transitivity_probe,
                            word_code_perms)
 from tamexp.spectra import complete_graph, cycle_graph
@@ -254,8 +255,26 @@ def test_gamma_classes_rejects_non_invariant_codes():
     spec = make_gamma_spec(params, ff.make_field(7, 1))
     labels = np.zeros(7**3, dtype=np.int32)
     labels[point_to_code((6, 0, 0), 7)] = 1
-    with pytest.raises(BoundViolated, match="not Gamma-invariant"):
+    with pytest.raises(NotClosed, match="not Gamma-invariant"):
         gamma_classes(labels, spec)
+
+
+def test_gamma_roots_checks_only_classes_meeting_the_given_orbit():
+    # the class {(1,0,0), (6,0,0)} meets orbits 0 and 1 whichever of the
+    # two is given, its root (code 1) lying in orbit 0; the origin, orbit
+    # 2, is a class of its own
+    params = GroupParams(7, 3, (1, 1, 3))
+    spec = make_gamma_spec(params, ff.make_field(7, 1))
+    labels = np.zeros(7**3, dtype=np.int32)
+    labels[point_to_code((6, 0, 0), 7)] = 1
+    labels[0] = 2
+    for oid in (None, 0, 1):
+        with pytest.raises(NotClosed, match=r"not Gamma-invariant: one "
+                           r"Gamma-class meets orbit 0 \(341 points\) and "
+                           r"orbit 1 \(1 points\)$"):
+            gamma_roots(labels, spec, oid)
+    roots = gamma_roots(labels, spec, 2)
+    assert roots[0] == 0 and roots[point_to_code((6, 0, 0), 7)] == 1
 
 
 @pytest.mark.parametrize("p, ell, e", [(5, 2, (1, 1, 2)), (7, 2, (1, 1, 3)),

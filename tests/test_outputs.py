@@ -27,7 +27,8 @@ TABLE = pathlib.Path(__file__).with_name("outputs.json")
 SEEDS = (0, 1)
 
 # The README examples that run in about 2 s or less, then the CLI ops of
-# the benchmark workloads (bench/workloads.py) that are not among them.
+# the benchmark workloads (bench/workloads.py) that are not among them,
+# then three inputs where Gamma joins two orbits other than the largest.
 # Left out as too slow: `certify-alt --thm15 ii --p 7` (16 s; the desk
 # checks run it) and `gap --thm15 i --p 31 --sweep` (2.3 s a seed; the
 # benchmark's sweep to p = 19 is here).
@@ -55,6 +56,9 @@ ARGVS = [
     "synth --p 23 --e 2,2,2 --t 9 --r 1 --emit-endo",
     "gamma-group --c 3 --p 5",
     "kazhdan --p 11",
+    "gamma-classes --p 5 --e 1,1,4 --ell 2",
+    "gamma-classes --p 7 --e 1,1,5 --ell 2",
+    "certify-alt --p 5 --e 1,1,4 --ell 2 --on-classes",
 ]
 
 

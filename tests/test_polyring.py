@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from tamexp import ff, polyring
 from tamexp.errors import DegreeOverflow
-from tamexp.polyring import (GradingSpec, MultiPoly, evaluate, grading_degree,
-                             is_graded)
-from tamexp.tame import Transvection, Word, letter_endo, word_to_endo
+from tamexp.polyring import MultiPoly, evaluate, grading_degree, is_graded
+from tamexp.tame import (GroupParams, Transvection, Word, letter_endo,
+                         word_to_endo)
 
 from conftest import all_points
 
@@ -80,18 +80,18 @@ def test_sum_past_the_term_cap_overflows(monkeypatch):
 
 
 def test_grading_spec_values():
-    spec = GradingSpec((2, 2, 2))
+    spec = GroupParams(23, 3, (2, 2, 2))
     assert spec.E == 8 and spec.N == 7
     assert spec.deg == (1, 4, 2)  # 8 mod 7, 4, 2
     assert grading_degree((1, 1, 0), spec) == 5
-    assert grading_degree((0, 0, 0), GradingSpec((1, 1, 2))) == 0
+    assert grading_degree((0, 0, 0), GroupParams(23, 3, (1, 1, 2))) == 0
     # N = 1 is the trivial grading
-    assert grading_degree((3, 1, 4), GradingSpec((1, 1, 2))) == 0
+    assert grading_degree((3, 1, 4), GroupParams(23, 3, (1, 1, 2))) == 0
 
 
 def test_is_graded_examples():
     F23 = ff.make_field(23, 1)
-    spec = GradingSpec((2, 2, 2))
+    spec = GroupParams(23, 3, (2, 2, 2))
     tau1 = letter_endo(Transvection(1, 2, 2, 1), 1, F23, 3)
     assert is_graded(tau1, spec)
     bad = letter_endo(Transvection(1, 2, 1, 1), 1, F23, 3)  # x1 -> x1 + x2
@@ -101,7 +101,7 @@ def test_is_graded_examples():
 
 def test_graded_closed_under_composition():
     F23 = ff.make_field(23, 1)
-    spec = GradingSpec((2, 2, 2))
+    spec = GroupParams(23, 3, (2, 2, 2))
     f, g = Transvection(1, 2, 2, 1), Transvection(2, 3, 2, 5)
     assert is_graded(word_to_endo(Word.of(g, f), F23, 3), spec)
 
@@ -110,7 +110,7 @@ def test_graded_closed_under_composition():
 @given(st.lists(st.integers(0, 4), min_size=3, max_size=3),
        st.lists(st.integers(0, 4), min_size=3, max_size=3))
 def test_grading_degree_additive_on_products(m1, m2):
-    spec = GradingSpec((2, 2, 2))
+    spec = GroupParams(23, 3, (2, 2, 2))
     total = tuple(a + b for a, b in zip(m1, m2))
     assert grading_degree(total, spec) == \
         (grading_degree(tuple(m1), spec) + grading_degree(tuple(m2), spec)) % spec.N

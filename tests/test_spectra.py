@@ -6,7 +6,7 @@ import pytest
 from tamexp import ff, orbits, spectra, tame
 from tamexp.errors import BoundViolated, NoConvergence, NotClosed
 from tamexp.permgrp import inverse
-from tamexp.spectra import (AngleMatrix, KazhdanParams, angle_matrix_min_eig,
+from tamexp.spectra import (AngleMatrix, angle_matrix_min_eig,
                             build_schreier, complete_graph, cycle_graph,
                             kazhdan_bound, spectral_gap)
 
@@ -277,20 +277,20 @@ def test_angle_matrix_stack_matches_single_calls(monkeypatch):
 
 
 def test_kazhdan_examples():
-    r = kazhdan_bound(KazhdanParams(11, 3, (1, 1, 2)))
+    r = kazhdan_bound(tame.GroupParams(11, 3, (1, 1, 2)))
     assert abs(r.M - (math.sqrt(1 / 11) + math.sqrt(2 / 11))) < 1e-15
     assert abs(r.bound - 0.301157335795) < 1e-9
     assert r.p_large_enough
-    r = kazhdan_bound(KazhdanParams(5, 3, (2, 2, 2)))
+    r = kazhdan_bound(tame.GroupParams(5, 3, (2, 2, 2)))
     assert not r.applicable and r.M > 1.26
     # e = (1,...,1), growing p: bound tends to 1/sqrt(n)
-    r = kazhdan_bound(KazhdanParams(2_000_003, 4, (1, 1, 1, 1)))
+    r = kazhdan_bound(tame.GroupParams(2_000_003, 4, (1, 1, 1, 1)))
     assert abs(r.bound - 1 / 2) < 1e-3
 
 
 def test_kazhdan_sufficiency_forces_M_below_one():
     for p in (7, 11, 101):
         for e in ((1, 1, 1), (1, 2, 1), (2, 2, 2) if p > 8 else (1, 1, 2)):
-            kp = KazhdanParams(p, 3, e)
+            kp = tame.GroupParams(p, 3, e)
             if p > 4 * max(e):
-                assert kp.M < 1
+                assert kazhdan_bound(kp).M < 1

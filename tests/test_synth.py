@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -208,6 +209,31 @@ def test_embedded_center_is_central():
         vu = other + center
         for pt in all_points(5, 3):
             assert apply_word(uv, pt, F5) == apply_word(vu, pt, F5)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("c", range(5))
+def test_embedding_coefficients_solve_the_node_system(p, c):
+    # marker letters spell v out of the word: y(t) x0(v_t) y(-t) for each
+    # nonzero v_t, t >= 1, and x0(v_0) alone
+    x0 = lambda r: Word.of(Transvection(1, 2, 0, r))
+    y = lambda s: Word.of(Transvection(2, 3, 0, s))
+    emb = synth.GammaWordEmbedding(p, c, x0, y)
+    for ell in range(c + 1):
+        v, t = [0] * (c + 1), 0
+        for let, _ in emb.p_ell_word(ell, 1):
+            if let.i == 1:
+                v[t] = let.r
+            elif t == 0:
+                t = let.r
+            else:
+                assert let.r == (-t) % p
+                t = 0
+        # sum_t v_t (x + t)^c = x^(c - ell), coefficient by coefficient
+        for u in range(c + 1):
+            coeff = sum(v[t] * math.comb(c, u) * t ** (c - u)
+                        for t in range(c + 1)) % p
+            assert coeff == (u == c - ell)
 
 
 def test_embed_gamma_requires_invertibility():

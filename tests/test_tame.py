@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -102,6 +103,21 @@ def test_tij_cyclic_products():
     assert params.tij(1, 3) == 4
     assert params.tij(3, 2) == 4  # e_3 * e_1 = E / e_2
     assert params.E == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(
+    lambda n: st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+def test_tij_and_d_match_explicit_products(e):
+    n = len(e)
+    params = GroupParams(23, n, e)
+    assert params.d == tuple(math.prod(e[i:]) for i in range(n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                # e_i * ... * e_{j-1}, read cyclically from position i
+                cyclic = (e + e)[i - 1:(j if j > i else j + n) - 1]
+                assert params.tij(i, j) == math.prod(cyclic)
 
 
 def test_commutation_relations_disjoint_patterns():
