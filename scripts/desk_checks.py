@@ -81,9 +81,8 @@ def main():
         print(f"dense Schreier-Sims (SL_3(F_{p}) on F_{p}^3 minus 0):")
         sl3 = tame.GroupParams(p, 3, (1, 1, 1))
         codes = np.arange(1, p**3, dtype=np.int64)
-        gens = orbits.word_code_perms(
-            [tame.Word.of(tame.tau(sl3, i, 1)) for i in (1, 2, 3)], codes,
-            ff.make_field(p, 1), 3)
+        gens = orbits.word_code_perms(tame.standard_generators(sl3), codes,
+                                      ff.make_field(p, 1), 3)
         order = p**3 * (p**2 - 1) * (p**3 - 1)
         chain = timed(f"order {order}, verdict Proper",
                       lambda: permgrp.build_chain(gens, seed=1))

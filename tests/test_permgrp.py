@@ -10,7 +10,7 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from tamexp import ff, permgrp as pg, tame
-from tamexp.errors import BoundViolated, BudgetExceeded
+from tamexp.errors import BudgetExceeded
 from tamexp.orbits import word_code_perms
 
 from conftest import nonzero_codes, str_unlimited, thm15_words
@@ -320,7 +320,7 @@ def test_even_parity_of_standard_generators():
     for p in (3, 5):
         F = ff.make_field(p, 1)
         params = tame.GroupParams(p, 3, (1, 1, 2))
-        words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
+        words = tame.standard_generators(params)
         for g in word_code_perms(words, nonzero_codes(p, 3), F, 3):
             assert pg.parity(g) == "even"
 
@@ -383,8 +383,8 @@ def _reference_schreier_sims(gens):
 def _sl3_on_vectors(p):
     F = ff.make_field(p, 1)
     params = tame.GroupParams(p, 3, (1, 1, 1))
-    words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
-    return word_code_perms(words, nonzero_codes(p, 3), F, 3)
+    return word_code_perms(tame.standard_generators(params),
+                           nonzero_codes(p, 3), F, 3)
 
 
 _IMPRIMITIVE = [pg.perm_from_cycles(6, [[0, 1, 2]]),
@@ -478,8 +478,6 @@ def test_rattle_and_ladder_work_in_int32():
     rattle = pg.Rattle(gens, random.Random(0))
     assert rattle.sample().dtype == np.int32
     assert all(s.dtype == np.int32 for s in rattle.slots + [rattle.accu])
-    T = pg._conjugate_triples(gens, (0, 1, 2))
-    assert T.dtype == np.int32 and (T >= 0).all()
 
 
 def test_rattle_memory_at_degree_one_million():
@@ -610,8 +608,8 @@ def test_ladder_strong_generators_sift():
 
 
 def test_imprimitive_group_with_three_cycles_falls_back():
-    # blocks {0, 1, 2} and {3, 4, 5}: the block test on points 0 and 1
-    # already rules out a giant
+    # blocks {0, 1, 2} and {3, 4, 5}: every 3-cycle lies in a block, so
+    # the block test on two points of the one found rules out a giant
     gens = [pg.perm_from_cycles(6, [[0, 1, 2]]),
             pg.perm_from_cycles(6, [[3, 4, 5]]),
             pg.perm_from_cycles(6, [[0, 3], [1, 4], [2, 5]])]
@@ -625,22 +623,37 @@ def test_imprimitive_group_with_three_cycles_falls_back():
 def test_ladder_finds_several_components_when_0_and_1_lie_in_two_blocks(
         monkeypatch):
     # blocks {0, 2, 4} and {1, 3, 5}: the minimal block of 0 and 1 is the
-    # whole domain, so the ladder runs; the conjugates of its 3-cycle stay
-    # inside one block, so their supports form two components
+    # whole domain, but the 3-cycle the ladder finds lies inside one block,
+    # so the minimal block of two of its points is that block: the
+    # supports of its conjugates form two components
     gens = [pg.perm_from_cycles(6, [[0, 2, 4]]),
             pg.perm_from_cycles(6, [[1, 3, 5]]),
             pg.perm_from_cycles(6, [[0, 1], [2, 3], [4, 5]])]
     assert not pg._minimal_block(gens, 0, 1).any()
-    closures = []
-    conjugate = pg._conjugate_triples
-    monkeypatch.setattr(pg, "_conjugate_triples", lambda gens, triple: (
-        closures.append(triple) or conjugate(gens, triple)))
+    blocks = []
+    block = pg._minimal_block
+    monkeypatch.setattr(pg, "_minimal_block", lambda gens, a, b: (
+        blocks.append(_partition(block(gens, a, b))) or block(gens, a, b)))
     assert pg.try_alt_ladder(gens, seed=0) is None
-    assert len(closures) == 1
+    assert blocks == [{frozenset({0, 2, 4}), frozenset({1, 3, 5})}]
     chain = pg.build_chain(gens, seed=0)
     assert chain.strategy == "dense"
     assert chain.order == 18 == _sympy_order(gens)
     assert pg.certify_alternating(chain).verdict == "Proper"
+
+
+def test_sym3_wreath_c4_gets_no_ladder():
+    # Sym(3) wr C_4 on 12 points, blocks {0, 1, 2}, ..., {9, 10, 11}: it
+    # holds 3-cycles, all inside blocks, and is transitive but no giant
+    gens = [pg.perm_from_cycles(12, [[0, 1, 2]]),
+            pg.perm_from_cycles(12, [[0, 1]]),
+            pg.perm_from_cycles(12, [[0, 3, 6, 9], [1, 4, 7, 10],
+                                     [2, 5, 8, 11]])]
+    for seed in range(4):
+        assert pg.try_alt_ladder(gens, seed=seed) is None
+    chain = pg.build_chain(gens, seed=0)
+    assert chain.strategy == "dense"
+    assert chain.order == 6**4 * 4 == _sympy_order(gens)
 
 
 def _partition(labels):
@@ -679,31 +692,73 @@ _INTRANSITIVE = [pg.perm_from_cycles(8, [[0, 1, 2]]),
                  pg.perm_from_cycles(8, [[0, 1, 2, 3, 4]])]
 
 
-def test_non_giants_skip_the_rattle(monkeypatch):
-    # intransitive and imprimitive groups reach the dense chain without
-    # drawing a random element
-    monkeypatch.setattr(pg, "Rattle", lambda *a: pytest.fail("rattle built"))
-    for gens, order in [(_sl3_on_vectors(3), 5616),
-                        (_sl3_on_vectors(5), 372000), (_INTRANSITIVE, 60)]:
+def test_non_giants_draw_only_the_burst(monkeypatch):
+    # SL_3 on vectors holds no 3-cycle and keeps lines as blocks, so the
+    # block test on points 0 and 1 ends the search after the first
+    # LADDER_BURST samples; an intransitive group draws none
+    draws = []
+    sample = pg.Rattle.sample
+    monkeypatch.setattr(pg.Rattle, "sample", lambda self: (
+        draws.append(1) or sample(self)))
+    for gens, order, drawn in [(_sl3_on_vectors(3), 5616, pg.LADDER_BURST),
+                               (_sl3_on_vectors(5), 372000, pg.LADDER_BURST),
+                               (_INTRANSITIVE, 60, 0)]:
+        draws.clear()
         chain = pg.build_chain(gens, seed=0)
+        assert len(draws) == drawn
         assert chain.strategy == "dense" and chain.order == order
+        assert chain.base.tolist() == pg.schreier_sims(gens).base.tolist()
 
 
-def test_closure_of_an_intransitive_group_is_an_internal_failure():
-    # try_alt_ladder checks transitivity first, so a Schreier tree that
-    # misses a point is a bug, not a verdict
-    with pytest.raises(BoundViolated):
-        pg._conjugate_triples(_INTRANSITIVE, (0, 1, 2))
+def test_block_of_a_three_cycle_matches_is_alt_sym():
+    # a transitive group holding the 3-cycle (a, b, c) contains Alt(d)
+    # iff its minimal block system joining a and b is the single block
+    rng = random.Random(33)
+    verdicts = []
+    for _ in range(120):
+        if rng.randrange(2):
+            gens = _random_generators(rng)
+            d = len(gens[0])
+        else:  # blocks {0, 1, 2}, {3, 4, 5}, ... kept by every generator
+            d = rng.choice([6, 9, 12])
+            gens = [np.roll(np.arange(d), 3)]
+            for _ in range(rng.randint(0, 2)):
+                blocks = rng.sample(range(d // 3), d // 3)
+                gens.append(np.array([3 * blocks[x // 3] + w
+                                      for x in range(0, d, 3)
+                                      for w in rng.sample(range(3), 3)]))
+        if d % 3 == 0 and rng.randrange(2):  # inside a block of size 3
+            triple = [3 * rng.randrange(d // 3) + w
+                      for w in rng.sample(range(3), 3)]
+        else:
+            triple = rng.sample(range(d), 3)
+        gens.append(pg.perm_from_cycles(d, [triple]))
+        if pg.components(gens).any():
+            continue  # intransitive
+        group = PermutationGroup([Permutation([int(x) for x in g])
+                                  for g in gens])
+        giant = not pg._minimal_block(gens, triple[0], triple[1]).any()
+        assert giant == group.is_alt_sym(eps=1e-9)
+        assert giant == (2 * group.order() >= math.factorial(d))
+        verdicts.append(giant)
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 15
 
 
 @pytest.mark.parametrize("variant, p, degree, base", [
     ("i", 17, 4912, [1925, 3172, 4384]), ("ii", 3, 2186, [796, 835, 1444])])
-def test_giant_rattle_stream_is_pinned(variant, p, degree, base):
-    # the chains that `certify-alt --thm15 VARIANT --p P` builds at seed 0:
-    # the block test draws nothing, so the first 3-cycle is the same
+def test_giant_rattle_stream_is_pinned(variant, p, degree, base,
+                                      monkeypatch):
+    # the chains that `certify-alt --thm15 VARIANT --p P` builds at seed 0;
+    # the 3-cycle comes within the burst, so the one block test is on two
+    # of its points
     n, words = thm15_words(variant)
     gens = word_code_perms(words, nonzero_codes(p, n), ff.make_field(p, 1), n)
+    pairs = []
+    block = pg._minimal_block
+    monkeypatch.setattr(pg, "_minimal_block", lambda gens, a, b: (
+        pairs.append([a, b]) or block(gens, a, b)))
     chain = pg.build_chain(gens, seed=0)
+    assert pairs == [base[:2]]
     assert chain.strategy == "cycles" and chain.base[:3].tolist() == base
     assert chain.base[3:].tolist() == sorted(set(range(degree)) - set(base))
     assert pg.certify_alternating(chain).order == str_unlimited(

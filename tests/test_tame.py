@@ -91,9 +91,9 @@ def test_single_letter_endo():
 def test_standard_generators_shape():
     params = GroupParams(5, 3, (1, 1, 2))
     gens = standard_generators(params)
-    assert gens == [Transvection(1, 2, 1, 1), Transvection(2, 3, 1, 1),
-                    Transvection(3, 1, 2, 1)]
-    assert len(standard_generators(params, all_r=True)) == 3 * 4
+    assert gens == [Word.of(Transvection(1, 2, 1, 1)),
+                    Word.of(Transvection(2, 3, 1, 1)),
+                    Word.of(Transvection(3, 1, 2, 1))]
     assert tau(params, 3, 2) == Transvection(3, 1, 2, 2)
 
 
