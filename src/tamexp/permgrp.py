@@ -41,11 +41,16 @@ Two chain strategies share the StabChain interface:
   for Alt(d) or d, ..., 2 for Sym(d).  It holds g iff G is Sym(d) or g
   is even, so a sift is one parity pass.
   An intransitive group gets no chain before any random element is
-  drawn.  If the first LADDER_BURST samples hold no 3-cycle, a minimal
-  block system joining points 0 and 1 that is proper turns G away, since
-  Alt(d) is primitive; a giant mostly finds t sooner and runs the block
-  test once.  build_chain then falls back to 'dense'.  Randomness only
-  searches for t; the certificate is exact.
+  drawn.  A random element of Alt(d) or Sym(d) powers to a 3-cycle (it
+  has one 3-cycle and no other cycle length divisible by 3) with
+  probability about 0.355 d^(-1/3), so a giant waits about 2.8 d^(1/3)
+  samples for t.  The first LADDER_BURST * d^(1/3) samples, about four
+  such waits, come before the early reject: a minimal block system
+  joining points 0 and 1 that is proper turns G away, since Alt(d) is
+  primitive.  A giant that finds t in that burst runs the block test
+  once, and one that misses it runs it twice.  Groups turned away get a
+  'dense' chain from build_chain.  Randomness only searches for t; the
+  certificate is exact.
 
 Either way the chain is complete, so a certificate reads its verdict and
 its order from the orbit sizes alone.
@@ -65,7 +70,7 @@ from .orbits import bfs_layers, closure, components
 
 MAX_SIFTS = 2_000_000  # Schreier-Sims work budget, in Schreier generators considered
 LADDER_CYCLE_TRIES = 5000  # random elements searched for a first 3-cycle
-LADDER_BURST = 128  # of those, drawn before the block test on points 0, 1
+LADDER_BURST = 12  # of those, per cube root of the degree, before the 0, 1 block test
 RATTLE_EXTRA = 5  # identity slots of the rattle beside the generators
 RATTLE_SCRAMBLE = 40  # rattle stirs before the first sample, plus 4 per generator
 PRODUCT_RUN = 32  # factors multiplied as ints before the decimal product tree
@@ -447,17 +452,18 @@ def try_alt_ladder(gens, seed=0):
     powering to a 3-cycle t = (a, b, c), and Alt(d) <= <gens> iff the
     minimal block system joining a and b is the single block: its blocks
     are the components of the supports of the conjugates of t (module
-    docstring).  Alt(d) is primitive, so if the first LADDER_BURST samples
-    hold no 3-cycle, a proper minimal block system joining points 0 and 1
-    ends the search.
+    docstring).  Alt(d) is primitive, so if the first LADDER_BURST *
+    d^(1/3) samples hold no 3-cycle, a proper minimal block system joining
+    points 0 and 1 ends the search.
     """
     gens = [np.asarray(g, dtype=np.int32) for g in gens]
     degree = len(gens[0])
     if degree < 5 or not closure(0, gens).all():
         return None  # too small, or intransitive
     rattle = Rattle(gens, random.Random(seed))
+    burst = LADDER_BURST * round(degree ** (1 / 3))
     for tries in range(LADDER_CYCLE_TRIES):
-        if tries == LADDER_BURST and _minimal_block(gens, 0, 1).any():
+        if tries == burst and _minimal_block(gens, 0, 1).any():
             return None  # imprimitive
         g = rattle.sample()
         hit = _extract_three_cycle(g)

@@ -541,7 +541,7 @@ def _thm15_i_p5():
 
 def _sl3_f5():
     params = tame.GroupParams(5, 3, (1, 1, 1))
-    words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
+    words = tame.standard_generators(params)
     return orbits.word_code_perms(words, nonzero_codes(5, 3),
                                   ff.make_field(5, 1), 3)
 

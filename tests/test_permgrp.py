@@ -247,7 +247,7 @@ def test_certify_thm15i_p3():
 def test_certify_proper_sl3():
     F3 = ff.make_field(3, 1)
     params = tame.GroupParams(3, 3, (1, 1, 1))
-    words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
+    words = tame.standard_generators(params)
     gens = word_code_perms(words, nonzero_codes(3, 3), F3, 3)
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
@@ -266,7 +266,7 @@ def test_schreier_sims_order_matches_sympy(p, order):
     # |SL_3(F_p)| on the nonzero points of F_p^3
     F = ff.make_field(p, 1)
     params = tame.GroupParams(p, 3, (1, 1, 1))
-    words = [tame.Word.of(tame.tau(params, i, 1)) for i in (1, 2, 3)]
+    words = tame.standard_generators(params)
     gens = word_code_perms(words, nonzero_codes(p, 3), F, 3)
     assert pg.schreier_sims(gens).order == order == _sympy_order(gens)
 
@@ -694,14 +694,15 @@ _INTRANSITIVE = [pg.perm_from_cycles(8, [[0, 1, 2]]),
 
 def test_non_giants_draw_only_the_burst(monkeypatch):
     # SL_3 on vectors holds no 3-cycle and keeps lines as blocks, so the
-    # block test on points 0 and 1 ends the search after the first
-    # LADDER_BURST samples; an intransitive group draws none
+    # block test on points 0 and 1 ends the search after the burst of
+    # LADDER_BURST samples per cube root of the degree (26 and 124 points:
+    # 3 and 5); an intransitive group draws none
     draws = []
     sample = pg.Rattle.sample
     monkeypatch.setattr(pg.Rattle, "sample", lambda self: (
         draws.append(1) or sample(self)))
-    for gens, order, drawn in [(_sl3_on_vectors(3), 5616, pg.LADDER_BURST),
-                               (_sl3_on_vectors(5), 372000, pg.LADDER_BURST),
+    for gens, order, drawn in [(_sl3_on_vectors(3), 5616, 3 * pg.LADDER_BURST),
+                               (_sl3_on_vectors(5), 372000, 5 * pg.LADDER_BURST),
                                (_INTRANSITIVE, 60, 0)]:
         draws.clear()
         chain = pg.build_chain(gens, seed=0)
@@ -750,17 +751,23 @@ def test_giant_rattle_stream_is_pinned(variant, p, degree, base,
                                       monkeypatch):
     # the chains that `certify-alt --thm15 VARIANT --p P` builds at seed 0;
     # the 3-cycle comes within the burst, so the one block test is on two
-    # of its points
+    # of its points.  With no burst the block test on points 0 and 1 comes
+    # first, and the chain is the same.
     n, words = thm15_words(variant)
     gens = word_code_perms(words, nonzero_codes(p, n), ff.make_field(p, 1), n)
     pairs = []
     block = pg._minimal_block
     monkeypatch.setattr(pg, "_minimal_block", lambda gens, a, b: (
         pairs.append([a, b]) or block(gens, a, b)))
-    chain = pg.build_chain(gens, seed=0)
-    assert pairs == [base[:2]]
-    assert chain.strategy == "cycles" and chain.base[:3].tolist() == base
-    assert chain.base[3:].tolist() == sorted(set(range(degree)) - set(base))
+    for burst, calls in [(pg.LADDER_BURST, [base[:2]]),
+                         (0, [[0, 1], base[:2]])]:
+        monkeypatch.setattr(pg, "LADDER_BURST", burst)
+        pairs.clear()
+        chain = pg.build_chain(gens, seed=0)
+        assert pairs == calls
+        assert chain.strategy == "cycles" and chain.base[:3].tolist() == base
+        assert chain.base[3:].tolist() == sorted(set(range(degree))
+                                                 - set(base))
     assert pg.certify_alternating(chain).order == str_unlimited(
         math.factorial(degree) // 2)
 
