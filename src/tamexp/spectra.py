@@ -23,12 +23,14 @@ from .permgrp import inverse
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .orbits import codes_to_coords  # noqa: F401
 
-MAX_ITER = 1000  # Lanczos steps (basis vectors) before NoConvergence
+MAX_ITER = 1000  # Lanczos steps, across restarts, before NoConvergence
 RESIDUAL_TOL = 1e-10  # explicit residual ||Ax - theta x|| that stops Lanczos
 # The Lanczos estimate beta_k |s_k| and the explicit residual were seen to
 # differ by about 1e-16, so a step whose estimate, or a proven floor under
 # it, exceeds 10 x RESIDUAL_TOL cannot stop and skips the exact check.
 FLOOR_MARGIN = 10
+BASIS_CAP = 256  # Lanczos vectors held at once; a full basis restarts
+RESTART_COLUMNS = 1024  # basis columns per block of the in-place restart
 
 
 @dataclass
@@ -82,6 +84,7 @@ class GapResult:
     residual: float
     iterations: int
     eigensolves: int  # steps that ran the dense eigh of T_k
+    restarts: int  # thick restarts at a full basis
 
 
 def spectral_gap(graph, seed=0):
@@ -98,50 +101,80 @@ def spectral_gap(graph, seed=0):
     the complete graph at step 1, and a disconnected graph with
     lambda2 = 1, gap 0.
 
-    The check of a step is exact: eigh of the tridiagonal T_k, then x and
-    its explicit residual.  It only runs where it could pass.  Its Lanczos
-    estimate rho_k = beta_k |s_k| (s the top eigenvector of T_k, beta_k
-    the norm of the step's reorthogonalized w) equals the residual up to
-    rounding, so x is formed only when rho_k <= FLOOR_MARGIN *
-    RESIDUAL_TOL, and eigh itself is skipped while `_residual_floor`, a
-    lower bound on rho_k from the last eigh step, is above that.  No check
-    feeds the recurrence, so the stopping step and every printed value
-    are those of a check at every step.  Step MAX_ITER always checks
-    exactly, for the NoConvergence residual.
+    The basis is allocated once, BASIS_CAP + 1 rows of nvertices floats.
+    A step that fills the last row and does not stop thick-restarts (Wu
+    and Simon, SIAM J. Matrix Anal. Appl. 22, 2000): the top BASIS_CAP / 2
+    Ritz vectors of T replace the basis rows, computed in place over
+    column blocks, and the step's w / beta_k follows them.  T is then the
+    diagonal of the kept Ritz values bordered by the arrowhead beta_k s
+    (s the kept vectors' last components), and grows by tridiagonal rows
+    as before.  Runs that stop before the cap never restart.
+
+    The check of a step is exact: eigh of T_k, then x and its explicit
+    residual.  It only runs where it could pass.  Its Lanczos estimate
+    rho_k = beta_k |s_k| (s the top eigenvector of T_k, beta_k the norm
+    of the step's reorthogonalized w) equals the residual up to rounding,
+    so x is formed only when rho_k <= FLOOR_MARGIN * RESIDUAL_TOL, and
+    eigh itself is skipped while `_residual_floor`, a lower bound on rho_k
+    from the last eigh step since the last restart, is above that.  No
+    check feeds the recurrence, so the stopping step and every printed
+    value are those of a check at every step.  Step MAX_ITER and every
+    restart step always run eigh.
     """
     v = graph.nvertices
-    basis = np.empty((2, v))  # grows by doubling as steps are taken
+    basis = np.empty((BASIS_CAP + 1, v))
     basis[0] = 1.0 / math.sqrt(v)
     q = np.random.default_rng(seed).standard_normal(v)
     q -= basis[0] * (basis[0] @ q)
     basis[1] = q / np.linalg.norm(q)
-    alphas, betas = [], []
-    anchor, eigensolves = None, 0
+    alphas, betas, arrow = [], [], []  # T_j; betas[-1] is the norm of w
+    anchor, eigensolves, restarts, j = None, 0, 0, 0
     limit = FLOOR_MARGIN * RESIDUAL_TOL
     for k in range(1, MAX_ITER + 1):
-        w = graph.matmat(basis[k])
-        alphas.append(basis[k] @ w)
+        j += 1
+        w = graph.matmat(basis[j])
+        alphas.append(basis[j] @ w)
         for _ in range(2):  # twice is enough (Kahan; Parlett)
-            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
         betas.append(np.linalg.norm(w))
-        if k == MAX_ITER or _residual_floor(betas, anchor) <= limit:
-            t = np.diag(alphas) + np.diag(betas[:-1], 1) \
-                + np.diag(betas[:-1], -1)
-            vals, vecs = np.linalg.eigh(t)
+        if k == MAX_ITER or j == BASIS_CAP \
+                or _residual_floor(betas, anchor) <= limit:
+            vals, vecs = np.linalg.eigh(_lanczos_matrix(alphas, betas, arrow))
             eigensolves += 1
             theta, rho = float(vals[-1]), betas[-1] * abs(vecs[-1, -1])
-            anchor = (k, rho, vals[-1] - vals[-2] if k > 1 else math.inf)
+            anchor = (j, rho, vals[-1] - vals[-2] if j > 1 else math.inf)
             if rho <= limit or k == MAX_ITER:
-                x = vecs[:, -1] @ basis[1:k + 1]
+                x = vecs[:, -1] @ basis[1:j + 1]
                 residual = float(np.linalg.norm(graph.matmat(x) - theta * x))
                 if residual <= RESIDUAL_TOL:
                     return GapResult(theta, 1.0 - theta, "lanczos", residual,
-                                     k, eigensolves)
-        if k + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis)])
-        basis[k + 1] = w / betas[-1]
+                                     k, eigensolves, restarts)
+        beta = betas[-1]
+        if j == BASIS_CAP:
+            m = BASIS_CAP // 2
+            kept = vecs[:, -m:]
+            for c in range(0, v, RESTART_COLUMNS):
+                block = slice(c, c + RESTART_COLUMNS)
+                basis[1:m + 1, block] = kept.T @ basis[1:j + 1, block]
+            arrow = beta * kept[-1]
+            alphas, betas = list(vals[-m:]), [0.0] * m
+            # the floor assumes T grew only by tridiagonal rows since its
+            # anchor, so the first check after a restart is exact
+            anchor, j, restarts = None, m, restarts + 1
+        basis[j + 1] = w / beta
     raise NoConvergence(f"Lanczos did not reach residual {RESIDUAL_TOL} in "
                         f"{MAX_ITER} steps (residual {residual})")
+
+
+def _lanczos_matrix(alphas, betas, arrow):
+    """T_j, j = len(alphas): the alphas on the diagonal, betas[:-1] beside
+    it, and the arrowhead of a thick restart in row and column len(arrow).
+    Filled in place, so the only k x k array is T itself."""
+    j, m = len(alphas), len(arrow)
+    t = np.diag(alphas)
+    t.flat[1::j + 1] = t.flat[j::j + 1] = betas[:-1]
+    t[:m, m] = t[m, :m] = arrow
+    return t
 
 
 def _residual_floor(betas, anchor):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,47 +176,131 @@ def test_step_cap_raises_no_convergence(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-def lanczos_coefficients(graph, steps, seed):
-    """alphas and betas of `steps` Lanczos steps on the deflated normalized
-    adjacency, with no stopping test."""
+RESTART_GRAPHS = [name for name in ORACLE_GRAPHS
+                  if name.startswith("thm15 i ") or "regular" in name]
+
+
+@pytest.mark.parametrize("name", RESTART_GRAPHS)
+def test_restarted_gap_matches_dense(name, monkeypatch):
+    # a 16-vector basis restarts every graph here at least once
+    monkeypatch.setattr(spectra, "BASIS_CAP", 16)
+    graph = ORACLE_GRAPHS[name]()
+    dense = np.linalg.eigvalsh(graph.normalized_adjacency())[-2]
+    for seed in range(2):
+        r = spectral_gap(graph, seed=seed)
+        assert r.restarts > 0 and r.residual <= 1e-10, (name, seed)
+        assert abs(r.lambda2 - dense) <= 1e-12, (name, seed)
+
+
+def test_restarted_gap_matches_eigsh_and_stops_at_max_iter(monkeypatch):
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    monkeypatch.setattr(spectra, "BASIS_CAP", 16)
+    graph = thm15_graph("ii", 3)
+    v = graph.nvertices
+    # A minus the projection on the constants, whose top eigenvalue is lambda2
+    deflated = LinearOperator((v, v), dtype=float,
+                              matvec=lambda x: graph.matmat(x.ravel())
+                              - x.mean())
+    v0 = np.random.default_rng(7).standard_normal(v)
+    want = eigsh(deflated, k=1, which="LA", tol=0, v0=v0)[0][0]
+    runs = [spectral_gap(graph, seed=seed) for seed in range(2)]
+    for r in runs:
+        assert r.restarts > 0 and r.residual <= 1e-10
+        assert abs(r.lambda2 - want) <= 1e-12
+    # MAX_ITER counts steps across restarts
+    steps = runs[0].iterations
+    monkeypatch.setattr(spectra, "MAX_ITER", steps)
+    assert spectral_gap(graph) == runs[0]
+    monkeypatch.setattr(spectra, "MAX_ITER", steps - 1)
+    with pytest.raises(NoConvergence, match=f"in {steps - 1} steps"):
+        spectral_gap(graph)
+
+
+def test_basis_memory_is_bounded():
+    graph = thm15_graph("i", 19)  # V = 6858, 145 steps: no restart
+    spectral_gap(cycle_graph(10))  # keeps first-call imports out of the trace
+    bound = (spectra.BASIS_CAP + 1) * graph.nvertices * 8 + 2**20
+    peaks = []
+    for solve in (spectral_gap, reference_gap):
+        tracemalloc.start()
+        try:
+            solve(graph)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the doubling basis of the reference briefly holds 384 rows
+    assert peaks[0] <= bound < peaks[1], (peaks, bound)
+
+
+def lanczos_matrix(alphas, betas, arrow):
+    """T: alphas on the diagonal, betas[:-1] beside it, and the arrowhead
+    of a thick restart in row and column len(arrow)."""
+    t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    m = len(arrow)
+    t[:m, m] = t[m, :m] = arrow
+    return t
+
+
+def lanczos_coefficients(graph, steps, seed, restart_at=None):
+    """alphas, betas and arrowhead of `steps` Lanczos steps on the deflated
+    normalized adjacency, with no stopping test.  With restart_at, the basis
+    thick-restarts once, when it holds that many vectors, on its top
+    restart_at // 2 Ritz vectors; the lists are then those of T after it."""
     v = graph.nvertices
     basis = np.empty((steps + 2, v))
     basis[0] = 1.0 / math.sqrt(v)
     q = np.random.default_rng(seed).standard_normal(v)
     q -= basis[0] * (basis[0] @ q)
     basis[1] = q / np.linalg.norm(q)
-    alphas, betas = [], []
+    alphas, betas, arrow = [], [], []
+    j = 0
     for k in range(1, steps + 1):
-        w = graph.matmat(basis[k])
-        alphas.append(basis[k] @ w)
+        j += 1
+        w = graph.matmat(basis[j])
+        alphas.append(basis[j] @ w)
         for _ in range(2):
-            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
         betas.append(np.linalg.norm(w))
-        basis[k + 1] = w / betas[-1]
-    return alphas, betas
+        if k == restart_at:
+            vals, vecs = np.linalg.eigh(lanczos_matrix(alphas, betas, arrow))
+            j //= 2
+            basis[1:j + 1] = vecs[:, -j:].T @ basis[1:2 * j + 1]
+            arrow = betas[-1] * vecs[-1, -j:]
+            alphas, betas = list(vals[-j:]), [0.0] * j
+        basis[j + 1] = w / np.linalg.norm(w)
+    return alphas, betas, arrow
 
 
 @pytest.mark.parametrize("v, degree", [(120, 4), (300, 6), (640, 4),
                                        (1100, 6)])
 def test_residual_floor_bounds_the_lanczos_estimate(v, degree):
-    steps = 80
-    alphas, betas = lanczos_coefficients(permutation_graph(v, degree, v),
-                                         steps, seed=v)
-    eig = [np.linalg.eigh(np.diag(alphas[:k]) + np.diag(betas[:k - 1], 1)
-                          + np.diag(betas[:k - 1], -1))
-           for k in range(1, steps + 1)]
-    above = 0
-    for k0 in range(1, steps):
-        vals, vecs = eig[k0 - 1]
-        anchor = (k0, betas[k0 - 1] * abs(vecs[-1, -1]),
-                  vals[-1] - vals[-2] if k0 > 1 else math.inf)
-        for k in range(k0 + 1, min(k0 + 12, steps) + 1):
-            floor = spectra._residual_floor(betas[:k], anchor)
-            estimate = betas[k - 1] * abs(eig[k - 1][1][-1, -1])
-            assert floor <= estimate, (k0, k, floor, estimate)
-            above += floor > spectra.FLOOR_MARGIN * spectra.RESIDUAL_TOL
-    # the floor is not vacuous: it rules out convergence at most steps
-    assert above > steps * 12 / 2
+    graph = permutation_graph(v, degree, v)
+    limit = spectra.FLOOR_MARGIN * spectra.RESIDUAL_TOL
+    for restart_at in (None, 40):
+        alphas, betas, arrow = lanczos_coefficients(graph, 80, seed=v,
+                                                    restart_at=restart_at)
+        # after a restart, anchors are steps whose T holds the arrowhead row
+        first, last = len(arrow) + 1, len(alphas)
+        eig = {k: np.linalg.eigh(lanczos_matrix(alphas[:k], betas[:k], arrow))
+               for k in range(first, last + 1)}
+        above = unconverged = 0
+        for k0 in range(first, last):
+            vals, vecs = eig[k0]
+            anchor = (k0, betas[k0 - 1] * abs(vecs[-1, -1]),
+                      vals[-1] - vals[-2] if k0 > 1 else math.inf)
+            for k in range(k0 + 1, min(k0 + 12, last) + 1):
+                floor = spectra._residual_floor(betas[:k], anchor)
+                estimate = betas[k - 1] * abs(eig[k][1][-1, -1])
+                assert floor <= estimate, (restart_at, k0, k, floor, estimate)
+                above += floor > limit
+                unconverged += estimate > limit
+        # the floor is not vacuous: it rules out convergence at most steps,
+        # and after a restart, whose estimates start near the limit, at a
+        # third of the steps that have not converged
+        if restart_at is None:
+            assert above > (last - first + 1) * 12 / 2
+        else:
+            assert above > unconverged / 3
 
 
 def test_angle_matrix_equal_alphas():
