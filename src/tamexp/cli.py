@@ -136,14 +136,12 @@ def _class_action_perms(labels, oid, words, ctx, n, spec):
     Gamma-class meets it and another orbit."""
     roots = orbits.gamma_roots(labels, spec, oid)
     inside = labels == oid
-    is_rep = inside & (roots == np.arange(roots.size))
-    class_id = np.cumsum(is_rep, dtype=np.int32) - 1
-    reps = np.flatnonzero(is_rep)
+    reps, class_id = orbits.component_ids(np.where(inside, roots, -1))
     perms = []
     for g in orbits.word_code_perms(words, None, ctx, n):
         if (labels[g[inside]] != oid).any():
             raise NotClosed("a map sends a point outside the domain")
-        perms.append(class_id[roots[g[reps]]])
+        perms.append(class_id[g[reps]])
     return perms
 
 

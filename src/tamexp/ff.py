@@ -20,11 +20,12 @@ On its first scalar call an extension context turns its numpy exp/log
 tables into lists: exp (doubled, so a product needs no modulo), log, a
 Zech list zech[k] = log(1 + g^k) (Huber, IEEE Trans. Inf. Theory 36(4),
 1990), so that g^i + g^j = g^(i + zech[j - i]), and the subfield degree
-of every element.  Nothing is built at import or by `make_field`.
+of every element.  Nothing is built at import or by `make_field`; the
+tables bootstrap through the module's poly helpers below.
 
-Univariate polynomials over F_p appear in two roles (moduli and minimal
-polynomials); they are plain tuples of ints, low-to-high, with no trailing
-zeros.
+Univariate polynomials over F_p (moduli, minimal polynomials, and elements
+while the tables bootstrap) are plain tuples of ints, low-to-high, with no
+trailing zeros.
 """
 
 from __future__ import annotations
@@ -234,8 +235,6 @@ class FieldCtx:
         self.q = p**ell
         self.modulus = _smallest_irreducible(p, ell)
         self._pp = tuple(p**i for i in range(ell))
-        # x^ell reduced mod modulus, used by schoolbook reduction
-        self._xell = poly_trim((-c) % p for c in self.modulus[:-1])
         self._exp = None
         self._log = None
         self._lists = None  # (exp, log, zech, degree) Python lists
@@ -311,17 +310,6 @@ class FieldCtx:
         exp, log, _, _ = self._lists or self._scalar_lists()
         return exp[log[a] + log[b]]
 
-    def _reduce(self, c):
-        p, ell = self.p, self.ell
-        c = list(c) + [0] * max(0, ell - len(c))
-        for i in range(len(c) - 1, ell - 1, -1):
-            hi = c[i]
-            if hi:
-                c[i] = 0
-                for j, r in enumerate(self._xell):
-                    c[i - ell + j] = (c[i - ell + j] + hi * r) % p
-        return tuple(c[:ell])
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -350,23 +338,14 @@ class FieldCtx:
         n = self.q - 1
         if self._log is not None:
             return n // gcd(int(self._log[a]), n)
-        # table-free until the log table exists: while
-        # multiplicative_generator bootstraps it, and in a prime field
-        # whose scalar operations never build it
+        # table-free until the log table exists, through the module's
+        # poly helpers: while multiplicative_generator bootstraps it, and
+        # in a prime field whose scalar operations never build it
         for r in prime_factors(n):
-            while n % r == 0 and self._pow_slow(a, n // r) == 1:
+            while n % r == 0 and poly_powmod(self.coeffs(a), n // r,
+                                             self.modulus, self.p) == (1,):
                 n //= r
         return n
-
-    def _pow_slow(self, a, e):
-        # table-free, for order before the log table exists
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_slow(result, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return result
 
     def multiplicative_generator(self):
         for a in range(1, self.q):
@@ -412,12 +391,13 @@ class FieldCtx:
         return self._exp, self._log
 
     def _mul_slow(self, a, b):
-        prod_ = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.element(self._reduce(prod_))
+        p = self.p
+        return self.element(poly_mod(poly_mul(self.coeffs(a), self.coeffs(b), p),
+                                     self.modulus, p))
 
     def mul_arrays(self, A, B):
         exp, log = self._exp_log()
-        out = exp[(log[A] + log[B]) % (self.q - 1)]
+        out = exp[log[A] + log[B]]
         return np.where((A == 0) | (B == 0), 0, out)
 
     def mul_const_table(self, c):
@@ -427,7 +407,7 @@ class FieldCtx:
                 t = np.zeros(self.q, dtype=np.int64)
             else:
                 exp, log = self._exp_log()
-                t = np.concatenate(([0], exp[(log[1:self.q] + log[c]) % (self.q - 1)]))
+                t = np.concatenate(([0], exp[log[1:self.q] + log[c]]))
             self._mulc[c] = t
         return t
 

@@ -330,7 +330,7 @@ def compute_A0(point, params, ctx):
     return ctx.join_degree(gens), False
 
 
-def orbit_invariant(point, params, ctx, spec=None):
+def orbit_invariant(point, params, ctx):
     """Canonical (A_{phi,0}, A_{phi,1}) label of the orbit of a point.
 
     Distinct orbits had distinct labels on every case checked with

@@ -78,17 +78,13 @@ def y_elem(c, p, s):
 
 @lru_cache(maxsize=1 << 12)
 def _shift_poly(poly, b, p):
-    """Coefficients of P(x + b), for a coefficient tuple poly.  Memoized:
+    """Coefficients of P(x + b), for a coefficient tuple poly, by Horner's
+    rule in x + b, padded back to len(poly) coefficients.  Memoized:
     products in Gamma shift the same few polynomials over and over."""
-    c = len(poly) - 1
-    out = [0] * (c + 1)
-    for v, pv in enumerate(poly):
-        if pv:
-            bb = 1
-            for u in range(v, -1, -1):
-                out[u] = (out[u] + comb(v, v - u) * bb * pv) % p
-                bb = bb * b % p
-    return tuple(out)
+    out = ()
+    for pv in reversed(poly):
+        out = poly_add(poly_mul(out, (b, 1), p), (pv,), p)
+    return out + (0,) * (len(poly) - len(out))
 
 
 def gamma_op(a, b):

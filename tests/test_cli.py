@@ -252,6 +252,9 @@ def test_certify_on_classes(tmp_path):
      "orbit 1 (124 points) and orbit 3 (124 points)"),
     ("gamma-classes --p 7 --e 1,1,5 --ell 2",
      "orbit 1 (342 points) and orbit 2 (342 points)"),
+    # two largest orbits of equal size: --on-classes takes the first
+    ("certify-alt --p 3 --e 1,1,4 --ell 2 --on-classes",
+     "orbit 6 (243 points) and orbit 7 (243 points)"),
 ])
 def test_gamma_joining_two_orbits_is_an_error(argv, orbits_met, tmp_path,
                                               capsys):

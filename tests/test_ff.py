@@ -300,6 +300,35 @@ def test_order_matches_sympy_on_a_prime_field():
         assert F.order(a) == sympy.n_order(a, F.q), a
 
 
+def test_order_matches_sympy_above_the_table_limit():
+    # a bare prime field above TABLE_LIMIT: every order comes from the
+    # table-free poly_powmod loop at ell = 1
+    sympy = pytest.importorskip("sympy")
+    F = ff.FieldCtx(65537, 1)
+    rng = random.Random(65537)
+    for a in [rng.randrange(1, F.q) for _ in range(200)] + [1, F.q - 1]:
+        assert F.order(a) == sympy.n_order(a, F.q), a
+    assert F._log is None
+
+
+@pytest.mark.parametrize("p, ell, count", [(2, 4, None), (3, 3, None),
+                                           (5, 2, None), (257, 2, 200)])
+def test_mul_slow_matches_galoistools(p, ell, count):
+    # _mul_slow seeds the exp table and is the oracle of the exp-table
+    # tests, so it is checked against an independent product here; F_{257^2}
+    # lies above TABLE_LIMIT
+    ctx = ff.make_field(p, ell)
+    oracle = _GfOracle(ctx)
+    if count is None:
+        pairs = [(a, b) for a in range(ctx.q) for b in range(ctx.q)]
+    else:
+        rng = random.Random(p * 100 + ell)
+        pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q))
+                 for _ in range(count)]
+    for a, b in pairs:
+        assert ctx._mul_slow(a, b) == oracle.mul(a, b), (a, b)
+
+
 def test_count_lemma_f25():
     r = ff.verify_count_lemma(ff.make_field(5, 2), 1)
     # oracle: exactly the five elements of F_5 fail
