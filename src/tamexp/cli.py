@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__, ff, orbits, permgrp, spectra, synth, tame
 from .errors import (BoundViolated, BudgetExceeded, DegreeZero,
-                     FieldTooLarge, NonPrime, NotClosed, ProbeFailed,
-                     TamexpError)
+                     FieldTooLarge, NonPrime, ProbeFailed, TamexpError)
 
 SCHEMA = 1
 
@@ -98,10 +97,9 @@ def cmd_certify_alt(args):
     if args.on_classes:
         params_ = params or tame.GroupParams(args.p, n, (1,) * (n - 1) + (2,))
         _check_gamma_field(params_, args.ell)
-        part = orbits.orbit_partition(params_, args.ell, budget=args.budget)
+        _, labels = orbits.orbit_labels(words, ctx, n, args.budget)
         spec = orbits.make_gamma_spec(params_, ctx)
-        big = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
-        perms = _class_action_perms(part.labels, big, words, ctx, n, spec)
+        perms = _class_action_perms(labels, words, ctx, n, spec)
         domain_size = len(perms[0])
         domain_kind = "gamma-classes of the largest orbit"
     else:
@@ -129,20 +127,18 @@ def cmd_certify_alt(args):
     return 0 if cert.verdict == "Alt" else 1
 
 
-def _class_action_perms(labels, oid, words, ctx, n, spec):
-    """Permutations induced on the Gamma-classes of the orbit numbered
-    oid in `labels`, its classes numbered in order of their smallest
-    code; raises NotClosed if a word moves a point out of the orbit or a
-    Gamma-class meets it and another orbit."""
+def _class_action_perms(labels, words, ctx, n, spec):
+    """Permutations that the words induce on the Gamma-classes of the
+    first largest orbit in `labels`, the orbits of those words (so the
+    words keep it), its classes numbered in order of their smallest code;
+    raises NotClosed if a Gamma-class meets it and another orbit.  The
+    word maps are built after the Gamma maps are freed."""
+    oid = int(np.bincount(labels).argmax())
     roots = orbits.gamma_roots(labels, spec, oid)
-    inside = labels == oid
-    reps, class_id = orbits.component_ids(np.where(inside, roots, -1))
-    perms = []
-    for g in orbits.word_code_perms(words, None, ctx, n):
-        if (labels[g[inside]] != oid).any():
-            raise NotClosed("a map sends a point outside the domain")
-        perms.append(class_id[g[reps]])
-    return perms
+    reps, class_id = orbits.component_ids(np.where(labels == oid, roots, -1))
+    del roots
+    return [class_id[g[reps]]
+            for g in orbits.word_code_perms(words, None, ctx, n)]
 
 
 def cmd_orbits(args):
@@ -192,14 +188,15 @@ def _check_gamma_field(params, ell):
 def cmd_gamma_classes(args):
     params = _params(args)
     _check_gamma_field(params, args.ell)
-    part = orbits.orbit_partition(params, args.ell, budget=args.budget,
-                                  seed=args.seed)
-    spec = orbits.make_gamma_spec(params, part.ctx)
+    ctx = ff.make_field(params.p, args.ell)
+    _, labels = orbits.orbit_labels(tame.standard_generators(params), ctx,
+                                    params.n, args.budget)
+    spec = orbits.make_gamma_spec(params, ctx)
     reports = [{"orbit_size": o.orbit_size, "class_count": o.class_count,
                 "histogram": {str(k): v
                               for k, v in sorted(o.size_histogram.items())}}
-               for o in orbits.gamma_classes(part.labels, spec).orbits]
-    payload = _header(args.seed, part.ctx)
+               for o in orbits.gamma_classes(labels, spec).orbits]
+    payload = _header(args.seed, ctx)
     payload["lambda"] = spec.lam
     payload["orbits"] = reports
     _emit(payload, args.out)

@@ -561,6 +561,8 @@ def minimal_polynomial(ctx, a):
     """
     conjugates = [a]
     while (x := ctx.frobenius(conjugates[-1])) != a:
+        if len(conjugates) == ctx.ell:  # an orbit has at most ell elements
+            raise BoundViolated(f"the Frobenius orbit of {a} does not close")
         conjugates.append(x)
     return _orbit_polynomial(ctx, tuple(sorted(conjugates)))
 

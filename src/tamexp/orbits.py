@@ -11,7 +11,7 @@ components under such maps, and `closure` the orbit of one point under
 permutations, by the one layered BFS `bfs_layers`.  The maps always act
 on the broadcast grid of all of F_q^n, one axis per coordinate, so codes
 are never split into digits; an explicit code set restricts the grid
-permutations.  Orbits are those of the standard generators with r = 1.
+permutations.  Orbits are those of the acting words (`orbit_labels`).
 Over F_{p^ell} one orbit holds nearly every point, so the closure of
 the last code q^n - 1 settles it when the code lies in it, and only the
 other points go through `components`.  That code's coordinates are all
@@ -374,12 +374,6 @@ class OrbitPartition:
     labels: np.ndarray = field(repr=False, default=None)  # code -> orbit id
 
 
-def _generator_maps(params, ctx):
-    """Code maps of the standard generators on all of F_q^n, permutations
-    whose orbits are the orbits of the group."""
-    return word_code_perms(standard_generators(params), None, ctx, params.n)
-
-
 def _orbit_roots(maps):
     """components(maps) for permutations `maps` of the grid, each point
     labelled with the smallest code of its orbit.  The closure of the
@@ -399,19 +393,23 @@ def _orbit_roots(maps):
     return roots
 
 
-def orbit_partition(params, ell, budget=10**7, seed=0):
-    """Disjoint orbits of F_q^n under the group action, each with its
-    invariant (spot-checked for constancy on a sample of members).
-    Orbits are numbered in order of their smallest code, which is also
-    their representative.  The orbit of the last code, by one closure,
-    is taken whole when it holds most points; `components` labels the
-    rest, or every point when it does not (`_orbit_roots`)."""
-    ctx = make_field(params.p, ell)
-    q, n = ctx.q, params.n
-    total = q**n
+def orbit_labels(words, ctx, n, budget):
+    """(reps, labels) of the orbits of F_q^n under the words, numbered in
+    order of their smallest code (reps), by `_orbit_roots`; the word maps
+    are freed on return."""
+    total = ctx.q**n
     if total > budget:
         raise BudgetExceeded(f"{total} points exceed the exhaustive budget {budget}")
-    reps, labels = component_ids(_orbit_roots(_generator_maps(params, ctx)))
+    return component_ids(_orbit_roots(word_code_perms(words, None, ctx, n)))
+
+
+def orbit_partition(params, ell, budget=10**7, seed=0):
+    """Orbits of F_q^n under the standard generators (`orbit_labels`),
+    each with its invariant, spot-checked for constancy on a sample of
+    members; an orbit's representative is its smallest code."""
+    ctx = make_field(params.p, ell)
+    q, n = ctx.q, params.n
+    reps, labels = orbit_labels(standard_generators(params), ctx, n, budget)
     sizes = np.bincount(labels)
     rng = random.Random(seed)
     orbits = []
@@ -449,7 +447,7 @@ class GammaClassReport:
 def gamma_roots(labels, spec, oid=None):
     """Each code's Gamma-class, as its smallest code: the components of
     the grid under the Frobenius and m_lambda code maps.  labels[code] is
-    the orbit id of each point (as in OrbitPartition.labels).  Raises
+    the orbit id of each point (as `orbit_labels` gives it).  Raises
     NotClosed, naming both orbits, if a class meets two orbits, that is
     if an orbit is not Gamma-invariant; with oid, only a class meeting
     orbit oid counts.  Gamma commutes with the generators, but it may
@@ -514,7 +512,8 @@ def check_large_orbit(params, ell, budget=10**7):
             break
     if start is None:
         raise BoundViolated("no field generator among (E-1)-st powers")
-    size = int(np.count_nonzero(closure(start, _generator_maps(params, ctx))))
+    size = int(np.count_nonzero(closure(
+        start, word_code_perms(standard_generators(params), None, ctx, n))))
     # exact integer bound: p^(ln) - (E-1)^n p^((l-1)n)
     bound = params.p ** (ell * n) - N ** n * params.p ** ((ell - 1) * n)
     # at ell = 2 the bound is attained exactly (e.g. q = 49, E = 2: every

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from tamexp import ff, orbits, permgrp, synth, tame
@@ -121,22 +122,91 @@ def test_gamma_classes_json(tmp_path):
                                                      (26, {"1": 26})]
 
 
-def test_class_action_perms_permute_classes_and_reject_leaving_words():
-    # F_9^3, e = (1,1,2): a generator permutes the 351 classes of the big
-    # orbit and the 26 singleton classes of the nonzero F_3-points; the
-    # shift a_1 += 1 sends (2,0,0) to the origin, out of the latter
+def test_class_action_perms_permute_classes():
+    # F_9^3, e = (1,1,2): each generator permutes the 351 classes of the
+    # largest orbit, of 702 points
     params = tame.GroupParams(3, 3, (1, 1, 2))
-    part = orbits.orbit_partition(params, 2)
+    ctx = ff.make_field(3, 2)
+    words = tame.standard_generators(params)
+    _, labels = orbits.orbit_labels(words, ctx, 3, 10**7)
+    assert np.bincount(labels).max() == 702
+    spec = orbits.make_gamma_spec(params, ctx)
+    for perm in _class_action_perms(labels, words, ctx, 3, spec):
+        assert sorted(perm.tolist()) == list(range(351))
+
+
+def _reference_class_perms(params, ell, words, n):
+    """The class action as built before the domain became the largest
+    orbit of the acting words: the largest orbit of the standard
+    generators of params, with every word checked to keep it."""
+    part = orbits.orbit_partition(params, ell)
     spec = orbits.make_gamma_spec(params, part.ctx)
-    gen = tame.Word.of(tame.tau(params, 1, 1))
-    for size, classes in ((702, 351), (26, 26)):
-        oid = next(i for i, o in enumerate(part.orbits) if o.size == size)
-        [perm] = _class_action_perms(part.labels, oid, [gen], part.ctx, 3,
-                                     spec)
-        assert sorted(perm.tolist()) == list(range(classes))
-    shift = tame.Word.of(tame.Transvection(1, 2, 0, 1))
-    with pytest.raises(NotClosed):
-        _class_action_perms(part.labels, oid, [shift], part.ctx, 3, spec)
+    oid = max(range(len(part.orbits)), key=lambda i: part.orbits[i].size)
+    labels = part.labels
+    roots = orbits.gamma_roots(labels, spec, oid)
+    inside = labels == oid
+    reps, class_id = orbits.component_ids(np.where(inside, roots, -1))
+    perms = []
+    for g in orbits.word_code_perms(words, None, part.ctx, n):
+        if (labels[g[inside]] != oid).any():
+            raise NotClosed("a map sends a point outside the domain")
+        perms.append(class_id[g[reps]])
+    return perms
+
+
+class _Chain(Exception):
+    """Carries the generators that build_chain was called with."""
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"--p 3 --e 1,1,2 --ell {ell}" for ell in (2, 3, 4)),
+    "--p 5 --e 1,1,2 --ell 2",
+    "--p 5 --e 1,1,4 --ell 2",
+    *(f"--thm15 i --p 3 --ell {ell}" for ell in (2, 3, 4)),
+    "--thm15 i --p 5 --ell 2",
+    "--thm15 i --p 7 --ell 2",
+    "--thm15 ii --p 3 --ell 2",
+])
+def test_on_classes_acts_as_the_reference_class_action(argv, monkeypatch):
+    # --on-classes labels the orbits of the words it acts with (under
+    # --thm15 not the standard generators of (1,...,1,2)); on these inputs
+    # the classes and their permutations are still those of the largest
+    # orbit of the standard generators
+    def build_chain(perms, seed):
+        raise _Chain(perms)
+
+    monkeypatch.setattr(permgrp, "build_chain", build_chain)
+    with pytest.raises(_Chain) as got:
+        main(["certify-alt", *argv.split(), "--on-classes"])
+    opts = dict(zip(argv.split()[::2], argv.split()[1::2]))
+    p, ell = int(opts["--p"]), int(opts["--ell"])
+    if "--thm15" in opts:
+        n, words = thm15_words(opts["--thm15"])
+        params = tame.GroupParams(p, n, (1,) * (n - 1) + (2,))
+    else:
+        e = tuple(map(int, opts["--e"].split(",")))
+        params = tame.GroupParams(p, len(e), e)
+        n, words = params.n, tame.standard_generators(params)
+    want = _reference_class_perms(params, ell, words, n)
+    [perms] = got.value.args
+    assert len(perms) == len(want)
+    for a, b in zip(perms, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("argv, invariants", [
+    ("gamma-classes --p 3 --e 1,1,2 --ell 2", False),
+    ("certify-alt --p 3 --e 1,1,2 --ell 2 --on-classes", False),
+    ("orbits --p 3 --e 1,1,2 --ell 2", True),
+])
+def test_only_orbits_builds_orbit_invariants(argv, invariants, tmp_path,
+                                             monkeypatch):
+    calls = []
+    real = orbits.orbit_invariant
+    monkeypatch.setattr(orbits, "orbit_invariant",
+                        lambda *a: calls.append(a) or real(*a))
+    assert run(tmp_path, *argv.split())[0] == 0
+    assert bool(calls) == invariants
 
 
 def test_synth_cli(tmp_path):

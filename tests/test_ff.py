@@ -179,6 +179,23 @@ def test_minimal_polynomial_cache_hides_no_corrupted_frobenius(monkeypatch):
         ff.minimal_polynomial(F9, t)
 
 
+def test_minimal_polynomial_non_permutation_frobenius_raises(monkeypatch):
+    # a Frobenius sending everything to 0 never brings t back: the walk
+    # stops after ell steps instead of growing the orbit without bound
+    F9 = ff.make_field(3, 2)
+    calls = []
+
+    def stuck(a):
+        calls.append(a)
+        if len(calls) > 10 * F9.ell:
+            pytest.fail("the Frobenius walk is unbounded")
+        return 0
+
+    monkeypatch.setattr(F9, "frobenius", stuck)
+    with pytest.raises(BoundViolated, match="does not close"):
+        ff.minimal_polynomial(F9, F9.element((0, 1)))
+
+
 def test_minimal_polynomial_properties():
     F125 = ff.make_field(5, 3)
     for a in range(125):
