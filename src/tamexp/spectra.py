@@ -26,8 +26,10 @@ from .orbits import codes_to_coords  # noqa: F401
 MAX_ITER = 1000  # Lanczos steps, across restarts, before NoConvergence
 RESIDUAL_TOL = 1e-10  # explicit residual ||Ax - theta x|| that stops Lanczos
 # The Lanczos estimate beta_k |s_k| and the explicit residual were seen to
-# differ by about 1e-16, so a step whose estimate, or a proven floor under
-# it, exceeds 10 x RESIDUAL_TOL cannot stop and skips the exact check.
+# differ by about 1e-16, and the residuals of one Ritz vector from eigh and
+# from `_top_ritz` by under 1e-15.  So a step cannot stop, and skips the
+# exact check, whose estimate exceeds 10 x RESIDUAL_TOL or whose vector
+# from `_top_ritz` has a residual above (1 + 1/10) x RESIDUAL_TOL.
 FLOOR_MARGIN = 10
 BASIS_CAP = 256  # Lanczos vectors held at once; a full basis restarts
 RESTART_COLUMNS = 1024  # basis columns per block of the in-place restart
@@ -47,17 +49,23 @@ class SchreierGraph:
 
     def matmat(self, x):
         """The normalized adjacency applied to a vector or to each column
-        of an (nvertices, k) block."""
-        return x[self.neighbors].sum(axis=1) / self.degree
+        of an (nvertices, k) block: the neighbour columns gathered and
+        summed in order, then divided by the degree once."""
+        cols = self.neighbors.T
+        total = x.take(cols[0], axis=0)
+        for col in cols[1:]:
+            total += x.take(col, axis=0)
+        return total / self.degree
 
 
 def build_schreier(domain_codes, gen_words, ctx, n):
     """Orbit graph on a set of point codes closed under the generators, else
-    NotClosed; each inverse word's column is the inverse permutation."""
+    NotClosed; each inverse word's column is the inverse permutation.  The
+    neighbour columns are contiguous, for the gathers of `matmat`."""
     codes = np.sort(np.asarray(domain_codes, dtype=np.int64))
     cols = [c for g in word_code_perms(gen_words, codes, ctx, n)
             for c in (g, inverse(g))]
-    return SchreierGraph(len(codes), 2 * len(gen_words), np.stack(cols, axis=1))
+    return SchreierGraph(len(codes), 2 * len(gen_words), np.stack(cols).T)
 
 
 def complete_graph(v):
@@ -83,7 +91,7 @@ class GapResult:
     method: str
     residual: float
     iterations: int
-    eigensolves: int  # steps that ran the dense eigh of T_k
+    eigensolves: int  # steps that ran the dense eigh of T_k, see spectral_gap
     restarts: int  # thick restarts at a full basis
 
 
@@ -111,15 +119,28 @@ def spectral_gap(graph, seed=0):
     as before.  Runs that stop before the cap never restart.
 
     The check of a step is exact: eigh of T_k, then x and its explicit
-    residual.  It only runs where it could pass.  Its Lanczos estimate
-    rho_k = beta_k |s_k| (s the top eigenvector of T_k, beta_k the norm
-    of the step's reorthogonalized w) equals the residual up to rounding,
-    so x is formed only when rho_k <= FLOOR_MARGIN * RESIDUAL_TOL, and
-    eigh itself is skipped while `_residual_floor`, a lower bound on rho_k
-    from the last eigh step since the last restart, is above that.  No
-    check feeds the recurrence, so the stopping step and every printed
-    value are those of a check at every step.  Step MAX_ITER and every
-    restart step always run eigh.
+    residual, formed only when the Lanczos estimate rho_k = beta_k |s_k|
+    (s the top eigenvector of T_k, beta_k the norm of the step's
+    reorthogonalized w) is <= FLOOR_MARGIN * RESIDUAL_TOL.  It runs only
+    where it could pass.  Every step first finds the top pair (theta, s)
+    of T_k in O(k) with `_top_ritz`, from the pair of the step before.
+    Where the kernel's rho_k is <= FLOOR_MARGIN * RESIDUAL_TOL, x is
+    formed from its s, and the check runs if that x has explicit residual
+    <= RESIDUAL_TOL + RESIDUAL_TOL / FLOOR_MARGIN.  The check also runs
+    at step MAX_ITER, at every restart step and where the kernel does not
+    converge.
+
+    A skipped step cannot pass the check.  The kernel's pair is eigh's up
+    to rounding: the tests hold theta to 1e-14 and rho_k to a relative
+    1e-6.  So where the kernel's rho_k exceeds FLOOR_MARGIN *
+    RESIDUAL_TOL, eigh's exceeds it too or lies within a relative 1e-6 of
+    it, and either way the check's residual, which equals eigh's rho_k up
+    to about 1e-16, is far above RESIDUAL_TOL.  Where the kernel's x has a
+    residual above RESIDUAL_TOL + RESIDUAL_TOL / FLOOR_MARGIN, eigh's x is
+    the same Ritz vector up to rounding, and the two residuals were seen
+    to differ by under 1e-15, a ten-thousandth of that margin.  No check
+    feeds the recurrence, so the stopping step and every printed value
+    are those of a check at every step.
     """
     v = graph.nvertices
     basis = np.empty((BASIS_CAP + 1, v))
@@ -128,22 +149,31 @@ def spectral_gap(graph, seed=0):
     q -= basis[0] * (basis[0] @ q)
     basis[1] = q / np.linalg.norm(q)
     alphas, betas, arrow = [], [], []  # T_j; betas[-1] is the norm of w
-    anchor, eigensolves, restarts, j = None, 0, 0, 0
+    theta, s = 0.0, []  # the top eigenpair of T_j
+    eigensolves, restarts, j = 0, 0, 0
     limit = FLOOR_MARGIN * RESIDUAL_TOL
+    could_pass = RESIDUAL_TOL + RESIDUAL_TOL / FLOOR_MARGIN
     for k in range(1, MAX_ITER + 1):
         j += 1
         w = graph.matmat(basis[j])
-        alphas.append(basis[j] @ w)
+        alphas.append(float(basis[j] @ w))
         for _ in range(2):  # twice is enough (Kahan; Parlett)
             w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
-        betas.append(np.linalg.norm(w))
-        if k == MAX_ITER or j == BASIS_CAP \
-                or _residual_floor(betas, anchor) <= limit:
+        betas.append(float(np.linalg.norm(w)))
+        top = (alphas[0], [1.0]) if j == 1 else \
+            _top_ritz(alphas, betas, arrow, theta, s)
+        exact = top is None or k == MAX_ITER or j == BASIS_CAP
+        if not exact:
+            theta, s = top
+            if betas[-1] * abs(s[-1]) <= limit:
+                x = np.array(s) @ basis[1:j + 1]
+                exact = np.linalg.norm(graph.matmat(x) - theta * x) \
+                    <= could_pass
+        if exact:
             vals, vecs = np.linalg.eigh(_lanczos_matrix(alphas, betas, arrow))
             eigensolves += 1
-            theta, rho = float(vals[-1]), betas[-1] * abs(vecs[-1, -1])
-            anchor = (j, rho, vals[-1] - vals[-2] if j > 1 else math.inf)
-            if rho <= limit or k == MAX_ITER:
+            theta, s = float(vals[-1]), vecs[:, -1].tolist()
+            if betas[-1] * abs(s[-1]) <= limit or k == MAX_ITER:
                 x = vecs[:, -1] @ basis[1:j + 1]
                 residual = float(np.linalg.norm(graph.matmat(x) - theta * x))
                 if residual <= RESIDUAL_TOL:
@@ -156,11 +186,10 @@ def spectral_gap(graph, seed=0):
             for c in range(0, v, RESTART_COLUMNS):
                 block = slice(c, c + RESTART_COLUMNS)
                 basis[1:m + 1, block] = kept.T @ basis[1:j + 1, block]
-            arrow = beta * kept[-1]
-            alphas, betas = list(vals[-m:]), [0.0] * m
-            # the floor assumes T grew only by tridiagonal rows since its
-            # anchor, so the first check after a restart is exact
-            anchor, j, restarts = None, m, restarts + 1
+            arrow = (beta * kept[-1]).tolist()
+            alphas, betas = vals[-m:].tolist(), [0.0] * m
+            # the top Ritz vector of T is now the last kept basis row
+            s, j, restarts = [0.0] * (m - 1) + [1.0], m, restarts + 1
         basis[j + 1] = w / beta
     raise NoConvergence(f"Lanczos did not reach residual {RESIDUAL_TOL} in "
                         f"{MAX_ITER} steps (residual {residual})")
@@ -177,46 +206,71 @@ def _lanczos_matrix(alphas, betas, arrow):
     return t
 
 
-def _residual_floor(betas, anchor):
-    """A lower bound on rho_k = beta_k |s_k| at step k = len(betas), from
-    the anchor (k0, rho0, g0) of an earlier step k0 = k - j.  With theta_1
-    > theta_2 >= ... the eigenvalues of T_k0 and z_m the last entry of its
-    m-th eigenvector, rho0 = beta_k0 |z_1| and g0 = theta_1 - theta_2
-    (inf when k0 = 1).  0 when there is no anchor or rho0 or g0 is 0.
+def _top_ritz(alphas, betas, arrow, theta, s):
+    """The top eigenpair (theta, s), ||s|| = 1, of T = T_j, j = len(alphas)
+    >= 2 (as `_lanczos_matrix` builds it, from lists of floats), in O(j)
+    from the top pair (theta, s) of T_{j-1}; None if it does not converge.
 
-    It uses that the spectrum and the diagonal of every T lie in [-1, 1]
-    (T = Q^T A Q with orthonormal Q and ||A|| = 1) and that beta <= 1.
-    Let (theta, s), ||s|| = 1, be the top eigenpair of T = T_k.
-
-    - Tail.  Row k0 + i of (T - theta) s = 0 gives s_{k0+i-1} =
-      ((theta - alpha_{k0+i}) s_{k0+i} - beta_{k0+i} s_{k0+i+1}) /
-      beta_{k0+i-1}, with s_{k+1} = 0.  So |s_{k0+i}| <= c_i |s_k| for
-      c_j = 1, c_{j+1} = 0, c_{i-1} = (2 c_i + c_{i+1}) / beta_{k0+i-1}.
-    - Head.  Rows 1..k0 give u = (s_1..s_k0) = -beta_k0 s_{k0+1}
-      (T_k0 - theta)^-1 e_k0, so ||u||^2 = s_{k0+1}^2 sum_m beta_k0^2
-      z_m^2 / (theta - theta_m)^2.  By Cauchy interlacing theta >=
-      theta', the top eigenvalue of T_{k0+1}.  The secular equation of
-      that bordered matrix, theta' - alpha_{k0+1} = sum_m beta_k0^2 z_m^2
-      / (theta' - theta_m), has positive terms and a left side <= 2, so
-      theta' - theta_1 >= rho0^2 / 2.  The m = 1 term is then <= 4 / rho0^2, and
-      the rest, with theta - theta_m >= g0, sum to <= beta_k0^2 / g0^2.
-      So ||u||^2 <= c_1^2 s_k^2 M with M = 4 / rho0^2 + beta_k0^2 / g0^2.
-
-    1 = ||s||^2 <= s_k^2 (c_1^2 M + sum_{i<=j} c_i^2) then bounds |s_k|
-    from below, and beta_k |s_k| from below by the value returned.  A
-    breakdown (beta_k = 0) gives 0.
+    Inverse iteration with shifts from below.  The first start vector u
+    is s padded with the last entry of the top Ritz vector of T on
+    span([s; 0], e_j), and that Ritz value, at least theta, is the first
+    lower bound on theta_j, the top eigenvalue of T.  A pass factors
+    T - sigma = L D L^T (L unit lower triangular) at sigma = the lower
+    bound + j eps, which covers its rounding, and solves (T - sigma) y = u.
+    When every pivot of D is negative, sigma is above the spectrum and
+    within j eps of theta_j, and the pass returns y / ||y|| with its
+    Rayleigh quotient sigma + u.y / y.y.  Near convergence theta_j -
+    theta_{j-1} is below rounding and the first pass does so.  Otherwise
+    that Rayleigh quotient, at most theta_j, is the next lower bound and y
+    the next u: None if it did not rise, or if a pivot was 0.
     """
-    if anchor is None:
-        return 0.0
-    k0, rho0, g0 = anchor
-    if rho0 == 0 or g0 == 0:
-        return 0.0
-    c_next, c, total = 0.0, 1.0, 1.0  # c_{i+1}, c_i, sum of c_i^2 so far
-    for i in range(len(betas) - k0, 1, -1):
-        c_next, c = c, (2 * c + c_next) / betas[k0 + i - 2]
-        total += c * c
-    m = 4 / rho0**2 + betas[k0 - 1]**2 / g0**2
-    return betas[-1] / math.sqrt(c * c * m + total)
+    j, m = len(alphas), len(arrow)
+    eps = j * 2.0**-52
+    c = betas[-2] * s[-1]  # T[j-1, j-2] s[-1]; 0 right after a restart
+    g = theta - alphas[-1]
+    h = math.hypot(g, 2 * c)
+    lift = 2 * c * c / (g + h) if g > 0 else (h - g) / 2
+    u = s + [lift / c if c else 0.0]
+    theta += lift
+    while True:
+        sigma = theta + eps
+        try:
+            # rows < m hold the kept Ritz values, coupled only to row m
+            head = [a - sigma for a in alphas[:m]]
+            ratio = [b / d for b, d in zip(arrow, head)]
+            tail_a, tail_u = alphas[m:], u[m:]
+            tail_a[0] -= sum(b * r for b, r in zip(arrow, ratio))
+            tail_u[0] -= sum(r * x for r, x in zip(ratio, u))
+            pivots, zs, d, z, b0 = [], [], 1.0, 0.0, 0.0
+            push_d, push_z = pivots.append, zs.append
+            for a, x, b in zip(tail_a, tail_u, betas[m:]):
+                r = b0 / d
+                d = a - sigma - r * b0
+                z = x - r * z
+                push_d(d)
+                push_z(z)
+                b0 = b
+            y, ys = 0.0, []
+            push_y = ys.append
+            for d, z, b in zip(reversed(pivots), reversed(zs),
+                               reversed(betas[m:])):
+                y = (z - b * y) / d
+                push_y(y)
+            ys.reverse()
+            ys[:0] = [(x - b * ys[0]) / d for x, b, d in zip(u, arrow, head)]
+        except ZeroDivisionError:
+            return None
+        uy = yy = 0.0
+        for x, y in zip(u, ys):
+            uy += x * y
+            yy += y * y
+        rq = sigma + uy / yy
+        if max(pivots) < 0 and all(d < 0 for d in head):
+            scale = 1 / math.sqrt(yy)
+            return rq, [y * scale for y in ys]
+        if rq <= theta:
+            return None
+        theta, u = rq, ys
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,8 @@ def test_dense_vs_iterative_agreement():
 
 def reference_gap(graph, seed=0, max_iter=spectra.MAX_ITER):
     """The Lanczos loop with the exact check (eigh of T_k, x and its
-    explicit residual) at every step, as it was before the floor let steps
-    skip it: (lambda2, gap, residual, iterations)."""
+    explicit residual) at every step, the oracle for the steps that
+    spectral_gap skips: (lambda2, gap, residual, iterations)."""
     v = graph.nvertices
     basis = np.empty((2, v))
     basis[0] = 1.0 / math.sqrt(v)
@@ -242,10 +242,11 @@ def lanczos_matrix(alphas, betas, arrow):
 
 
 def lanczos_coefficients(graph, steps, seed, restart_at=None):
-    """alphas, betas and arrowhead of `steps` Lanczos steps on the deflated
-    normalized adjacency, with no stopping test.  With restart_at, the basis
-    thick-restarts once, when it holds that many vectors, on its top
-    restart_at // 2 Ritz vectors; the lists are then those of T after it."""
+    """alphas, betas, arrowhead and basis of `steps` Lanczos steps on the
+    deflated normalized adjacency, with no stopping test.  With restart_at,
+    the basis thick-restarts once, when it holds that many vectors, on its
+    top restart_at // 2 Ritz vectors; the lists are then those of T after
+    it, and basis row i + 1 is the Lanczos vector of row i of T."""
     v = graph.nvertices
     basis = np.empty((steps + 2, v))
     basis[0] = 1.0 / math.sqrt(v)
@@ -268,39 +269,75 @@ def lanczos_coefficients(graph, steps, seed, restart_at=None):
             arrow = betas[-1] * vecs[-1, -j:]
             alphas, betas = list(vals[-j:]), [0.0] * j
         basis[j + 1] = w / np.linalg.norm(w)
-    return alphas, betas, arrow
+    return alphas, betas, arrow, basis
 
 
-@pytest.mark.parametrize("v, degree", [(120, 4), (300, 6), (640, 4),
-                                       (1100, 6)])
-def test_residual_floor_bounds_the_lanczos_estimate(v, degree):
-    graph = permutation_graph(v, degree, v)
+@pytest.mark.parametrize("name", RESTART_GRAPHS)
+def test_top_ritz_matches_eigh(name):
+    graph = ORACLE_GRAPHS[name]()
     limit = spectra.FLOOR_MARGIN * spectra.RESIDUAL_TOL
-    for restart_at in (None, 40):
-        alphas, betas, arrow = lanczos_coefficients(graph, 80, seed=v,
+    steps = spectral_gap(graph).iterations
+    # the kernel chained from step to step, as spectral_gap runs it; after
+    # a restart T holds the arrowhead, and the chain starts at its row
+    for restart_at in (None, 16):
+        *coefficients, basis = lanczos_coefficients(graph, steps, seed=0,
                                                     restart_at=restart_at)
-        # after a restart, anchors are steps whose T holds the arrowhead row
-        first, last = len(arrow) + 1, len(alphas)
-        eig = {k: np.linalg.eigh(lanczos_matrix(alphas[:k], betas[:k], arrow))
-               for k in range(first, last + 1)}
-        above = unconverged = 0
-        for k0 in range(first, last):
-            vals, vecs = eig[k0]
-            anchor = (k0, betas[k0 - 1] * abs(vecs[-1, -1]),
-                      vals[-1] - vals[-2] if k0 > 1 else math.inf)
-            for k in range(k0 + 1, min(k0 + 12, last) + 1):
-                floor = spectra._residual_floor(betas[:k], anchor)
-                estimate = betas[k - 1] * abs(eig[k][1][-1, -1])
-                assert floor <= estimate, (restart_at, k0, k, floor, estimate)
-                above += floor > limit
-                unconverged += estimate > limit
-        # the floor is not vacuous: it rules out convergence at most steps,
-        # and after a restart, whose estimates start near the limit, at a
-        # third of the steps that have not converged
-        if restart_at is None:
-            assert above > (last - first + 1) * 12 / 2
-        else:
-            assert above > unconverged / 3
+        alphas, betas, arrow = (list(map(float, c)) for c in coefficients)
+        first = len(arrow) + 1
+        vals, vecs = np.linalg.eigh(lanczos_matrix(alphas[:first],
+                                                   betas[:first], arrow))
+        theta, s = float(vals[-1]), vecs[:, -1].tolist()
+        fallbacks = 0
+        for k in range(first + 1, len(alphas) + 1):
+            vals, vecs = np.linalg.eigh(lanczos_matrix(alphas[:k], betas[:k],
+                                                       arrow))
+            top = spectra._top_ritz(alphas[:k], betas[:k], arrow, theta, s)
+            if top is None:  # spectral_gap runs eigh instead
+                fallbacks += 1
+                theta, s = float(vals[-1]), vecs[:, -1].tolist()
+                continue
+            theta, s = top
+            assert abs(np.linalg.norm(s) - 1) <= 1e-14, (restart_at, k)
+            assert abs(theta - vals[-1]) <= 1e-14, (restart_at, k)
+            want = betas[k - 1] * abs(vecs[-1, -1])
+            got = betas[k - 1] * abs(s[-1])
+            if want >= 1e-13:
+                assert abs(got / want - 1) <= 1e-6, (restart_at, k, got, want)
+            # the estimate never skips a step whose check forms x
+            assert got <= limit or want > limit, (restart_at, k, got, want)
+            if got <= limit:
+                # nor does the residual of the kernel's x skip one that
+                # passes: it is the check's residual up to rounding
+                residuals = [
+                    np.linalg.norm(graph.matmat(x) - t * x)
+                    for t, x in ((theta, np.array(s) @ basis[1:k + 1]),
+                                 (vals[-1], vecs[:, -1] @ basis[1:k + 1]))]
+                assert abs(residuals[0] - residuals[1]) <= 1e-15, (
+                    restart_at, k, residuals)
+        assert fallbacks <= 1, (restart_at, fallbacks)
+
+
+def test_sweep_runs_few_eigensolves():
+    # the exact check at every step would run one eigensolve per step
+    runs = [spectral_gap(thm15_graph("i", p), seed=0)
+            for p in (3, 5, 7, 11, 13, 17, 19)]
+    assert sum(r.iterations for r in runs) == 786
+    assert sum(r.eigensolves for r in runs) <= 40
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_matmat_sums_neighbor_columns_in_order(name):
+    graph = ORACLE_GRAPHS[name]()
+    block = np.random.default_rng(0).standard_normal((graph.nvertices, 3))
+    want = block[graph.neighbors].sum(axis=1) / graph.degree
+    assert np.array_equal(graph.matmat(block), want)
+    for c in range(3):
+        x = block[:, c].copy()
+        assert np.array_equal(graph.matmat(x), want[:, c])
+        # numpy sums a contiguous row of 8 or more terms pairwise
+        if graph.degree < 8:
+            assert np.array_equal(graph.matmat(x), x[graph.neighbors].sum(
+                axis=1) / graph.degree)
 
 
 def test_angle_matrix_equal_alphas():
