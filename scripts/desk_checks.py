@@ -44,7 +44,7 @@ def main():
                          "SL_3(F_17) chain, the ell-tower, the orbit, "
                          "Gamma-class and permutation component checks, "
                          "Gamma_{5,F_7} and the thm15 ii gap at p = 5 "
-                         "(about 2 s against 31 s for the full run on a "
+                         "(about 1 s against 19 s for the full run on a "
                          "2-core machine)")
     args = ap.parse_args()
 
@@ -199,8 +199,8 @@ def main():
     print(f"    kappa(G, S) >= {rep.bound:.12f}  (M = {rep.M:.6f})")
 
     print("Schreier gap of the degree-6 triple on F_13^3 minus 0:")
-    graph = spectra.build_schreier(np.arange(1, 13**3, dtype=np.int64),
-                                   thm15_i, ff.make_field(13, 1), 3)
+    graph = spectra.build_schreier(orbits.word_code_perms(
+        thm15_i, np.arange(1, 13**3, dtype=np.int64), ff.make_field(13, 1), 3))
     res = timed("Lanczos lambda2", lambda: spectra.spectral_gap(graph))
     dense = timed("dense eigvalsh lambda2", lambda: float(
         np.linalg.eigvalsh(graph.normalized_adjacency())[-2]))
@@ -216,8 +216,9 @@ def main():
         thm15_ii = [tame.Word.of(tame.CoordCycle()),
                     tame.Word.of(tame.Transvection(1, 2, 1, 1),
                                  tame.Transvection(4, 6, 2, 1))]
-        graph = spectra.build_schreier(np.arange(1, 5**7, dtype=np.int64),
-                                       thm15_ii, ff.make_field(5, 1), 7)
+        graph = spectra.build_schreier(orbits.word_code_perms(
+            thm15_ii, np.arange(1, 5**7, dtype=np.int64), ff.make_field(5, 1),
+            7))
         res = timed("Lanczos lambda2 within the basis cap",
                     lambda: spectra.spectral_gap(graph))
         # the value of scipy eigsh on the deflated operator; stopping below

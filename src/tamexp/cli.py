@@ -74,10 +74,12 @@ def _thm15_words(variant):
     return 7, words
 
 
-def _nonzero_codes(q, n):
-    """Codes of the q^n - 1 nonzero points of F_q^n, under the int32 rule."""
-    orbits.check_int32(q**n - 1, "domain")
-    return np.arange(1, q**n, dtype=np.int64)
+def _nonzero_perms(words, ctx, n):
+    """The words' permutations of the q^n - 1 nonzero points of F_q^n, in
+    code order, under the int32 rule."""
+    orbits.check_int32(ctx.q**n - 1, "domain")
+    return orbits.word_code_perms(
+        words, np.arange(1, ctx.q**n, dtype=np.int64), ctx, n)
 
 
 def cmd_certify_alt(args):
@@ -85,7 +87,6 @@ def cmd_certify_alt(args):
         raise BadInput(f"--ell {args.ell} needs --on-classes: the generators "
                        "have prime-field coefficients, so they keep "
                        "F_p^n minus 0 invariant and cannot act as Alt")
-    seed = args.seed
     if args.thm15:
         n, words = _thm15_words(args.thm15)
         params = None
@@ -107,11 +108,11 @@ def cmd_certify_alt(args):
         if domain_size > args.budget:  # before the codes are allocated
             raise BudgetExceeded(f"domain of {domain_size} points exceeds "
                                  f"the budget {args.budget}")
-        perms = orbits.word_code_perms(words, _nonzero_codes(ctx.q, n), ctx, n)
+        perms = _nonzero_perms(words, ctx, n)
         domain_kind = "nonzero points"
-    chain = permgrp.build_chain(perms, seed=seed)
+    chain = permgrp.build_chain(perms, seed=args.seed)
     cert = permgrp.certify_alternating(chain)
-    payload = _header(seed, ctx)
+    payload = _header(args.seed, ctx)
     payload.update({
         "degree": cert.degree,
         "domain": domain_kind,
@@ -237,8 +238,7 @@ def _gap_row(task):
     p, variant, seed = task
     ctx = ff.make_field(p, 1)
     n, words = _thm15_words(variant)
-    codes = _nonzero_codes(p, n)
-    graph = spectra.build_schreier(codes, words, ctx, n)
+    graph = spectra.build_schreier(_nonzero_perms(words, ctx, n))
     res = spectra.spectral_gap(graph, seed=seed)
     row = (f"{p},{graph.nvertices},{graph.degree},"
            f"{res.lambda2!r},{res.gap!r},{res.method},{res.residual!r}")
@@ -448,7 +448,8 @@ OPTIONS = {
     "threads": dict(type=_at_least(1), default=1,
                     help="worker processes; numpy may run several threads "
                          "in each"),
-    "seed": dict(type=_int, default=0, help="seed of every random choice"),
+    "seed": dict(type=_at_least(0), default=0,
+                  help="seed of every random choice"),
     "out": dict(type=_out_path, help="output file, stdout if not given"),
 }
 

@@ -4,9 +4,10 @@ alternating-group certification.
 Permutations are int32 arrays (the rule of `orbits.check_int32`) mapping
 index -> image; products apply left to right (compose(a, b)[x] =
 b[a[x]]), matching word application.  One vectorised pass
-(`cycle_lengths`) gives every cycle type, and one layered BFS Schreier
-tree (`_schreier_tree`, on the BFS `orbits.bfs_layers` that also gives
-`orbits.closure`) every orbit; the transitivity check is one closure.
+(`_cycle_minima`) labels every cycle, for cycle types and parity, and
+one layered BFS Schreier tree (`_schreier_tree`, on the BFS
+`orbits.bfs_layers` that also gives `orbits.closure`) every orbit; the
+transitivity check is one closure.
 
 Two chain strategies share the StabChain interface:
 
@@ -102,31 +103,36 @@ def perm_from_cycles(n, cycles):
     return p
 
 
-def cycle_lengths(p):
-    """List of (length, smallest point) over the nontrivial cycles of p, in
-    increasing order of the smallest point.
-
-    Min-label pointer doubling: after round k, label[x] is the least of x,
-    p(x), ..., p^(2^k - 1)(x).  Once a round changes no label, each label
-    is the least point of its cycle (the windows from x in steps of 2^k
-    cover the cycle), after O(log of the longest cycle) rounds.
-    """
+def _cycle_minima(p):
+    """label[x], the least point of x's cycle under p, by min-label pointer
+    doubling: after round k, label[x] is the least of x, p(x), ...,
+    p^(2^k - 1)(x).  Once a round changes no label, each label is the
+    least point of its cycle (the windows from x in steps of 2^k cover
+    the cycle), after O(log of the longest cycle) rounds."""
     label = identity_perm(len(p))
     jump = np.asarray(p, dtype=np.int32)
     while True:
-        nxt = np.minimum(label, label.take(jump))
+        nxt = label.take(jump)
+        np.minimum(nxt, label, out=nxt)
         if np.array_equal(nxt, label):
-            break
+            return label
         label, jump = nxt, jump.take(jump)
-    sizes = np.bincount(label, minlength=len(p))
+
+
+def cycle_lengths(p):
+    """List of (length, smallest point) over the nontrivial cycles of p, in
+    increasing order of the smallest point."""
+    sizes = np.bincount(_cycle_minima(p), minlength=len(p))
     reps = np.flatnonzero(sizes > 1)
     return list(zip(sizes[reps].tolist(), reps.tolist()))
 
 
 def parity(p):
-    """'even' or 'odd' via the cycle decomposition."""
-    transpositions = sum(length - 1 for length, _ in cycle_lengths(p))
-    return "even" if transpositions % 2 == 0 else "odd"
+    """'even' or 'odd': d points in c cycles (fixed points included) are a
+    product of d - c transpositions."""
+    label = _cycle_minima(p)
+    cycles = np.count_nonzero(label == identity_perm(len(label)))
+    return "even" if (len(label) - cycles) % 2 == 0 else "odd"
 
 
 def perm_order(p):

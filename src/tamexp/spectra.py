@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated, NoConvergence
-from .orbits import components, word_code_perms
+from .orbits import components
 from .permgrp import inverse
 # re-exported: bench/test_bench.py checks its span wrapper under this name
 from .orbits import codes_to_coords  # noqa: F401
@@ -58,14 +58,13 @@ class SchreierGraph:
         return total / self.degree
 
 
-def build_schreier(domain_codes, gen_words, ctx, n):
-    """Orbit graph on a set of point codes closed under the generators, else
-    NotClosed; each inverse word's column is the inverse permutation.  The
-    neighbour columns are contiguous, for the gathers of `matmat`."""
-    codes = np.sort(np.asarray(domain_codes, dtype=np.int64))
-    cols = [c for g in word_code_perms(gen_words, codes, ctx, n)
-            for c in (g, inverse(g))]
-    return SchreierGraph(len(codes), 2 * len(gen_words), np.stack(cols).T)
+def build_schreier(perms):
+    """Schreier graph of the generators' int32 permutations `perms` of
+    range(V): each generator's column is its permutation and the next
+    column its inverse.  The neighbour columns are contiguous, for the
+    gathers of `matmat`."""
+    cols = [c for g in perms for c in (g, inverse(g))]
+    return SchreierGraph(len(perms[0]), 2 * len(perms), np.stack(cols).T)
 
 
 def complete_graph(v):
@@ -122,13 +121,14 @@ def spectral_gap(graph, seed=0):
     residual, formed only when the Lanczos estimate rho_k = beta_k |s_k|
     (s the top eigenvector of T_k, beta_k the norm of the step's
     reorthogonalized w) is <= FLOOR_MARGIN * RESIDUAL_TOL.  It runs only
-    where it could pass.  Every step first finds the top pair (theta, s)
-    of T_k in O(k) with `_top_ritz`, from the pair of the step before.
-    Where the kernel's rho_k is <= FLOOR_MARGIN * RESIDUAL_TOL, x is
-    formed from its s, and the check runs if that x has explicit residual
-    <= RESIDUAL_TOL + RESIDUAL_TOL / FLOOR_MARGIN.  The check also runs
-    at step MAX_ITER, at every restart step and where the kernel does not
-    converge.
+    where it could pass.  From step 2 to the first restart, while T_k is
+    tridiagonal, a step first finds its top pair (theta, s) in O(k) with
+    `_top_ritz`, from the pair of the step before.  Where the kernel's
+    rho_k is <= FLOOR_MARGIN * RESIDUAL_TOL, x is formed from its s, and
+    the check runs if that x has explicit residual <= RESIDUAL_TOL +
+    RESIDUAL_TOL / FLOOR_MARGIN.  The check runs at all other steps: step
+    1, every step after the first restart, the steps that fill the basis,
+    step MAX_ITER and where the kernel does not converge.
 
     A skipped step cannot pass the check.  The kernel's pair is eigh's up
     to rounding: the tests hold theta to 1e-14 and rho_k to a relative
@@ -149,7 +149,6 @@ def spectral_gap(graph, seed=0):
     q -= basis[0] * (basis[0] @ q)
     basis[1] = q / np.linalg.norm(q)
     alphas, betas, arrow = [], [], []  # T_j; betas[-1] is the norm of w
-    theta, s = 0.0, []  # the top eigenpair of T_j
     eigensolves, restarts, j = 0, 0, 0
     limit = FLOOR_MARGIN * RESIDUAL_TOL
     could_pass = RESIDUAL_TOL + RESIDUAL_TOL / FLOOR_MARGIN
@@ -160,8 +159,9 @@ def spectral_gap(graph, seed=0):
         for _ in range(2):  # twice is enough (Kahan; Parlett)
             w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
         betas.append(float(np.linalg.norm(w)))
-        top = (alphas[0], [1.0]) if j == 1 else \
-            _top_ritz(alphas, betas, arrow, theta, s)
+        # the kernel continues a pair of a tridiagonal T_{j-1}
+        top = None if j == 1 or restarts else \
+            _top_ritz(alphas, betas, theta, s)
         exact = top is None or k == MAX_ITER or j == BASIS_CAP
         if not exact:
             theta, s = top
@@ -188,8 +188,7 @@ def spectral_gap(graph, seed=0):
                 basis[1:m + 1, block] = kept.T @ basis[1:j + 1, block]
             arrow = (beta * kept[-1]).tolist()
             alphas, betas = vals[-m:].tolist(), [0.0] * m
-            # the top Ritz vector of T is now the last kept basis row
-            s, j, restarts = [0.0] * (m - 1) + [1.0], m, restarts + 1
+            j, restarts = m, restarts + 1
         basis[j + 1] = w / beta
     raise NoConvergence(f"Lanczos did not reach residual {RESIDUAL_TOL} in "
                         f"{MAX_ITER} steps (residual {residual})")
@@ -206,16 +205,17 @@ def _lanczos_matrix(alphas, betas, arrow):
     return t
 
 
-def _top_ritz(alphas, betas, arrow, theta, s):
-    """The top eigenpair (theta, s), ||s|| = 1, of T = T_j, j = len(alphas)
-    >= 2 (as `_lanczos_matrix` builds it, from lists of floats), in O(j)
-    from the top pair (theta, s) of T_{j-1}; None if it does not converge.
+def _top_ritz(alphas, betas, theta, s):
+    """The top eigenpair (theta, s), ||s|| = 1, of the tridiagonal T = T_j,
+    alphas on its diagonal and betas[:-1] beside it (j = len(alphas) >= 2),
+    in O(j) from the top pair (theta, s) of T_{j-1}; None if it does not
+    converge.
 
     Inverse iteration with shifts from below.  The first start vector u
     is s padded with the last entry of the top Ritz vector of T on
     span([s; 0], e_j), and that Ritz value, at least theta, is the first
     lower bound on theta_j, the top eigenvalue of T.  A pass factors
-    T - sigma = L D L^T (L unit lower triangular) at sigma = the lower
+    T - sigma = L D L^T (L unit lower bidiagonal) at sigma = the lower
     bound + j eps, which covers its rounding, and solves (T - sigma) y = u.
     When every pivot of D is negative, sigma is above the spectrum and
     within j eps of theta_j, and the pass returns y / ||y|| with its
@@ -224,9 +224,8 @@ def _top_ritz(alphas, betas, arrow, theta, s):
     that Rayleigh quotient, at most theta_j, is the next lower bound and y
     the next u: None if it did not rise, or if a pivot was 0.
     """
-    j, m = len(alphas), len(arrow)
-    eps = j * 2.0**-52
-    c = betas[-2] * s[-1]  # T[j-1, j-2] s[-1]; 0 right after a restart
+    eps = len(alphas) * 2.0**-52
+    c = betas[-2] * s[-1]  # T[j-1, j-2] s[-1]
     g = theta - alphas[-1]
     h = math.hypot(g, 2 * c)
     lift = 2 * c * c / (g + h) if g > 0 else (h - g) / 2
@@ -235,15 +234,9 @@ def _top_ritz(alphas, betas, arrow, theta, s):
     while True:
         sigma = theta + eps
         try:
-            # rows < m hold the kept Ritz values, coupled only to row m
-            head = [a - sigma for a in alphas[:m]]
-            ratio = [b / d for b, d in zip(arrow, head)]
-            tail_a, tail_u = alphas[m:], u[m:]
-            tail_a[0] -= sum(b * r for b, r in zip(arrow, ratio))
-            tail_u[0] -= sum(r * x for r, x in zip(ratio, u))
             pivots, zs, d, z, b0 = [], [], 1.0, 0.0, 0.0
             push_d, push_z = pivots.append, zs.append
-            for a, x, b in zip(tail_a, tail_u, betas[m:]):
+            for a, x, b in zip(alphas, u, betas):
                 r = b0 / d
                 d = a - sigma - r * b0
                 z = x - r * z
@@ -253,11 +246,10 @@ def _top_ritz(alphas, betas, arrow, theta, s):
             y, ys = 0.0, []
             push_y = ys.append
             for d, z, b in zip(reversed(pivots), reversed(zs),
-                               reversed(betas[m:])):
+                               reversed(betas)):
                 y = (z - b * y) / d
                 push_y(y)
             ys.reverse()
-            ys[:0] = [(x - b * ys[0]) / d for x, b, d in zip(u, arrow, head)]
         except ZeroDivisionError:
             return None
         uy = yy = 0.0
@@ -265,7 +257,7 @@ def _top_ritz(alphas, betas, arrow, theta, s):
             uy += x * y
             yy += y * y
         rq = sigma + uy / yy
-        if max(pivots) < 0 and all(d < 0 for d in head):
+        if max(pivots) < 0:
             scale = 1 / math.sqrt(yy)
             return rq, [y * scale for y in ys]
         if rq <= theta:

@@ -275,7 +275,8 @@ def test_criterion_11_schreier_gaps(tmp_path):
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         ctx = ff.make_field(p, 1)
         n, words = thm15_words("i")
-        graph = spectra.build_schreier(nonzero_codes(p, 3), words, ctx, 3)
+        graph = spectra.build_schreier(
+            orbits.word_code_perms(words, nonzero_codes(p, 3), ctx, 3))
         res = spectra.spectral_gap(graph)
         assert res.residual <= 1e-10, f"p={p}: residual {res.residual}"
         if p <= 13:

@@ -378,6 +378,9 @@ def test_certify_thm15_on_classes_reads_ell(tmp_path, capsys):
     "gap --threads 0",
     # the sweep covers the primes 3..p: at p = 2 it would check nothing
     "gap --p 2 --sweep",
+    # numpy takes no negative seed; rejected before the graphs are built
+    "gap --p 3 --sweep --seed -1",
+    "certify-alt --seed -5",
     # Gamma-classes with E = 1 over an extension field: the Frobenius
     # moves orbits, so there are no classes to count
     "gamma-classes --p 3 --e 1,1,1 --ell 2",

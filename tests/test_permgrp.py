@@ -53,6 +53,23 @@ def test_cycle_pass_matches_sympy():
         assert pg.perm_order(g) == sp.order()
 
 
+def test_parity_memory_is_a_few_arrays():
+    # 7-cycles on about 10^6 points, as the thm15 ii generators are: parity
+    # counts the cycle minima, with no Python object per cycle
+    d = 7 * 142857
+    g = np.roll(np.arange(d, dtype=np.int32).reshape(-1, 7), -1, axis=1)
+    g = g.ravel()
+    pg.parity(g[:7])  # keeps first-call imports out of the trace
+    tracemalloc.start()
+    try:
+        assert pg.parity(g) == "even"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six int32 arrays of d points, counting the int64 indices of take
+    assert peak <= 7 * 4 * d, peak
+
+
 def test_schreier_sims_small():
     assert pg.schreier_sims([pg.identity_perm(6)]).order == 1
     g1 = pg.perm_from_cycles(4, [[0, 1, 2]])

@@ -26,8 +26,7 @@ def test_known_spectra():
 
 def test_identity_generator_gap_zero():
     # a single identity generator gives disjoint self-loops: lambda2 = 1
-    F3 = ff.make_field(3, 1)
-    g = build_schreier(nonzero_codes(3, 3), [tame.Word()], F3, 3)
+    g = identity_generator_graph()
     assert g.degree == 2
     r = spectral_gap(g)
     assert abs(r.gap) < 1e-12
@@ -38,9 +37,7 @@ def test_identity_generator_gap_zero():
 
 
 def test_schreier_graph_shapes():
-    F3 = ff.make_field(3, 1)
-    n, words = thm15_words("i")
-    g = build_schreier(nonzero_codes(3, 3), words, F3, 3)
+    g = thm15_graph("i", 3)
     assert g.nvertices == 26 and g.degree == 6
     # all-ones is an eigenvector with eigenvalue 1
     ones = np.ones(26)
@@ -58,23 +55,23 @@ def test_schreier_neighbors_match_inverse_words(variant, p):
     cols = [np.searchsorted(codes, orbits.coords_to_codes(
                 tame.apply_word_arrays(word, coords, ctx), p))
             for w in words for word in (w, w.inverse())]
-    g = build_schreier(codes[::-1], words, ctx, n)  # sorted inside
+    g = build_schreier(orbits.word_code_perms(words, codes, ctx, n))
     assert g.neighbors.dtype == np.int32
     assert np.array_equal(g.neighbors, np.stack(cols, axis=1))
 
 
 def test_not_closed():
     F3 = ff.make_field(3, 1)
-    # domain missing a point hit by the generator
+    # domain missing a point hit by the generator: its permutation cannot
+    # be formed, so there is no graph to build
     with pytest.raises(NotClosed):
-        build_schreier(np.arange(1, 11, dtype=np.int64),
-                       [tame.Word.of(tame.Transvection(3, 1, 1, 1))], F3, 3)
+        build_schreier(orbits.word_code_perms(
+            [tame.Word.of(tame.Transvection(3, 1, 1, 1))],
+            np.arange(1, 11, dtype=np.int64), F3, 3))
 
 
 def test_dense_vs_iterative_agreement():
-    F5 = ff.make_field(5, 1)
-    n, words = thm15_words("i")
-    g = build_schreier(nonzero_codes(5, 3), words, F5, 3)
+    g = thm15_graph("i", 5)
     dense = np.linalg.eigvalsh(g.normalized_adjacency())[-2]
     r = spectral_gap(g)
     assert abs(dense - r.lambda2) <= 1e-12
@@ -111,9 +108,15 @@ def reference_gap(graph, seed=0, max_iter=spectra.MAX_ITER):
                         f"steps (residual {residual})")
 
 
+def word_graph(words, p, n):
+    """The Schreier graph of the words on F_p^n minus 0."""
+    return build_schreier(orbits.word_code_perms(
+        words, nonzero_codes(p, n), ff.make_field(p, 1), n))
+
+
 def thm15_graph(variant, p):
     n, words = thm15_words(variant)
-    return build_schreier(nonzero_codes(p, n), words, ff.make_field(p, 1), n)
+    return word_graph(words, p, n)
 
 
 def permutation_graph(v, degree, seed):
@@ -132,8 +135,7 @@ def two_7_cycles():
 
 
 def identity_generator_graph():
-    return build_schreier(nonzero_codes(3, 3), [tame.Word()],
-                          ff.make_field(3, 1), 3)
+    return word_graph([tame.Word()], 3, 3)
 
 
 ORACLE_GRAPHS = {
@@ -232,44 +234,29 @@ def test_basis_memory_is_bounded():
     assert peaks[0] <= bound < peaks[1], (peaks, bound)
 
 
-def lanczos_matrix(alphas, betas, arrow):
-    """T: alphas on the diagonal, betas[:-1] beside it, and the arrowhead
-    of a thick restart in row and column len(arrow)."""
-    t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    m = len(arrow)
-    t[:m, m] = t[m, :m] = arrow
-    return t
+def lanczos_matrix(alphas, betas):
+    """T: alphas on the diagonal, betas[:-1] beside it."""
+    return np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
 
 
-def lanczos_coefficients(graph, steps, seed, restart_at=None):
-    """alphas, betas, arrowhead and basis of `steps` Lanczos steps on the
-    deflated normalized adjacency, with no stopping test.  With restart_at,
-    the basis thick-restarts once, when it holds that many vectors, on its
-    top restart_at // 2 Ritz vectors; the lists are then those of T after
-    it, and basis row i + 1 is the Lanczos vector of row i of T."""
+def lanczos_coefficients(graph, steps, seed):
+    """alphas, betas and basis of `steps` Lanczos steps on the deflated
+    normalized adjacency, with no stopping test and no restart."""
     v = graph.nvertices
     basis = np.empty((steps + 2, v))
     basis[0] = 1.0 / math.sqrt(v)
     q = np.random.default_rng(seed).standard_normal(v)
     q -= basis[0] * (basis[0] @ q)
     basis[1] = q / np.linalg.norm(q)
-    alphas, betas, arrow = [], [], []
-    j = 0
+    alphas, betas = [], []
     for k in range(1, steps + 1):
-        j += 1
-        w = graph.matmat(basis[j])
-        alphas.append(basis[j] @ w)
+        w = graph.matmat(basis[k])
+        alphas.append(basis[k] @ w)
         for _ in range(2):
-            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
         betas.append(np.linalg.norm(w))
-        if k == restart_at:
-            vals, vecs = np.linalg.eigh(lanczos_matrix(alphas, betas, arrow))
-            j //= 2
-            basis[1:j + 1] = vecs[:, -j:].T @ basis[1:2 * j + 1]
-            arrow = betas[-1] * vecs[-1, -j:]
-            alphas, betas = list(vals[-j:]), [0.0] * j
-        basis[j + 1] = w / np.linalg.norm(w)
-    return alphas, betas, arrow, basis
+        basis[k + 1] = w / betas[-1]
+    return alphas, betas, basis
 
 
 @pytest.mark.parametrize("name", RESTART_GRAPHS)
@@ -277,44 +264,54 @@ def test_top_ritz_matches_eigh(name):
     graph = ORACLE_GRAPHS[name]()
     limit = spectra.FLOOR_MARGIN * spectra.RESIDUAL_TOL
     steps = spectral_gap(graph).iterations
-    # the kernel chained from step to step, as spectral_gap runs it; after
-    # a restart T holds the arrowhead, and the chain starts at its row
-    for restart_at in (None, 16):
-        *coefficients, basis = lanczos_coefficients(graph, steps, seed=0,
-                                                    restart_at=restart_at)
-        alphas, betas, arrow = (list(map(float, c)) for c in coefficients)
-        first = len(arrow) + 1
-        vals, vecs = np.linalg.eigh(lanczos_matrix(alphas[:first],
-                                                   betas[:first], arrow))
-        theta, s = float(vals[-1]), vecs[:, -1].tolist()
-        fallbacks = 0
-        for k in range(first + 1, len(alphas) + 1):
-            vals, vecs = np.linalg.eigh(lanczos_matrix(alphas[:k], betas[:k],
-                                                       arrow))
-            top = spectra._top_ritz(alphas[:k], betas[:k], arrow, theta, s)
-            if top is None:  # spectral_gap runs eigh instead
-                fallbacks += 1
-                theta, s = float(vals[-1]), vecs[:, -1].tolist()
-                continue
-            theta, s = top
-            assert abs(np.linalg.norm(s) - 1) <= 1e-14, (restart_at, k)
-            assert abs(theta - vals[-1]) <= 1e-14, (restart_at, k)
-            want = betas[k - 1] * abs(vecs[-1, -1])
-            got = betas[k - 1] * abs(s[-1])
-            if want >= 1e-13:
-                assert abs(got / want - 1) <= 1e-6, (restart_at, k, got, want)
-            # the estimate never skips a step whose check forms x
-            assert got <= limit or want > limit, (restart_at, k, got, want)
-            if got <= limit:
-                # nor does the residual of the kernel's x skip one that
-                # passes: it is the check's residual up to rounding
-                residuals = [
-                    np.linalg.norm(graph.matmat(x) - t * x)
-                    for t, x in ((theta, np.array(s) @ basis[1:k + 1]),
-                                 (vals[-1], vecs[:, -1] @ basis[1:k + 1]))]
-                assert abs(residuals[0] - residuals[1]) <= 1e-15, (
-                    restart_at, k, residuals)
-        assert fallbacks <= 1, (restart_at, fallbacks)
+    # the kernel chained from step to step, as spectral_gap runs it
+    *coefficients, basis = lanczos_coefficients(graph, steps, seed=0)
+    alphas, betas = (list(map(float, c)) for c in coefficients)
+    theta, s = alphas[0], [1.0]
+    fallbacks = 0
+    for k in range(2, len(alphas) + 1):
+        vals, vecs = np.linalg.eigh(lanczos_matrix(alphas[:k], betas[:k]))
+        top = spectra._top_ritz(alphas[:k], betas[:k], theta, s)
+        if top is None:  # spectral_gap runs eigh instead
+            fallbacks += 1
+            theta, s = float(vals[-1]), vecs[:, -1].tolist()
+            continue
+        theta, s = top
+        assert abs(np.linalg.norm(s) - 1) <= 1e-14, k
+        assert abs(theta - vals[-1]) <= 1e-14, k
+        want = betas[k - 1] * abs(vecs[-1, -1])
+        got = betas[k - 1] * abs(s[-1])
+        if want >= 1e-13:
+            assert abs(got / want - 1) <= 1e-6, (k, got, want)
+        # the estimate never skips a step whose check forms x
+        assert got <= limit or want > limit, (k, got, want)
+        if got <= limit:
+            # nor does the residual of the kernel's x skip one that passes:
+            # it is the check's residual up to rounding
+            residuals = [
+                np.linalg.norm(graph.matmat(x) - t * x)
+                for t, x in ((theta, np.array(s) @ basis[1:k + 1]),
+                             (vals[-1], vecs[:, -1] @ basis[1:k + 1]))]
+            assert abs(residuals[0] - residuals[1]) <= 1e-15, (k, residuals)
+    assert fallbacks <= 1, fallbacks
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_restarted_gap_matches_check_every_step(p, monkeypatch):
+    # a 16-vector basis restarts each run; with no kernel pair every step
+    # runs the exact check, and the values and the stopping step agree
+    monkeypatch.setattr(spectra, "BASIS_CAP", 16)
+    graph = thm15_graph("i", p)
+    for seed in range(3):
+        r = spectral_gap(graph, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_top_ritz", lambda *args: None)
+            want = spectral_gap(graph, seed=seed)
+        assert r.restarts > 0 and want.eigensolves == want.iterations
+        assert (repr(r.lambda2), repr(r.gap), repr(r.residual),
+                r.iterations) == (repr(want.lambda2), repr(want.gap),
+                                  repr(want.residual), want.iterations), (
+            p, seed)
 
 
 def test_sweep_runs_few_eigensolves():
