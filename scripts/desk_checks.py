@@ -54,8 +54,7 @@ def main():
     print("alternating certificates (degree-6 triple):")
     for p in (3, 5, 7):
         ctx = ff.make_field(p, 1)
-        codes = np.arange(1, p**3, dtype=np.int64)
-        gens = orbits.word_code_perms(thm15_i, codes, ctx, 3)
+        gens = orbits.nonzero_perms(thm15_i, ctx, 3)
         cert = timed(f"p={p}: certify Alt({p**3 - 1})",
                      lambda: permgrp.certify_alternating(
                          permgrp.build_chain(gens, seed=1)))
@@ -81,9 +80,8 @@ def main():
     for p in (5,) if args.fast else (5, 17):
         print(f"dense Schreier-Sims (SL_3(F_{p}) on F_{p}^3 minus 0):")
         sl3 = tame.GroupParams(p, 3, (1, 1, 1))
-        codes = np.arange(1, p**3, dtype=np.int64)
-        gens = orbits.word_code_perms(tame.standard_generators(sl3), codes,
-                                      ff.make_field(p, 1), 3)
+        gens = orbits.nonzero_perms(tame.standard_generators(sl3),
+                                    ff.make_field(p, 1), 3)
         order = p**3 * (p**2 - 1) * (p**3 - 1)
         chain = timed(f"order {order}, verdict Proper",
                       lambda: permgrp.build_chain(gens, seed=1))
@@ -199,8 +197,8 @@ def main():
     print(f"    kappa(G, S) >= {rep.bound:.12f}  (M = {rep.M:.6f})")
 
     print("Schreier gap of the degree-6 triple on F_13^3 minus 0:")
-    graph = spectra.build_schreier(orbits.word_code_perms(
-        thm15_i, np.arange(1, 13**3, dtype=np.int64), ff.make_field(13, 1), 3))
+    graph = spectra.build_schreier(orbits.nonzero_perms(
+        thm15_i, ff.make_field(13, 1), 3))
     res = timed("Lanczos lambda2", lambda: spectra.spectral_gap(graph))
     dense = timed("dense eigvalsh lambda2", lambda: float(
         np.linalg.eigvalsh(graph.normalized_adjacency())[-2]))
@@ -216,9 +214,8 @@ def main():
         thm15_ii = [tame.Word.of(tame.CoordCycle()),
                     tame.Word.of(tame.Transvection(1, 2, 1, 1),
                                  tame.Transvection(4, 6, 2, 1))]
-        graph = spectra.build_schreier(orbits.word_code_perms(
-            thm15_ii, np.arange(1, 5**7, dtype=np.int64), ff.make_field(5, 1),
-            7))
+        graph = spectra.build_schreier(orbits.nonzero_perms(
+            thm15_ii, ff.make_field(5, 1), 7))
         res = timed("Lanczos lambda2 within the basis cap",
                     lambda: spectra.spectral_gap(graph))
         # the value of scipy eigsh on the deflated operator; stopping below

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from contextlib import nullcontext
 from math import isqrt
@@ -64,22 +65,12 @@ def _params(args):
 
 def _thm15_words(variant):
     if variant == "i":
-        words = [tame.Word.of(tame.CoordCycle()),
-                 tame.Word.of(tame.Transvection(1, 2, 1, 1)),
-                 tame.Word.of(tame.Transvection(1, 2, 2, 1))]
-        return 3, words
-    words = [tame.Word.of(tame.CoordCycle()),
-             tame.Word.of(tame.Transvection(1, 2, 1, 1),
-                          tame.Transvection(4, 6, 2, 1))]
-    return 7, words
-
-
-def _nonzero_perms(words, ctx, n):
-    """The words' permutations of the q^n - 1 nonzero points of F_q^n, in
-    code order, under the int32 rule."""
-    orbits.check_int32(ctx.q**n - 1, "domain")
-    return orbits.word_code_perms(
-        words, np.arange(1, ctx.q**n, dtype=np.int64), ctx, n)
+        return 3, [tame.Word.of(tame.CoordCycle()),
+                   tame.Word.of(tame.Transvection(1, 2, 1, 1)),
+                   tame.Word.of(tame.Transvection(1, 2, 2, 1))]
+    return 7, [tame.Word.of(tame.CoordCycle()),
+               tame.Word.of(tame.Transvection(1, 2, 1, 1),
+                            tame.Transvection(4, 6, 2, 1))]
 
 
 def cmd_certify_alt(args):
@@ -105,10 +96,10 @@ def cmd_certify_alt(args):
         domain_kind = "gamma-classes of the largest orbit"
     else:
         domain_size = ctx.q**n - 1
-        if domain_size > args.budget:  # before the codes are allocated
+        if domain_size > args.budget:  # before the maps are built
             raise BudgetExceeded(f"domain of {domain_size} points exceeds "
                                  f"the budget {args.budget}")
-        perms = _nonzero_perms(words, ctx, n)
+        perms = orbits.nonzero_perms(words, ctx, n)
         domain_kind = "nonzero points"
     chain = permgrp.build_chain(perms, seed=args.seed)
     cert = permgrp.certify_alternating(chain)
@@ -139,7 +130,7 @@ def _class_action_perms(labels, words, ctx, n, spec):
     reps, class_id = orbits.component_ids(np.where(labels == oid, roots, -1))
     del roots
     return [class_id[g[reps]]
-            for g in orbits.word_code_perms(words, None, ctx, n)]
+            for g in orbits.word_code_perms(words, ctx, n)]
 
 
 def cmd_orbits(args):
@@ -153,7 +144,7 @@ def cmd_orbits(args):
         _emit("\n".join(lines) + "\n", args.out, fmt="csv")
     elif args.format == "dot":
         lines = ["graph schreier {"]
-        gens = orbits.word_code_perms(tame.standard_generators(params), None,
+        gens = orbits.word_code_perms(tame.standard_generators(params),
                                       part.ctx, params.n)
         for oid, o in enumerate(part.orbits):
             if o.size > 2000 or o.size <= 1:
@@ -238,7 +229,7 @@ def _gap_row(task):
     p, variant, seed = task
     ctx = ff.make_field(p, 1)
     n, words = _thm15_words(variant)
-    graph = spectra.build_schreier(_nonzero_perms(words, ctx, n))
+    graph = spectra.build_schreier(orbits.nonzero_perms(words, ctx, n))
     res = spectra.spectral_gap(graph, seed=seed)
     row = (f"{p},{graph.nvertices},{graph.degree},"
            f"{res.lambda2!r},{res.gap!r},{res.method},{res.residual!r}")
@@ -314,18 +305,17 @@ def _lemma_field_worker(task):
 
 
 def cmd_verify_lemmas(args):
-    import random as _random
-
-    fields = _lemma_fields(args.qmax)
+    # 257^2, the first field past the tables, is below 2 * TABLE_LIMIT
+    fields = _lemma_fields(min(args.qmax, 2 * ff.TABLE_LIMIT))
     largest = max(p**ell for p, ell in fields)  # --qmax >= 4 holds F_4
     if largest > ff.TABLE_LIMIT:
         raise FieldTooLarge(f"--qmax {args.qmax} reaches a field of {largest} "
                             f"elements, beyond the {ff.TABLE_LIMIT}-element "
                             "field tables")
-    tasks = [(p, ell, args.nmax) for p, ell in fields]
+    tasks = [(p, ell, args.nmax) for p, ell in fields]  # all, qmax < 66049
     checks = [check for out in _pool_map(_lemma_field_worker, tasks,
                                          args.threads) for check in out]
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     fields = _lemma_fields(125)
     interp_ok = 0
     for _ in range(args.trials):

@@ -228,7 +228,7 @@ class FieldCtx:
             raise NonPrime(f"{p} is not prime")
         if p >= PRIME_LIMIT:
             raise NonPrime(f"p must be < 2^31, got {p}")
-        if p**ell > ORDER_LIMIT:
+        if ell >= ORDER_LIMIT.bit_length() or p**ell > ORDER_LIMIT:  # p >= 2
             raise DegreeZero(f"field order p^ell must be <= 2^40, got {p}^{ell}")
         self.p = p
         self.ell = ell

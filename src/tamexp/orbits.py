@@ -6,12 +6,12 @@ Points of F_q^n are tuples of field-element indices; bulk code paths pack
 a point into a single integer sum(idx_i * q^i), so index 0 is the origin.
 This module owns that format: `code_perms` turns maps on coordinate
 arrays (words through `word_code_perms`, Frobenius, m_lambda) into
-permutations of a code set; `components` finds the connected
-components under such maps, and `closure` the orbit of one point under
-permutations, by the one layered BFS `bfs_layers`.  The maps always act
-on the broadcast grid of all of F_q^n, one axis per coordinate, so codes
-are never split into digits; an explicit code set restricts the grid
-permutations.  Orbits are those of the acting words (`orbit_labels`).
+permutations of all of F_q^n, on its broadcast grid, so codes are never
+split into digits; `nonzero_perms` slices the words' ones to the nonzero
+points, and `restriction` to any closed code set.  `components` finds
+the connected components under such maps, and `closure` the orbit of one
+point under permutations, by the one layered BFS `bfs_layers`.  Orbits
+are those of the acting words (`orbit_labels`).
 Over F_{p^ell} one orbit holds nearly every point, so the closure of
 the last code q^n - 1 settles it when the code lies in it, and only the
 other points go through `components`.  That code's coordinates are all
@@ -88,21 +88,19 @@ def check_int32(count, what):
         raise BudgetExceeded(f"{what} of {count} points exceeds int32 positions")
 
 
-def code_perms(maps, codes, q, n):
-    """Positions in the distinct codes `codes` of F_q^n, in any order, of
-    their images under each map on per-coordinate index arrays, as int32
-    arrays; codes None stands for all of F_q^n in code order.  Each map
-    acts on the broadcast grid of tame.grid_coords, where an image's
-    position is its code; an explicit code set takes its `restriction`."""
+def code_perms(maps, q, n):
+    """The permutations of all of F_q^n, in code order, that the maps on
+    per-coordinate index arrays induce, as int32 arrays: each map acts on
+    the broadcast grid of tame.grid_coords, where an image's position is
+    its code.  `restriction` restricts them to a closed code set."""
     check_int32(q**n, "grid")
     grid = grid_coords(q, n)
-    restrict = (lambda pos: pos) if codes is None else restriction(codes, q**n)
     perms = []
     for f in maps:
         pos = np.zeros((q,) * n, dtype=np.int32)
         for k, a in enumerate(f(grid)):
             pos += a * q**k
-        perms.append(restrict(pos.ravel()))  # one map's grid array alive
+        perms.append(pos.ravel())
     return perms
 
 
@@ -120,10 +118,21 @@ def restriction(codes, size):
     return restrict
 
 
-def word_code_perms(words, codes, ctx, n):
+def word_code_perms(words, ctx, n):
     """code_perms of the action of each word."""
     return code_perms([partial(apply_word_arrays, w, ctx=ctx) for w in words],
-                      codes, ctx.q, n)
+                      ctx.q, n)
+
+
+def nonzero_perms(words, ctx, n):
+    """The words' permutations of the nonzero points of F_q^n, code c at
+    position c - 1, under the int32 rule: each grid permutation past code
+    0, decremented in place; NotClosed if a word moves the origin."""
+    check_int32(ctx.q**n - 1, "domain")
+    perms = word_code_perms(words, ctx, n)
+    if any(g[0] for g in perms):
+        raise NotClosed("a map sends a point outside the domain")
+    return [np.subtract(g[1:], 1, out=g[1:]) for g in perms]
 
 
 def components(maps):
@@ -400,7 +409,7 @@ def orbit_labels(words, ctx, n, budget):
     total = ctx.q**n
     if total > budget:
         raise BudgetExceeded(f"{total} points exceed the exhaustive budget {budget}")
-    return component_ids(_orbit_roots(word_code_perms(words, None, ctx, n)))
+    return component_ids(_orbit_roots(word_code_perms(words, ctx, n)))
 
 
 def orbit_partition(params, ell, budget=10**7, seed=0):
@@ -454,7 +463,7 @@ def gamma_roots(labels, spec, oid=None):
     still map one orbit onto another (over F_25^3 with e = (1, 1, 4))."""
     maps = code_perms([partial(_gamma_coords, which, spec=spec)
                        for which in ("frobenius", "mlambda")],
-                      None, spec.ctx.q, spec.params.n)
+                      spec.ctx.q, spec.params.n)
     roots = components(maps)
     del maps
     bad = labels[roots] != labels
@@ -513,7 +522,7 @@ def check_large_orbit(params, ell, budget=10**7):
     if start is None:
         raise BoundViolated("no field generator among (E-1)-st powers")
     size = int(np.count_nonzero(closure(
-        start, word_code_perms(standard_generators(params), None, ctx, n))))
+        start, word_code_perms(standard_generators(params), ctx, n))))
     # exact integer bound: p^(ln) - (E-1)^n p^((l-1)n)
     bound = params.p ** (ell * n) - N ** n * params.p ** ((ell - 1) * n)
     # at ell = 2 the bound is attained exactly (e.g. q = 49, E = 2: every

@@ -497,7 +497,7 @@ def elementary_abelian_witness(params, rank):
                            f"{WITNESS_GRID_CAP}")
     words = [synth.alpha_word(1, 2, k, 1) for k in range(rank)]
     chain = permgrp.schreier_sims(
-        orbits.word_code_perms(words, None, ctx, params.n))
+        orbits.word_code_perms(words, ctx, params.n))
     if chain.order != params.p**rank:
         raise BoundViolated(
             f"witness group has order {chain.order}, expected {params.p**rank}")

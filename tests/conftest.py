@@ -3,13 +3,7 @@ unlimited decimal strings."""
 
 import sys
 
-import numpy as np
-
 from tamexp import tame
-
-
-def nonzero_codes(q, n):
-    return np.arange(1, q**n, dtype=np.int64)
 
 
 def thm15_words(variant):

@@ -13,7 +13,7 @@ import pytest
 from tamexp import ff, orbits, permgrp as pg, spectra, synth, tame
 from tamexp.cli import main as cli_main
 
-from conftest import nonzero_codes, str_unlimited, thm15_words
+from conftest import str_unlimited, thm15_words
 
 
 def _report(name, detail):
@@ -26,7 +26,7 @@ def thm15i_chains():
     for p in (3, 5, 7):
         ctx = ff.make_field(p, 1)
         n, words = thm15_words("i")
-        gens = orbits.word_code_perms(words, nonzero_codes(p, 3), ctx, 3)
+        gens = orbits.nonzero_perms(words, ctx, 3)
         chains[p] = pg.build_chain(gens, seed=17)
     return chains
 
@@ -71,8 +71,7 @@ def test_criterion_2_degree4_case():
     p, n, q = 3, 7, 3
     ctx = ff.make_field(p, 1)
     nwords, words = thm15_words("ii")
-    codes = nonzero_codes(q, n)
-    rho, gamma = orbits.word_code_perms(words, codes, ctx, n)
+    rho, gamma = orbits.nonzero_perms(words, ctx, n)
     chain = pg.build_chain([rho, gamma], seed=11)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"
@@ -276,7 +275,7 @@ def test_criterion_11_schreier_gaps(tmp_path):
         ctx = ff.make_field(p, 1)
         n, words = thm15_words("i")
         graph = spectra.build_schreier(
-            orbits.word_code_perms(words, nonzero_codes(p, 3), ctx, 3))
+            orbits.nonzero_perms(words, ctx, 3))
         res = spectra.spectral_gap(graph)
         assert res.residual <= 1e-10, f"p={p}: residual {res.residual}"
         if p <= 13:

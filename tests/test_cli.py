@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tamexp import ff, orbits, permgrp, synth, tame
-from tamexp.cli import _class_action_perms, _emit, main
+from tamexp import cli, ff, orbits, permgrp, synth, tame
+from tamexp.cli import _class_action_perms, _emit, _lemma_fields, main
 from tamexp.errors import BoundViolated, NotClosed, ProbeFailed
 
-from conftest import nonzero_codes, thm15_words
+from conftest import thm15_words
 
 
 def run(tmp_path, *argv):
@@ -147,7 +147,7 @@ def _reference_class_perms(params, ell, words, n):
     inside = labels == oid
     reps, class_id = orbits.component_ids(np.where(inside, roots, -1))
     perms = []
-    for g in orbits.word_code_perms(words, None, part.ctx, n):
+    for g in orbits.word_code_perms(words, part.ctx, n):
         if (labels[g[inside]] != oid).any():
             raise NotClosed("a map sends a point outside the domain")
         perms.append(class_id[g[reps]])
@@ -446,15 +446,84 @@ def test_certify_alt_budget_bounds_the_domain(tmp_path, capsys):
     assert run(tmp_path, *argv, "--budget", "25") == (2, "")
 
 
-def run_module(flags, out, *argv, module="tamexp.cli"):
-    """Run the CLI in a subprocess, so that -O is in force and a traceback
-    would show on stderr; out None writes to stdout."""
+def _src_env():
     src = os.path.dirname(os.path.dirname(ff.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def run_module(flags, out, *argv, module="tamexp.cli", timeout=None):
+    """Run the CLI in a subprocess, so that -O is in force and a traceback
+    would show on stderr; out None writes to stdout.  A run past timeout
+    seconds raises TimeoutExpired."""
     argv += ("--out", str(out)) if out is not None else ()
     return subprocess.run([sys.executable, *flags, "-m", module, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("argv, err", [
+    # 5^(10^9) would take minutes to form before the 2^40 comparison
+    ("orbits --ell 1000000000",
+     "field order p^ell must be <= 2^40, got 5^1000000000"),
+    # the primes up to 10^15 would take minutes to list; 2^17 is the
+    # largest field up to twice the tables
+    ("verify-lemmas --qmax 1" + "0" * 30,
+     "--qmax 1" + "0" * 30 + " reaches a field of 131072 elements, beyond "
+     "the 65536-element field tables"),
+], ids=["ell", "qmax"])
+def test_huge_field_options_are_rejected_at_once(argv, err, tmp_path):
+    # a subprocess with a timeout: a slow rejection fails, not stalls
+    out = tmp_path / "out"
+    res = run_module((), out, *argv.split(), timeout=10)
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == f"bad input: {err}\n"
+    assert not out.exists()
+
+
+class _Sweep(Exception):
+    """Carries the tasks of the lemma sweep."""
+
+
+@pytest.mark.parametrize("qmax", [4, 625, 65536, 65537, 66048])
+def test_qmax_short_of_the_first_field_past_the_tables_runs(qmax,
+                                                            monkeypatch):
+    # 257^2 = 66049 is the first field past the 65536-element tables; below
+    # it the sweep gets every field
+    def pool_map(fn, tasks, workers):
+        raise _Sweep(tasks)
+
+    monkeypatch.setattr(cli, "_pool_map", pool_map)
+    with pytest.raises(_Sweep) as got:
+        main(["verify-lemmas", "--qmax", str(qmax)])
+    [tasks] = got.value.args
+    assert tasks == [(p, ell, 4) for p, ell in _lemma_fields(qmax)]
+    assert max(p**ell for p, ell, _ in tasks) <= ff.TABLE_LIMIT
+
+
+@pytest.mark.parametrize("qmax, largest", [(66049, 66049), (80000, 79507),
+                                           (131072, 131072),
+                                           (10**6, 131072)])
+def test_qmax_past_the_tables_names_a_field_it_reaches(qmax, largest,
+                                                       capsys):
+    assert main(["verify-lemmas", "--qmax", str(qmax)]) == 3
+    assert capsys.readouterr().err == (
+        f"bad input: --qmax {qmax} reaches a field of {largest} elements, "
+        "beyond the 65536-element field tables\n")
+    assert largest == max(p**ell for p, ell in _lemma_fields(qmax)
+                          if p**ell <= 2 * ff.TABLE_LIMIT)
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency, and importing the CLI does no
+    # more than import it
+    code = ("import sys; before = set(sys.modules); import tamexp.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_src_env(), check=True)
+    tops = {name.partition(".")[0] for name in res.stdout.split()}
+    assert "tamexp" in tops and "numpy" in tops
+    assert tops - set(sys.stdlib_module_names) <= {"numpy", "tamexp"}
 
 
 def test_package_runs_as_a_module():
@@ -611,15 +680,13 @@ def _certificate(gens):
 
 def _thm15_i_p5():
     n, words = thm15_words("i")
-    return orbits.word_code_perms(words, nonzero_codes(5, n),
-                                  ff.make_field(5, 1), n)
+    return orbits.nonzero_perms(words, ff.make_field(5, 1), n)
 
 
 def _sl3_f5():
     params = tame.GroupParams(5, 3, (1, 1, 1))
     words = tame.standard_generators(params)
-    return orbits.word_code_perms(words, nonzero_codes(5, 3),
-                                  ff.make_field(5, 1), 3)
+    return orbits.nonzero_perms(words, ff.make_field(5, 1), 3)
 
 
 @pytest.mark.parametrize("group, strategy, verdict, base_len", [

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -208,7 +209,7 @@ def test_frobenius_fixed_points():
     spec = make_gamma_spec(params, F9)
     codes = np.arange(9**3, dtype=np.int64)
     [f] = code_perms([partial(orbits._gamma_coords, "frobenius", spec=spec)],
-                     codes, 9, 3)
+                     9, 3)
     assert int((f == codes).sum()) == 27
     assert np.array_equal(f[f], codes)
 
@@ -380,9 +381,10 @@ def test_word_code_perm_matches_scalar_action():
                    (CoordCycle(), -1), (poly, -1)]),
              Word.of(tau(params, 2, 1)), Word()]
     codes = np.random.default_rng(0).permutation(q**3)  # domain in any order
-    perms = word_code_perms(words, codes, ctx, 3) + code_perms(
+    grid = word_code_perms(words, ctx, 3) + code_perms(
         [partial(orbits._gamma_coords, which, spec=spec)
-         for which in ("frobenius", "mlambda")], codes, q, 3)
+         for which in ("frobenius", "mlambda")], q, 3)
+    perms = list(map(orbits.restriction(codes, q**3), grid))
     scalar = [partial(apply_word, w, ctx=ctx) for w in words] + [
         partial(gamma_apply, which, spec=spec)
         for which in ("frobenius", "mlambda")]
@@ -437,8 +439,8 @@ def test_grid_code_perms_match_explicit_codes(p, ell, e):
         for which in ("frobenius", "mlambda")]
     codes = np.arange(q**n)
     shuffled = np.random.default_rng(0).permutation(q**n)
-    grid = code_perms(maps, None, q, n)
-    explicit = code_perms(maps, shuffled, q, n)
+    grid = code_perms(maps, q, n)
+    explicit = list(map(orbits.restriction(shuffled, q**n), grid))
     assert len(grid) == len(explicit) == 14
     for a, b, want, want_shuffled in zip(
             grid, explicit, _split_and_pack(maps, codes, q, n),
@@ -463,14 +465,53 @@ def test_code_perms_restrict_to_a_shuffled_closed_subset(variant, p, ell):
         partial(orbits._gamma_coords, which, spec=spec)
         for which in ("frobenius", "mlambda")]
     codes = np.random.default_rng(1).permutation(np.arange(1, q**n))
-    got = code_perms(maps, codes, q, n)
+    restrict = orbits.restriction(codes, q**n)
+    got = list(map(restrict, code_perms(maps, q, n)))
     for a, want in zip(got, _split_and_pack(maps, codes, q, n)):
         assert a.dtype == np.int32
         assert np.array_equal(a, want)
     with pytest.raises(NotClosed):  # T(2,n,0,1) sends the origin to e_2
-        code_perms([partial(tame.apply_word_arrays,
-                            Word.of(Transvection(2, n, 0, 1)), ctx=ctx)],
-                   codes, q, n)
+        restrict(word_code_perms([Word.of(Transvection(2, n, 0, 1))], ctx,
+                                 n)[0])
+
+
+@pytest.mark.parametrize("variant, p, ell", [
+    ("i", 3, 1), ("i", 5, 1), ("i", 3, 2), ("i", 2, 3), ("ii", 3, 1),
+    ("ii", 5, 1), ("ii", 7, 1), ("ii", 11, 1), ("sl3", 5, 1)])
+def test_nonzero_perms_are_the_restriction_to_nonzero_codes(variant, p, ell):
+    # the slice past code 0 against the restriction table, one word at a
+    # time so that p = 11 holds two 19.5 M-point permutations at once
+    if variant == "sl3":
+        n, words = 3, tame.standard_generators(GroupParams(p, 3, (1, 1, 1)))
+    else:
+        n, words = thm15_words(variant)
+    ctx = ff.make_field(p, ell)
+    restrict = orbits.restriction(np.arange(1, ctx.q**n, dtype=np.int32),
+                                  ctx.q**n)
+    for w in words:
+        [got] = orbits.nonzero_perms([w], ctx, n)
+        want = restrict(word_code_perms([w], ctx, n)[0])
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+        del got, want
+    with pytest.raises(NotClosed, match="^a map sends a point outside the "
+                                        "domain$"):
+        orbits.nonzero_perms([Word.of(Transvection(2, n, 0, 1))], ctx, n)
+
+
+def test_nonzero_perms_memory_is_the_grid_permutations():
+    # thm15 ii at p = 7: each word's grid permutation of int32 positions,
+    # plus one map's images, and no restriction table or gathered copy
+    n, words = thm15_words("ii")
+    ctx = ff.make_field(7, 1)
+    tracemalloc.start()
+    try:
+        perms = orbits.nonzero_perms(words, ctx, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(perms[0]) == 7**7 - 1
+    assert peak <= (len(words) + 1) * 4 * 7**7 + 2**20
 
 
 def test_grid_code_perms_reject_int32_overflow_before_allocating():
@@ -478,7 +519,7 @@ def test_grid_code_perms_reject_int32_overflow_before_allocating():
         raise AssertionError("map evaluated")
     for q, n in ((2**11, 3), (2, 31)):  # 2^33 and exactly 2^31 points
         with pytest.raises(BudgetExceeded, match="int32"):
-            code_perms([never], None, q, n)
+            code_perms([never], q, n)
 
 
 @pytest.mark.parametrize("graph", [complete_graph(9), cycle_graph(10)])

@@ -11,9 +11,9 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from tamexp import ff, permgrp as pg, tame
 from tamexp.errors import BudgetExceeded
-from tamexp.orbits import word_code_perms
+from tamexp.orbits import nonzero_perms
 
-from conftest import nonzero_codes, str_unlimited, thm15_words
+from conftest import str_unlimited, thm15_words
 
 
 def test_perm_basics():
@@ -252,8 +252,7 @@ def test_cycles_residue_matches_the_level_sift(odd):
 def test_certify_thm15i_p3():
     F3 = ff.make_field(3, 1)
     n, words = thm15_words("i")
-    codes = nonzero_codes(3, 3)
-    gens = word_code_perms(words, codes, F3, 3)
+    gens = nonzero_perms(words, F3, 3)
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Alt"
@@ -265,7 +264,7 @@ def test_certify_proper_sl3():
     F3 = ff.make_field(3, 1)
     params = tame.GroupParams(3, 3, (1, 1, 1))
     words = tame.standard_generators(params)
-    gens = word_code_perms(words, nonzero_codes(3, 3), F3, 3)
+    gens = nonzero_perms(words, F3, 3)
     chain = pg.build_chain(gens, seed=1)
     cert = pg.certify_alternating(chain)
     assert cert.verdict == "Proper"
@@ -284,14 +283,14 @@ def test_schreier_sims_order_matches_sympy(p, order):
     F = ff.make_field(p, 1)
     params = tame.GroupParams(p, 3, (1, 1, 1))
     words = tame.standard_generators(params)
-    gens = word_code_perms(words, nonzero_codes(p, 3), F, 3)
+    gens = nonzero_perms(words, F, 3)
     assert pg.schreier_sims(gens).order == order == _sympy_order(gens)
 
 
 def test_ladder_order_matches_sympy():
     F3 = ff.make_field(3, 1)
     n, words = thm15_words("i")
-    gens = word_code_perms(words, nonzero_codes(3, 3), F3, 3)
+    gens = nonzero_perms(words, F3, 3)
     chain = pg.try_alt_ladder(gens, seed=1)
     assert chain.strategy == "cycles"
     assert chain.order == math.factorial(26) // 2 == _sympy_order(gens)
@@ -338,7 +337,7 @@ def test_even_parity_of_standard_generators():
         F = ff.make_field(p, 1)
         params = tame.GroupParams(p, 3, (1, 1, 2))
         words = tame.standard_generators(params)
-        for g in word_code_perms(words, nonzero_codes(p, 3), F, 3):
+        for g in nonzero_perms(words, F, 3):
             assert pg.parity(g) == "even"
 
 
@@ -400,8 +399,7 @@ def _reference_schreier_sims(gens):
 def _sl3_on_vectors(p):
     F = ff.make_field(p, 1)
     params = tame.GroupParams(p, 3, (1, 1, 1))
-    return word_code_perms(tame.standard_generators(params),
-                           nonzero_codes(p, 3), F, 3)
+    return nonzero_perms(tame.standard_generators(params), F, 3)
 
 
 _IMPRIMITIVE = [pg.perm_from_cycles(6, [[0, 1, 2]]),
@@ -541,8 +539,7 @@ def test_certificate_reads_parity_only_for_proper(group, verdict, all_even,
     # the certificate reads it again only when the verdict leaves it open
     if group == "alt26":
         n, words = thm15_words("i")
-        gens = word_code_perms(words, nonzero_codes(3, n), ff.make_field(3, 1),
-                               n)
+        gens = nonzero_perms(words, ff.make_field(3, 1), n)
     elif group == "sym7":
         gens = [pg.perm_from_cycles(7, [[0, 1]]),
                 pg.perm_from_cycles(7, [list(range(7))])]
@@ -771,7 +768,7 @@ def test_giant_rattle_stream_is_pinned(variant, p, degree, base,
     # of its points.  With no burst the block test on points 0 and 1 comes
     # first, and the chain is the same.
     n, words = thm15_words(variant)
-    gens = word_code_perms(words, nonzero_codes(p, n), ff.make_field(p, 1), n)
+    gens = nonzero_perms(words, ff.make_field(p, 1), n)
     pairs = []
     block = pg._minimal_block
     monkeypatch.setattr(pg, "_minimal_block", lambda gens, a, b: (
@@ -833,7 +830,7 @@ def test_certify_thm15ii_p5_alt78124():
     # the paper's headline family Alt(p^7 - 1) at p = 5
     F5 = ff.make_field(5, 1)
     n, words = thm15_words("ii")
-    gens = word_code_perms(words, nonzero_codes(5, n), F5, n)
+    gens = nonzero_perms(words, F5, n)
     chain = pg.build_chain(gens, seed=0)
     cert = pg.certify_alternating(chain)
     assert cert.degree == 78124

@@ -11,7 +11,7 @@ from tamexp.spectra import (AngleMatrix, angle_matrix_min_eig,
                             build_schreier, complete_graph, cycle_graph,
                             kazhdan_bound, spectral_gap)
 
-from conftest import nonzero_codes, thm15_words
+from conftest import thm15_words
 
 
 def test_known_spectra():
@@ -50,12 +50,12 @@ def test_schreier_neighbors_match_inverse_words(variant, p):
     # binary search in the sorted codes
     ctx = ff.make_field(p, 1)
     n, words = thm15_words(variant)
-    codes = nonzero_codes(p, n)
+    codes = np.arange(1, p**n)
     coords = orbits.codes_to_coords(codes, p, n)
     cols = [np.searchsorted(codes, orbits.coords_to_codes(
                 tame.apply_word_arrays(word, coords, ctx), p))
             for w in words for word in (w, w.inverse())]
-    g = build_schreier(orbits.word_code_perms(words, codes, ctx, n))
+    g = build_schreier(orbits.nonzero_perms(words, ctx, n))
     assert g.neighbors.dtype == np.int32
     assert np.array_equal(g.neighbors, np.stack(cols, axis=1))
 
@@ -64,10 +64,10 @@ def test_not_closed():
     F3 = ff.make_field(3, 1)
     # domain missing a point hit by the generator: its permutation cannot
     # be formed, so there is no graph to build
+    restrict = orbits.restriction(np.arange(1, 11), 27)
     with pytest.raises(NotClosed):
-        build_schreier(orbits.word_code_perms(
-            [tame.Word.of(tame.Transvection(3, 1, 1, 1))],
-            np.arange(1, 11, dtype=np.int64), F3, 3))
+        build_schreier([restrict(g) for g in orbits.word_code_perms(
+            [tame.Word.of(tame.Transvection(3, 1, 1, 1))], F3, 3)])
 
 
 def test_dense_vs_iterative_agreement():
@@ -110,8 +110,8 @@ def reference_gap(graph, seed=0, max_iter=spectra.MAX_ITER):
 
 def word_graph(words, p, n):
     """The Schreier graph of the words on F_p^n minus 0."""
-    return build_schreier(orbits.word_code_perms(
-        words, nonzero_codes(p, n), ff.make_field(p, 1), n))
+    return build_schreier(orbits.nonzero_perms(
+        words, ff.make_field(p, 1), n))
 
 
 def thm15_graph(variant, p):
